@@ -4,8 +4,9 @@ Every subcommand reads explicit flags and/or a JSON input file, runs one
 library computation, and writes a deterministic JSON report (sorted keys,
 fixed separators) to stdout or ``--output``.  Module errors become
 structured ``{"error": {"code", "message"}}`` objects with exit code 1;
-malformed input JSON exits with code 2.  ``--pretty`` switches to an
-indented rendering of the same report.
+malformed input JSON and out-of-domain input values (``InvalidInput``)
+exit with code 2.  ``--pretty`` switches to an indented rendering of the
+same report.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .complexes import (
     verify_d_squared,
     verify_les_exact,
 )
-from .errors import HmrkitError
+from .errors import HmrkitError, InvalidInput
 from .f2lin import F2Matrix, IntMatrix
 from .index_grading import TopologicalData4, closed4_index, loop_grading_shift
 from .morse_blowup import (
@@ -469,7 +470,7 @@ def run(argv=None) -> int:
         sys.stdout.write(_dump(
             {"error": {"code": exc.code, "message": str(exc)}},
             args.pretty))
-        return 1
+        return 2 if isinstance(exc, InvalidInput) else 1
 
 
 def main(argv=None):

@@ -37,8 +37,18 @@ class DegenerateSpectrum(HmrkitError):
     code = "degenerate_spectrum"
 
 
+class InvalidInput(HmrkitError):
+    """An input value is out of its domain, e.g. a zero or infinite step."""
+
+    code = "invalid_input"
+
+
 class StepTooLarge(HmrkitError):
-    """ODE integration drifted off the unit sphere beyond tolerance."""
+    """The ODE step times the largest |eigenvalue| exceeds the RK4 bound.
+
+    Past the bound the RK4 propagator can reorder the eigenmodes, and
+    with them the limit of the flow.
+    """
 
     code = "step_too_large"
 

@@ -190,6 +190,22 @@ def test_missing_file_exits_2(capsys):
     assert report["error"]["code"] == "file_not_found"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("step", 0), ("step", -0.01), ("step", float("nan")),
+    ("t_max", 0), ("t_max", float("inf")),
+])
+def test_flow_bad_step_or_horizon_exits_2(capsys, tmp_path, field, value):
+    payload = {"L": [[-1.0, 0.0], [0.0, 2.0]], "phi0": [0.6, 0.8],
+               "t_max": 1.0, "step": 0.01}
+    payload[field] = value
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(payload))
+    code, report = run_json(capsys, "flow", "--input", str(path))
+    assert code == 2
+    assert report["error"]["code"] == "invalid_input"
+    assert field in report["error"]["message"]
+
+
 def test_module_error_object(capsys):
     code, report = run_json(capsys, "lens", "--p", "4", "--q", "2")
     assert code == 1

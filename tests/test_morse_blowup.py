@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from hmrkit.complexes import assemble, homology, les_maps, verify_d_squared, verify_les_exact
-from hmrkit.errors import DegenerateSpectrum, ShapeMismatch, StepTooLarge
+from hmrkit.errors import (DegenerateSpectrum, InvalidInput, ShapeMismatch,
+                           StepTooLarge)
 from hmrkit.f2lin import F2Matrix
 from hmrkit.morse_blowup import (
+    CONVERGENCE_SPEED,
+    CONVERGENCE_STEPS,
+    MAX_STEP_SPECTRAL,
     BaseMorseData,
     BasePoint,
     LinearFlowModel,
@@ -197,6 +203,31 @@ def test_norm_preserved_after_renormalization():
     assert np.max(np.abs(norms - 1.0)) < 1e-9
 
 
+def test_step_bound_sides():
+    # eigenvalues 4% apart: at h lambda_max = 0.99 * 1.5 the RK4 factors
+    # still favor lambda = 1; at 0.99 * 1.7 they would favor 1.04 instead
+    m = LinearFlowModel(np.diag([1.0, 1.04]))
+    phi0 = np.array([0.6, 0.8])
+    below = integrate_blowup_flow(m, phi0, 1.0, t_max=3000.0,
+                                  step=0.99 * MAX_STEP_SPECTRAL / 1.04)
+    assert below.converged
+    assert abs(below.terminal_lambda - 1.0) < 1e-6
+    with pytest.raises(StepTooLarge):
+        integrate_blowup_flow(m, phi0, 1.0, t_max=3000.0,
+                              step=1.01 * MAX_STEP_SPECTRAL / 1.04)
+
+
+def test_long_horizon_memory_follows_steps_taken():
+    # t_max / step is 1e9 steps; buffers sized from it would need ~15 GiB
+    m = LinearFlowModel(np.diag([-1.0, 2.0]))
+    started = time.monotonic()
+    traj = integrate_blowup_flow(m, np.array([0.6, 0.8]), 1.0,
+                                 t_max=1e6, step=1e-3)
+    assert time.monotonic() - started < 2.0
+    assert traj.converged
+    assert len(traj.times) == 6703
+
+
 def test_step_too_large():
     m = LinearFlowModel(np.diag([-40.0, 90.0]))
     with pytest.raises(StepTooLarge):
@@ -216,3 +247,101 @@ def test_bad_inputs_rejected():
         integrate_blowup_flow(m, np.array([1.0, 1.0]), 1.0, 1.0, 1e-3)
     with pytest.raises(ShapeMismatch):
         integrate_blowup_flow(m, np.array([1.0, 0.0]), -1.0, 1.0, 1e-3)
+    for t_max, step in ((1.0, 0.0), (1.0, -1e-3), (1.0, float("nan")),
+                        (1.0, float("inf")), (0.0, 1e-3), (-1.0, 1e-3),
+                        (float("inf"), 1e-3), (1e300, 1e-300)):
+        with pytest.raises(InvalidInput):
+            integrate_blowup_flow(m, np.array([1.0, 0.0]), 1.0, t_max, step)
+
+
+# -- reference: the nonlinear RK4 on the sphere ------------------------------
+
+
+def reference_integrate(model, phi0, s0, t_max, step):
+    """RK4 on phi' = -L phi + Lambda phi, s' = -Lambda s, one step at a time.
+
+    Returns (times, phis, ss, lambdas, converged), renormalizing phi after
+    every step and stopping by the same convergence rule.
+    """
+    L = model.L
+
+    def field(p, sv):
+        lam = float(p @ L @ p)
+        return -L @ p + lam * p, -lam * sv
+
+    phi = np.asarray(phi0, dtype=float)
+    s = float(s0)
+    h = step
+    times, phis, ss = [0.0], [phi.copy()], [s]
+    lambdas = [float(phi @ L @ phi)]
+    quiet = 0
+    converged = False
+    for k in range(1, int(round(t_max / step)) + 1):
+        k1p, k1s = field(phi, s)
+        k2p, k2s = field(phi + 0.5 * h * k1p, s + 0.5 * h * k1s)
+        k3p, k3s = field(phi + 0.5 * h * k2p, s + 0.5 * h * k2s)
+        k4p, k4s = field(phi + h * k3p, s + h * k3s)
+        phi = phi + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        s = s + (h / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
+        phi = phi / np.linalg.norm(phi)
+        s = max(s, 0.0)
+        times.append(k * h)
+        phis.append(phi.copy())
+        ss.append(s)
+        lambdas.append(float(phi @ L @ phi))
+        speed = np.linalg.norm(field(phi, s)[0])
+        quiet = quiet + 1 if speed < CONVERGENCE_SPEED else 0
+        if quiet >= CONVERGENCE_STEPS:
+            converged = True
+            break
+    return (np.array(times), np.array(phis), np.array(ss),
+            np.array(lambdas), converged)
+
+
+def criterion3_model(rng, n):
+    """Acceptance criterion 3 spectrum: spread over [-2, 2], 0.3 off zero."""
+    vecs, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    spread = 2.0 * np.linspace(-1.0, 1.0, n) + rng.uniform(-0.1, 0.1, n)
+    vals = np.sort(spread + np.sign(spread + 1e-9) * 0.3)
+    return LinearFlowModel(vecs @ np.diag(vals) @ vecs.T)
+
+
+def wide_model(rng, n):
+    """Eigenvalues 0.6 apart (up to 0.1), 0.3 off zero: a wide spectrum."""
+    vecs, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    half = 0.3 * (n - 1)
+    spread = np.linspace(-half, half, n) + rng.uniform(-0.05, 0.05, n)
+    vals = np.sort(spread + np.sign(spread + 1e-9) * 0.3)
+    return LinearFlowModel(vecs @ np.diag(vals) @ vecs.T)
+
+
+def assert_matches_reference(model, phi0, s0, t_max, step):
+    times, phis, ss, lambdas, converged = reference_integrate(
+        model, phi0, s0, t_max, step)
+    traj = integrate_blowup_flow(model, phi0, s0, t_max, step)
+    assert converged and traj.converged
+    assert len(traj.times) == len(times)
+    assert np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.phis - phis)) <= 1e-8
+    assert np.max(np.abs(traj.lambdas - lambdas)) <= 1e-8
+    assert np.max(np.abs(traj.ss - ss) / ss) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 16])
+def test_linear_lift_matches_nonlinear_reference(n):
+    rng = np.random.default_rng(700 + n)
+    model = criterion3_model(rng, n) if n <= 6 else wide_model(rng, n)
+    phi0 = rng.standard_normal(n)
+    phi0 /= np.linalg.norm(phi0)
+    assert_matches_reference(model, phi0, float(rng.uniform(0.0, 1.0)),
+                             t_max=40.0, step=2e-3)
+
+
+def test_linear_lift_matches_reference_leaving_a_saddle():
+    # phi0 is 3e-9 off the eigenvector of 2: the speed stays under the
+    # threshold for about 50 steps, then grows, so the quiet count must
+    # restart before the flow settles on the eigenvector of -1
+    eps = 3e-9
+    assert_matches_reference(LinearFlowModel(np.diag([-1.0, 2.0])),
+                             np.array([eps, np.sqrt(1.0 - eps * eps)]),
+                             0.5, t_max=20.0, step=1e-3)
