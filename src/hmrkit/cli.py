@@ -4,8 +4,9 @@ Every subcommand reads explicit flags and/or a JSON input file, runs one
 library computation, and writes a deterministic JSON report (sorted keys,
 fixed separators) to stdout or ``--output``.  Module errors become
 structured ``{"error": {"code", "message"}}`` objects with exit code 1;
-malformed input JSON and out-of-domain input values (``InvalidInput``)
-exit with code 2.  ``--pretty`` switches to an indented rendering of the
+malformed input JSON, input bodies with a missing or malformed field, and
+out-of-domain input values (``InvalidInput``, naming the field) exit with
+code 2.  ``--pretty`` switches to an indented rendering of the
 same report.
 """
 
@@ -27,7 +28,7 @@ from .complexes import (
     verify_d_squared,
     verify_les_exact,
 )
-from .errors import HmrkitError, InvalidInput
+from .errors import HmrkitError, InvalidInput, input_field
 from .f2lin import F2Matrix, IntMatrix
 from .index_grading import TopologicalData4, closed4_index, loop_grading_shift
 from .morse_blowup import (
@@ -110,18 +111,24 @@ def _parse_window(text: str):
 # ---------------------------------------------------------------------------
 
 
+def _float_array(value) -> np.ndarray:
+    return np.array(value, dtype=float)
+
+
+def _base_points(value) -> list:
+    return [(p["label"], int(p["ind_q"]), _float_array(p["fiber"]))
+            for p in value]
+
+
 def _cmd_morse(args) -> int:
     raw = _load_input(args)
-    points = tuple(
-        BasePoint(p["label"], int(p["ind_q"]),
-                  LinearFlowModel(np.array(p["fiber"], dtype=float)))
-        for p in raw["points"]
-    )
-    counts = None
-    if raw.get("counts") is not None:
-        counts = F2Matrix.from_json(raw["counts"])
-    base = BaseMorseData(points, counts)
-    blocks = build_model_complexes(base, int(raw.get("grading_shift", 0)))
+    points = input_field(raw, "points", _base_points)
+    counts = input_field(raw, "counts", F2Matrix.from_json, None)
+    shift = input_field(raw, "grading_shift", int, 0)
+    base = BaseMorseData(
+        tuple(BasePoint(label, ind_q, LinearFlowModel(fiber))
+              for label, ind_q, fiber in points), counts)
+    blocks = build_model_complexes(base, shift)
     cx = assemble(blocks)
     maps = les_maps(blocks)
     report = {
@@ -139,15 +146,17 @@ def _cmd_morse(args) -> int:
 
 def _cmd_flow(args) -> int:
     raw = _load_input(args)
-    model = LinearFlowModel(np.array(raw["L"], dtype=float))
-    if raw.get("phi0") is not None:
-        phi0 = np.array(raw["phi0"], dtype=float)
-    else:
+    matrix = input_field(raw, "L", _float_array)
+    phi0 = input_field(raw, "phi0", _float_array, None)
+    s0 = input_field(raw, "s0", float, 0.0)
+    t_max = input_field(raw, "t_max", float)
+    step = input_field(raw, "step", float)
+    model = LinearFlowModel(matrix)
+    if phi0 is None:
         rng = np.random.default_rng(args.seed)
         phi0 = rng.standard_normal(model.n)
         phi0 /= np.linalg.norm(phi0)
-    traj = integrate_blowup_flow(model, phi0, float(raw.get("s0", 0.0)),
-                                 float(raw["t_max"]), float(raw["step"]))
+    traj = integrate_blowup_flow(model, phi0, s0, t_max, step)
     exact = closed_form_phi(model, phi0, float(traj.times[-1]))
     sign = 1.0 if float(exact @ traj.terminal_phi) >= 0 else -1.0
     report = {
@@ -249,9 +258,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_seifert_matrix(args) -> int:
-    raw = _load_input(args)
-    order, b1 = branched_cover_invariants(
-        SeifertMatrix(IntMatrix.from_rows(raw["data"])))
+    matrix = input_field(_load_input(args), "data", IntMatrix.from_rows)
+    order, b1 = branched_cover_invariants(SeifertMatrix(matrix))
     return _emit({"h1_order": order, "b1": b1}, args)
 
 

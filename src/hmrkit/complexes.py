@@ -32,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .errors import GradingViolation, ShapeMismatch
-from .f2lin import F2Matrix, f2_block, f2_kernel_basis, f2_rank
+from .errors import CompositionNonzero, GradingViolation, ShapeMismatch
+from .f2lin import (F2Matrix, bits, f2_block, f2_kernel_basis, f2_rank,
+                    reduced_echelon, row_masks)
 
 KINDS = ("o", "s", "u")
 
@@ -150,36 +149,20 @@ class GradedComplex:
     def indices(self, j: int) -> list[int]:
         return [k for k, g in enumerate(self.gradings) if g == j]
 
-    def grading_range(self):
-        if not self.gradings:
-            return None
-        return min(self.gradings), max(self.gradings)
-
-    def _slice(self, rows: Sequence[int], cols: Sequence[int]) -> F2Matrix:
-        return _submatrix(self.d, rows, cols)
-
     def d_out(self, j: int) -> F2Matrix:
         """The differential restricted to grading j (landing in j-1)."""
-        return self._slice(self.indices(j - 1), self.indices(j))
+        return _submatrix(self.d, self.indices(j - 1), self.indices(j))
 
     def d_in(self, j: int) -> F2Matrix:
         """The differential from grading j+1 landing in grading j."""
-        return self._slice(self.indices(j), self.indices(j + 1))
+        return _submatrix(self.d, self.indices(j), self.indices(j + 1))
 
-    def cycle_matrix(self, j: int) -> np.ndarray:
-        """Columns spanning the cycles in grading j (dense uint8)."""
-        basis = f2_kernel_basis(self.d_out(j))
-        n = len(self.indices(j))
-        if not basis:
-            return np.zeros((n, 0), dtype=np.uint8)
-        return np.stack(basis, axis=1)
-
-    def boundary_matrix(self, j: int) -> np.ndarray:
-        return self.d_in(j).to_dense()
+    def cycle_matrix(self, j: int) -> list[int]:
+        """A basis of the cycles in grading j, as bitmasks over indices(j)."""
+        return f2_kernel_basis(self.d_out(j))
 
     def homology_rank(self, j: int) -> int:
-        zj = self.cycle_matrix(j).shape[1]
-        return zj - f2_rank(self.d_in(j))
+        return len(self.cycle_matrix(j)) - f2_rank(self.d_in(j))
 
 
 @dataclass(frozen=True)
@@ -247,21 +230,11 @@ def verify_d_squared(c: ThreeComplexes) -> bool:
 
 def homology(c: ThreeComplexes, flavor: str) -> dict[int, int]:
     """Graded F2 homology ranks of the chosen flavor (zero ranks dropped)."""
-    from .errors import CompositionNonzero
-
     f = c.flavor(flavor)
     if not (f.d @ f.d).is_zero():
         raise CompositionNonzero(f"{flavor} differential does not square to 0")
-    rng = f.grading_range()
-    if rng is None:
-        return {}
-    lo, hi = rng
-    out = {}
-    for j in range(lo, hi + 1):
-        r = f.homology_rank(j)
-        if r:
-            out[j] = r
-    return out
+    ranks = {j: f.homology_rank(j) for j in sorted(set(f.gradings))}
+    return {j: r for j, r in ranks.items() if r}
 
 
 @dataclass(frozen=True)
@@ -307,16 +280,24 @@ def les_maps(blocks: BlockDifferentials) -> LesMaps:
 
 def _induced_map_rank(fmat: F2Matrix, src: GradedComplex, tgt: GradedComplex,
                       j: int, deg: int) -> int:
-    """Rank of the map H_j(src) -> H_{j+deg}(tgt) induced by fmat."""
-    rows = tgt.indices(j + deg)
-    cols = src.indices(j)
-    f = _submatrix(fmat, rows, cols).to_dense()
-    z = src.cycle_matrix(j)
-    fz = (f @ z) % 2 if z.size else np.zeros((len(rows), 0), dtype=np.uint8)
-    bb = tgt.boundary_matrix(j + deg)
-    stacked = np.concatenate([fz, bb], axis=1)
-    return f2_rank(F2Matrix.from_dense(stacked)) - f2_rank(
-        F2Matrix.from_dense(bb))
+    """Rank of the map H_j(src) -> H_{j+deg}(tgt) induced by fmat.
+
+    That is rank(f(cycles) + boundaries) - rank(boundaries), on bitmasks.
+    """
+    f = _submatrix(fmat, tgt.indices(j + deg), src.indices(j))
+    f_cols = row_masks(f.transpose())
+    images = [_xor_of(f_cols, z) for z in src.cycle_matrix(j)]
+    d_in = tgt.d_in(j + deg)
+    boundaries = row_masks(d_in.transpose())
+    return len(reduced_echelon(images + boundaries)) - f2_rank(d_in)
+
+
+def _xor_of(vectors: Sequence[int], mask: int) -> int:
+    """The sum of the vectors picked by the set bits of ``mask``."""
+    out = 0
+    for k in bits(mask):
+        out ^= vectors[k]
+    return out
 
 
 def _exact_at(middle: GradedComplex, j: int,

@@ -2,6 +2,8 @@
 
 Every error carries a stable ``code`` attribute so the CLI can emit
 machine-readable error objects without string matching on messages.
+:func:`input_field` reads one field of a JSON input body and turns every
+way it can be malformed into :class:`InvalidInput` naming the field.
 """
 
 from __future__ import annotations
@@ -105,3 +107,29 @@ class AmbiguousDifferential(HmrkitError):
     """A differential cannot be pinned down; the group is undetermined."""
 
     code = "ambiguous_differential"
+
+
+_REQUIRED = object()
+
+
+def input_field(body, name: str, parse, default=_REQUIRED):
+    """``parse(body[name])``; a missing or null field gives ``default``.
+
+    A body that is not a JSON object, a missing required field, and a
+    value that ``parse`` rejects with KeyError, TypeError, ValueError or
+    IndexError all raise InvalidInput naming the field.  Only parsing
+    belongs in ``parse``: errors of a computation must not be caught here.
+    """
+    if not isinstance(body, dict):
+        raise InvalidInput(
+            f"input must be a JSON object, not {type(body).__name__}")
+    value = body.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise InvalidInput(f"input field {name!r} is required")
+        return default
+    try:
+        return parse(value)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise InvalidInput(f"input field {name!r} is malformed: "
+                           f"{type(exc).__name__}: {exc}") from None

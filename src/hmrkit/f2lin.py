@@ -1,11 +1,13 @@
 """Exact linear algebra over F2 and over the integers.
 
-Two matrix flavors are provided: :class:`F2Matrix` stores positions of ones
-(differentials are sparse), :class:`IntMatrix` is a dense grid of Python
-integers (coboundary maps stay small but pivots in Smith normal form do not,
-so arbitrary precision is mandatory).  Everything downstream — homology
-ranks, cohomology presentations, group quotients — reduces to the handful of
-operations in this module.
+:class:`F2Matrix` stores positions of ones (differentials are sparse) and
+computes on row bitmasks, one Python int per row: a product XORs rows, and
+one reduced echelon elimination gives rank and kernel (M4RI-style XOR
+elimination).  :class:`IntMatrix` is a dense grid of Python integers
+(coboundary maps stay small but pivots in Smith normal form do not, so
+arbitrary precision is mandatory).  Everything downstream — homology
+ranks, cohomology presentations, group quotients — reduces to the handful
+of operations in this module.
 """
 
 from __future__ import annotations
@@ -13,13 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .errors import CompositionNonzero, ShapeMismatch
-
-# Dimensions up to this bound are always densified for computation; the
-# sparse position-set form is kept as the canonical storage either way.
-DENSE_FALLBACK = 64
+from .errors import ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -48,15 +44,6 @@ class F2Matrix:
         return F2Matrix(n, n, frozenset((i, i) for i in range(n)))
 
     @staticmethod
-    def from_dense(grid) -> "F2Matrix":
-        a = np.asarray(grid)
-        rows, cols = a.shape
-        ones = frozenset(
-            (int(r), int(c)) for r, c in zip(*np.nonzero(a % 2))
-        )
-        return F2Matrix(rows, cols, ones)
-
-    @staticmethod
     def from_entries(rows: int, cols: int, entries: Iterable) -> "F2Matrix":
         """Build from (row, col) pairs; duplicates cancel mod 2."""
         seen: set = set()
@@ -69,12 +56,6 @@ class F2Matrix:
         return F2Matrix(rows, cols, frozenset(seen))
 
     # -- conversions --------------------------------------------------
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for (r, c) in self.ones:
-            a[r, c] = 1
-        return a
 
     def to_json(self) -> dict:
         return {
@@ -109,15 +90,34 @@ class F2Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}"
             )
-        prod = (self.to_dense().astype(np.int64)
-                @ other.to_dense().astype(np.int64)) % 2
-        return F2Matrix.from_dense(prod)
+        right = row_masks(other)
+        out = [0] * self.rows
+        for (r, c) in self.ones:
+            out[r] ^= right[c]
+        return F2Matrix(self.rows, other.cols, frozenset(
+            (r, c) for r, mask in enumerate(out) for c in bits(mask)))
 
     def is_zero(self) -> bool:
         return not self.ones
 
     def __getitem__(self, rc) -> int:
         return 1 if (rc[0], rc[1]) in self.ones else 0
+
+
+def row_masks(m: F2Matrix) -> list[int]:
+    """The rows of ``m`` as ints: bit c of ``masks[r]`` is m[r, c]."""
+    masks = [0] * m.rows
+    for (r, c) in m.ones:
+        masks[r] |= 1 << c
+    return masks
+
+
+def bits(mask: int) -> Iterable[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def f2_block(blocks: Sequence[Sequence[F2Matrix]]) -> F2Matrix:
@@ -144,76 +144,41 @@ def f2_block(blocks: Sequence[Sequence[F2Matrix]]) -> F2Matrix:
     return F2Matrix(sum(row_heights), sum(col_widths), frozenset(ones))
 
 
-def _row_reduce_f2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """In-place style row reduction over F2; returns (reduced, pivot cols)."""
-    a = a.copy() % 2
-    m, n = a.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        hits = np.nonzero(a[row:, col])[0]
-        if hits.size == 0:
-            continue
-        pr = row + int(hits[0])
-        if pr != row:
-            a[[row, pr]] = a[[pr, row]]
-        others = np.nonzero(a[:, col])[0]
-        for r in others:
-            if r != row:
-                a[r] ^= a[row]
-        pivots.append(col)
-        row += 1
-    return a, pivots
+def reduced_echelon(masks: Iterable[int]) -> dict[int, int]:
+    """Reduced row echelon basis of the row space of ``masks``.
+
+    Returns ``{pivot column: row}``: a row's pivot is its lowest set bit,
+    and no other row has that bit.
+    """
+    echelon: dict[int, int] = {}
+    pivots = 0  # mask of the pivot columns
+    for row in masks:
+        for col in bits(row & pivots):
+            row ^= echelon[col]
+        if row:
+            low = row & -row
+            for col, other in echelon.items():
+                if other & low:
+                    echelon[col] = other ^ row
+            echelon[low.bit_length() - 1] = row
+            pivots |= low
+    return echelon
 
 
 def f2_rank(m: F2Matrix) -> int:
     """Rank of ``m`` over F2."""
-    if not m.ones:
-        return 0
-    _, pivots = _row_reduce_f2(m.to_dense())
-    return len(pivots)
+    return len(reduced_echelon(row_masks(m)))
 
 
-def f2_kernel_basis(m: F2Matrix) -> list[np.ndarray]:
-    """Basis of the null space of ``m`` as uint8 column vectors."""
-    a, pivots = _row_reduce_f2(m.to_dense())
-    n = m.cols
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(n, dtype=np.uint8)
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            if a[i, fc]:
-                v[pc] = 1
-        basis.append(v)
-    return basis
+def f2_kernel_basis(m: F2Matrix) -> list[int]:
+    """Null space basis of ``m``, as bitmasks over its columns.
 
-
-def f2_solve(m: F2Matrix, b: np.ndarray):
-    """One solution x of m x = b over F2, or None when inconsistent."""
-    aug = np.concatenate([m.to_dense(), (np.asarray(b) % 2)
-                          .astype(np.uint8).reshape(-1, 1)], axis=1)
-    red, pivots = _row_reduce_f2(aug)
-    if m.cols in pivots:
-        return None
-    x = np.zeros(m.cols, dtype=np.uint8)
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i, m.cols]
-    return x
-
-
-def f2_homology_rank(d_in: F2Matrix, d_out: F2Matrix) -> int:
-    """dim ker(d_out) - rank(d_in) for a two-step complex  . -d_in-> . -d_out-> .
-
-    Raises CompositionNonzero unless d_out . d_in = 0.
+    One vector per free column f: bit f, plus the pivot columns whose
+    reduced row has bit f.
     """
-    if d_in.cols and d_out.rows:
-        if not (d_out @ d_in).is_zero():
-            raise CompositionNonzero("d_out . d_in != 0")
-    return (d_out.cols - f2_rank(d_out)) - f2_rank(d_in)
+    echelon = reduced_echelon(row_masks(m))
+    return [sum(1 << col for col, row in echelon.items() if row >> free & 1)
+            | 1 << free for free in range(m.cols) if free not in echelon]
 
 
 # ---------------------------------------------------------------------------

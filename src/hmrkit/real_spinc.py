@@ -29,6 +29,7 @@ from .errors import (
     NotChainMap,
     NotCocycle,
     ShapeMismatch,
+    input_field,
 )
 from .f2lin import (
     IntMatrix,
@@ -83,6 +84,11 @@ class EquivariantCWData:
         dim = len(self.cells_M) - 1
         if len(self.cells_Q) != len(self.cells_M):
             raise MalformedOrbitMap("M and Q have different dimensions")
+        if len(self.delta_M) != dim or len(self.delta_Q) != dim:
+            raise ShapeMismatch(
+                f"dimension {dim} needs {dim} coboundaries per space, got "
+                f"{len(self.delta_M)} for M and {len(self.delta_Q)} for Q"
+            )
         for n in range(dim):
             dm, dq = self.delta_M[n], self.delta_Q[n]
             if (dm.rows, dm.cols) != (self.cells_M[n + 1], self.cells_M[n]):
@@ -207,17 +213,27 @@ class EquivariantCWData:
 
     @staticmethod
     def from_json(obj: dict) -> "EquivariantCWData":
+        """Parse :meth:`to_json` output; a malformed field is InvalidInput."""
+
+        def counts(v):
+            return tuple(int(n) for n in v)
+
+        def matrices(v):
+            return tuple(IntMatrix.from_json(m) for m in v)
+
+        def orbit(v):
+            return tuple(
+                OrbitEntry(degree=int(o["cell"][0]), index=int(o["cell"][1]),
+                           image=int(o["image"]), fixed=o["fixed"],
+                           sign=int(o["sign"]))
+                for o in v)
+
         return EquivariantCWData(
-            cells_M=tuple(obj["cells_M"]),
-            cells_Q=tuple(obj["cells_Q"]),
-            delta_M=tuple(IntMatrix.from_json(m) for m in obj["delta_M"]),
-            delta_Q=tuple(IntMatrix.from_json(m) for m in obj["delta_Q"]),
-            orbit=tuple(
-                OrbitEntry(degree=o["cell"][0], index=o["cell"][1],
-                           image=o["image"], fixed=o["fixed"],
-                           sign=o["sign"])
-                for o in obj["orbit"]
-            ),
+            cells_M=input_field(obj, "cells_M", counts),
+            cells_Q=input_field(obj, "cells_Q", counts),
+            delta_M=input_field(obj, "delta_M", matrices),
+            delta_Q=input_field(obj, "delta_Q", matrices),
+            orbit=input_field(obj, "orbit", orbit),
         )
 
 
@@ -363,25 +379,25 @@ def subquotient_invariants(gens: IntMatrix, rels: IntMatrix) -> list[int]:
     return cokernel_invariants(coords)
 
 
-def map_kernel_invariants(m: CohomMap) -> list[int]:
-    """Invariant factors of the kernel of a map of presented groups.
+def _kernel_lattice(m: CohomMap) -> IntMatrix:
+    """Columns spanning the lattice of source coordinates x with [x] in ker m.
 
-    [x] lies in the kernel iff T x is a target relation, so the kernel
-    lattice is the projection of ker [T | R_target] to the source
-    coordinates, and the group is that lattice modulo source relations.
+    [x] lies in the kernel iff T x is a target relation, so the lattice is
+    the projection of ker [T | R_target] to the source coordinates, plus
+    the source relations.
     """
-    t = m.matrix
-    g = t.cols
-    stacked = _hstack(t, m.target.relations) if m.target.relations.cols \
-        else t
-    kern = int_kernel_basis(stacked)
-    proj = [v[:g] for v in kern]
-    if proj:
-        gens = IntMatrix.from_rows([[v[i] for v in proj] for i in range(g)])
+    g = m.matrix.cols
+    kern = int_kernel_basis(_hstack(m.matrix, m.target.relations))
+    if kern:
+        gens = IntMatrix.from_rows([[v[i] for v in kern] for i in range(g)])
     else:
         gens = IntMatrix.zero(g, 0)
-    gens = _hstack(gens, m.source.relations)
-    return subquotient_invariants(gens, m.source.relations)
+    return _hstack(gens, m.source.relations)
+
+
+def map_kernel_invariants(m: CohomMap) -> list[int]:
+    """Invariant factors of the kernel of a map of presented groups."""
+    return subquotient_invariants(_kernel_lattice(m), m.source.relations)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +446,18 @@ def theta_on_cohomology(data: EquivariantCWData, degree: int) -> CohomMap:
     return induced_map(theta_on_cochains(data, degree), src, tgt)
 
 
+def _require_two_cells(data: EquivariantCWData):
+    if data.dim < 2:
+        raise ShapeMismatch(
+            f"a first Chern class needs 2-cells; the complex has "
+            f"dimension {data.dim}"
+        )
+
+
 def admits_real_structure(data: EquivariantCWData,
                           c1: Sequence[int]) -> bool:
     """True iff the class of Theta(c1) vanishes in H^2(Q)."""
+    _require_two_cells(data)
     if len(c1) != data.cells_M[2]:
         raise ShapeMismatch("c1 has wrong length for the 2-cells of M")
     if 2 < data.dim:
@@ -451,8 +476,7 @@ def real_structure_classes(data: EquivariantCWData) -> list[int]:
     """Invariants of H^1(Q) / Im Theta: classes on a fixed line bundle."""
     _require_chain_map(data, 1)
     m = theta_on_cohomology(data, 1)
-    rels = _hstack(m.target.relations, m.matrix) \
-        if m.target.relations.cols else m.matrix
+    rels = _hstack(m.target.relations, m.matrix)
     return [x for x in cokernel_invariants(rels) if x != 1]
 
 
@@ -465,6 +489,7 @@ def real_spinc_torsor(data: EquivariantCWData,
     the census is then a torsor over ker(Theta on H^2) x H^1(M)^inv /
     Im(1 + iota*).
     """
+    _require_two_cells(data)
     if c1 is None:
         c1 = [0] * data.cells_M[2]
     if not admits_real_structure(data, c1):
@@ -476,18 +501,8 @@ def real_spinc_torsor(data: EquivariantCWData,
     minus_one = IntMatrix.identity(h1.generators.cols).scale(-1)
     fixed_map = CohomMap(h1, h1, iota.matrix + minus_one)
     # invariant lattice: classes with iota* x = x
-    t = fixed_map.matrix
-    stacked = _hstack(t, h1.relations) if h1.relations.cols else t
-    kern = int_kernel_basis(stacked)
-    g = t.cols
-    proj = [v[:g] for v in kern]
-    if proj:
-        inv_gens = IntMatrix.from_rows([[v[i] for v in proj]
-                                        for i in range(g)])
-    else:
-        inv_gens = IntMatrix.zero(g, 0)
-    inv_gens = _hstack(inv_gens, h1.relations)
-    one_plus = iota.matrix + IntMatrix.identity(g)
+    inv_gens = _kernel_lattice(fixed_map)
+    one_plus = iota.matrix + IntMatrix.identity(h1.generators.cols)
     rels = _hstack(one_plus, h1.relations)
     h1_part = [x for x in subquotient_invariants(inv_gens, rels) if x != 1]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -204,6 +205,43 @@ def test_flow_bad_step_or_horizon_exits_2(capsys, tmp_path, field, value):
     assert code == 2
     assert report["error"]["code"] == "invalid_input"
     assert field in report["error"]["message"]
+
+
+#: (command, field named by the error, non-numeric body); the same bodies
+#: as the benchmark's malformed-input requests
+MALFORMED_TARGETS = (
+    ("morse", "points",
+     {"points": [{"label": "q", "ind_q": 0, "fiber": [["x"]]}]}),
+    ("flow", "L", {"L": [["a", "b"], ["b", "a"]], "t_max": 1, "step": 0.1}),
+    ("seifert-matrix", "data", {"data": [["a", 1], [0, "b"]]}),
+    ("spinc", "cells_M", {"cells_M": ["one"], "cells_Q": ["one"],
+                          "delta_M": [], "delta_Q": [], "orbit": []}),
+)
+
+
+@pytest.mark.parametrize("kind", ["empty_object", "empty_list",
+                                  "non_numeric"])
+@pytest.mark.parametrize("command, field, non_numeric", MALFORMED_TARGETS,
+                         ids=[t[0] for t in MALFORMED_TARGETS])
+def test_malformed_body_exits_2(capsys, monkeypatch, command, field,
+                                non_numeric, kind):
+    body = {"empty_object": "{}", "empty_list": "[]",
+            "non_numeric": json.dumps(non_numeric)}[kind]
+    monkeypatch.setattr("sys.stdin", io.StringIO(body))
+    code, report = run_json(capsys, command, "--input", "-")
+    assert code == 2
+    assert report["error"]["code"] == "invalid_input"
+    expected = "JSON object" if kind == "empty_list" else repr(field)
+    assert expected in report["error"]["message"]
+
+
+@pytest.mark.parametrize("fixture", ["point_pair", "circle_antipodal",
+                                     "circle_reflection"])
+def test_spinc_low_dimension_is_coded_error(capsys, fixture):
+    code, report = run_json(capsys, "spinc", "--fixture", fixture)
+    assert code == 1
+    assert report["error"]["code"] == "shape_mismatch"
+    assert "dimension" in report["error"]["message"]
 
 
 def test_module_error_object(capsys):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmrkit.complexes import (
     BlockDifferentials,
@@ -13,8 +16,10 @@ from hmrkit.complexes import (
     verify_d_squared,
     verify_les_exact,
 )
-from hmrkit.errors import GradingViolation, ShapeMismatch
+from hmrkit.errors import CompositionNonzero, GradingViolation, ShapeMismatch
 from hmrkit.f2lin import F2Matrix
+from hmrkit.morse_blowup import (BaseMorseData, BasePoint, LinearFlowModel,
+                                 build_model_complexes)
 
 
 def zero_blocks(gens_o=(), gens_s=(), gens_u=()):
@@ -144,19 +149,29 @@ def test_les_maps_chain_identities_zero_blocks():
     assert maps.p[1, 0] == 1   # u -> u projection
 
 
-def test_verify_d_squared_detects_corruption():
+def corrupted_bar_chain_blocks():
     # a three-step bar chain with both counts 1 does not square to zero
     gens_s = (Generator("a", "s", 0), Generator("b", "s", 1),
               Generator("c", "s", 2))
     z = F2Matrix.zero
-    blocks = BlockDifferentials(
+    return BlockDifferentials(
         (), gens_s, (),
         z(0, 0), z(3, 0), z(0, 0), z(3, 0),
         F2Matrix.from_entries(3, 3, [(0, 1), (1, 2)]),
         z(3, 0), z(0, 3), z(0, 0),
     )
-    c = assemble(blocks)
-    assert not verify_d_squared(c)
+
+
+def test_verify_d_squared_detects_corruption():
+    assert not verify_d_squared(assemble(corrupted_bar_chain_blocks()))
+
+
+def test_homology_rejects_nonzero_d_squared():
+    c = assemble(corrupted_bar_chain_blocks())
+    with pytest.raises(CompositionNonzero):
+        homology(c, "bar")
+    with pytest.raises(CompositionNonzero):
+        homology(c, "check")
 
 
 def test_homology_with_zero_differentials_counts_generators():
@@ -164,3 +179,85 @@ def test_homology_with_zero_differentials_counts_generators():
     gens_s = (Generator("s0", "s", 2),)
     c = assemble(zero_blocks(gens_o, gens_s, ()))
     assert homology(c, "check") == {0: 2, 2: 1}
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: acyclic pairs change neither the ranks nor exactness
+# ---------------------------------------------------------------------------
+
+BLOCK_SHAPES = {  # block name -> (target kind, source kind)
+    "d_oo": ("o", "o"), "d_os": ("s", "o"), "d_uo": ("o", "u"),
+    "d_us": ("s", "u"), "bar_ss": ("s", "s"), "bar_us": ("s", "u"),
+    "bar_su": ("u", "s"), "bar_uu": ("u", "u"),
+}
+PAIR_BLOCK = {"o": "d_oo", "s": "bar_ss", "u": "bar_uu"}
+
+
+def with_acyclic_pairs(blocks, pairs):
+    """``blocks`` plus, per (kind, g) in ``pairs``, a pair x -> y of that
+    kind with gr y = g and gr x = g + 1, joined by a count of 1."""
+    gens = {k: list(getattr(blocks, f"gens_{k}")) for k in "osu"}
+    ones = {name: set(getattr(blocks, name).ones) for name in BLOCK_SHAPES}
+    for n, (kind, g) in enumerate(pairs):
+        y = len(gens[kind])
+        gens[kind] += [Generator(f"y{n}", kind, g),
+                       Generator(f"x{n}", kind, g + 1)]
+        ones[PAIR_BLOCK[kind]].add((y, y + 1))
+    return BlockDifferentials(
+        *(tuple(gens[k]) for k in "osu"),
+        *(F2Matrix(len(gens[t]), len(gens[src]), frozenset(ones[name]))
+          for name, (t, src) in BLOCK_SHAPES.items()))
+
+
+def interior_to_stable_blocks():
+    """An interior generator of gr 1 whose one trajectory ends on a stable
+    boundary generator of gr 0: check is acyclic, and p carries hat's
+    class onto bar's, so only the d_os block is nonzero."""
+    z = F2Matrix.zero
+    return BlockDifferentials(
+        (Generator("x", "o", 1),), (Generator("y", "s", 0),), (),
+        z(1, 1), F2Matrix.from_entries(1, 1, [(0, 0)]), z(1, 0), z(1, 0),
+        z(1, 1), z(1, 0), z(0, 1), z(0, 0),
+    )
+
+
+def morse_pair_blocks():
+    """A blow-up model over a base of a cancelling pair and a free point."""
+    fiber = LinearFlowModel(np.diag([-1.0, 2.0, 3.0]))
+    points = (BasePoint("a", 1, fiber), BasePoint("b", 0, fiber),
+              BasePoint("c", 2, fiber))
+    return build_model_complexes(
+        BaseMorseData(points, F2Matrix.from_entries(3, 3, [(1, 0)])))
+
+
+BASES = {
+    "obstructed_pair": boundary_pair_blocks,
+    "two_point_base": two_point_base_blocks,
+    "interior_to_stable": interior_to_stable_blocks,
+    "morse_pair": morse_pair_blocks,
+}
+WINDOW = (-5, 9)
+
+
+def ranks_and_exactness(blocks):
+    c = assemble(blocks)
+    assert verify_d_squared(c)
+    ranks = {f: homology(c, f) for f in ("check", "hat", "bar")}
+    return ranks, verify_les_exact(c, les_maps(blocks), window=WINDOW)
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_bases_have_nonzero_differentials_and_exact_les(base):
+    blocks = BASES[base]()
+    assert any(not getattr(blocks, name).is_zero() for name in BLOCK_SHAPES)
+    assert ranks_and_exactness(blocks)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BASES)),
+       st.lists(st.tuples(st.sampled_from("osu"), st.integers(-3, 6)),
+                min_size=1, max_size=6))
+def test_acyclic_pairs_keep_ranks_and_exactness(base, pairs):
+    blocks = BASES[base]()
+    assert ranks_and_exactness(with_acyclic_pairs(blocks, pairs)) == \
+        ranks_and_exactness(blocks)

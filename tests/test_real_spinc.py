@@ -12,6 +12,7 @@ from hmrkit.errors import (
     NoRealStructure,
     NotChainMap,
     NotCoprime,
+    ShapeMismatch,
 )
 from hmrkit.f2lin import IntMatrix, int_kernel_basis
 from hmrkit.real_spinc import (
@@ -158,6 +159,13 @@ def test_malformed_orbit_rejected():
             orbit=(OrbitEntry(0, 0, 0, True, 1),
                    OrbitEntry(0, 1, 0, False, 1)),
         )
+
+
+def test_missing_coboundary_rejected():
+    data = build_fixture("circle_antipodal")
+    with pytest.raises(ShapeMismatch, match="dimension 1"):
+        EquivariantCWData(cells_M=data.cells_M, cells_Q=data.cells_Q,
+                          delta_M=(), delta_Q=data.delta_Q, orbit=data.orbit)
 
 
 # ---------------------------------------------------------------------------
