@@ -113,31 +113,25 @@ class _Builder:
                 return 1
             return sign
 
-        # boundary matrices of M, then delta = transpose
-        bnd_m = []
+        # coboundaries: row = d-cell, column = (d-1)-cell of its boundary
+        delta_m = []
         for d in range(1, dim + 1):
-            rows = cells_m[d - 1]
-            cols = cells_m[d]
+            rows, cols = cells_m[d], cells_m[d - 1]
             grid = [[0] * cols for _ in range(rows)]
             for cid in self.order.get(d, []):
                 for other, coeff in self.boundary[cid].items():
-                    grid[index[other]][index[cid]] += coeff
-            bnd_m.append(IntMatrix.from_rows(grid) if rows and cols
-                         else IntMatrix.zero(rows, cols))
-        delta_m = [b.transpose() for b in bnd_m]
+                    grid[index[cid]][index[other]] += coeff
+            delta_m.append(IntMatrix(rows, cols, tuple(map(tuple, grid))))
 
-        bnd_q = []
+        delta_q = []
         for d in range(1, dim + 1):
-            rows = cells_q[d - 1]
-            cols = cells_q[d]
+            rows, cols = cells_q[d], cells_q[d - 1]
             grid = [[0] * cols for _ in range(rows)]
             for rep in q_order[d]:
                 for other, coeff in self.boundary[rep].items():
-                    grid[q_index[rep_of[other]]][q_index[rep]] += \
+                    grid[q_index[rep]][q_index[rep_of[other]]] += \
                         coeff * sigma(other)
-            bnd_q.append(IntMatrix.from_rows(grid) if rows and cols
-                         else IntMatrix.zero(rows, cols))
-        delta_q = [b.transpose() for b in bnd_q]
+            delta_q.append(IntMatrix(rows, cols, tuple(map(tuple, grid))))
 
         orbit = []
         for d in range(dim + 1):

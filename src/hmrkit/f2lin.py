@@ -3,11 +3,15 @@
 :class:`F2Matrix` stores positions of ones (differentials are sparse) and
 computes on row bitmasks, one Python int per row: a product XORs rows, and
 one reduced echelon elimination gives rank and kernel (M4RI-style XOR
-elimination).  :class:`IntMatrix` is a dense grid of Python integers
-(coboundary maps stay small but pivots in Smith normal form do not, so
-arbitrary precision is mandatory).  Everything downstream — homology
-ranks, cohomology presentations, group quotients — reduces to the handful
-of operations in this module.
+elimination).  :class:`IntMatrix` stores dense row tuples of Python
+integers (coboundary maps stay small but pivots in Smith normal form do
+not, so arbitrary precision is mandatory); its products skip zero entries,
+since coboundaries have a few nonzeros per row.  Rank and determinant come
+from fraction-free Bareiss elimination, whose entries stay minors of the
+input; Smith normal form is reserved for what needs its transforms or
+invariant factors (kernels, solves, cokernels).  Everything downstream —
+homology ranks, cohomology presentations, group quotients — reduces to the
+handful of operations in this module.
 """
 
 from __future__ import annotations
@@ -188,7 +192,12 @@ def f2_kernel_basis(m: F2Matrix) -> list[int]:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix; entries are arbitrary-precision Python ints."""
+    """Integer matrix as dense row tuples of arbitrary-precision ints.
+
+    Products skip zeros: the left factor is walked over the nonzeros of
+    each row, and the right factor's rows are listed as (column, value)
+    pairs, so the cost follows the nonzeros that meet, not the shape.
+    """
 
     rows: int
     cols: int
@@ -202,10 +211,19 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(grid: Sequence[Sequence[int]]) -> "IntMatrix":
+        """Build from outside input, coercing every entry with ``int``."""
         rows = len(grid)
         cols = len(grid[0]) if rows else 0
         return IntMatrix(rows, cols, tuple(tuple(int(x) for x in r)
                                            for r in grid))
+
+    @staticmethod
+    def from_columns(rows: int, columns: Sequence[Sequence[int]]
+                     ) -> "IntMatrix":
+        """The matrix whose columns are ``columns``, each of length ``rows``."""
+        if not columns:
+            return IntMatrix.zero(rows, 0)
+        return IntMatrix(rows, len(columns), tuple(zip(*columns)))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
@@ -246,12 +264,18 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch("multiplication shape mismatch")
-        ot = other.transpose()
-        return IntMatrix(
-            self.rows, other.cols,
-            tuple(tuple(sum(a * b for a, b in zip(row, col))
-                        for col in ot.data)
-                  for row in self.data))
+        right = [[(j, x) for j, x in enumerate(row) if x]
+                 for row in other.data]
+        n = other.cols
+        out = []
+        for row in self.data:
+            acc = [0] * n
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in right[k]:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return IntMatrix(self.rows, n, tuple(out))
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols,
@@ -263,7 +287,7 @@ class IntMatrix:
     def mul_vec(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.cols:
             raise ShapeMismatch("vector length mismatch")
-        return [sum(a * b for a, b in zip(row, v)) for row in self.data]
+        return [sum(a * b for a, b in zip(row, v) if a) for row in self.data]
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
@@ -283,6 +307,34 @@ class SNFResult:
     def diagonal(self) -> list[int]:
         n = min(self.D.rows, self.D.cols)
         return [self.D[i, i] for i in range(n)]
+
+
+def _smallest_entry(d: list, t: int):
+    """Position of the smallest |nonzero| in the block d[t:][t:], or None.
+
+    Ties go to the first in row-major order.  The scan stops at the first
+    unit, since no later entry can be smaller.
+    """
+    best, pivot = 0, None
+    for i in range(t, len(d)):
+        row = d[i]
+        for j in range(t, len(row)):
+            x = abs(row[j])
+            if x and (not best or x < best):
+                if x == 1:
+                    return (i, j)
+                best, pivot = x, (i, j)
+    return pivot
+
+
+def _indivisible_row(d: list, t: int):
+    """First row below t whose trailing entries the pivot d[t][t] does not
+    all divide, or None; a unit pivot divides everything."""
+    p = d[t][t]
+    if abs(p) == 1:
+        return None
+    return next((i for i in range(t + 1, len(d))
+                 if any(x % p for x in d[i][t + 1:])), None)
 
 
 def smith_normal_form(a: IntMatrix) -> SNFResult:
@@ -314,9 +366,11 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
 
     def add_col(src, dst, k):  # col[dst] += k * col[src]
         for row in d:
-            row[dst] += k * row[src]
+            if row[src]:
+                row[dst] += k * row[src]
         for row in v:
-            row[dst] += k * row[src]
+            if row[src]:
+                row[dst] += k * row[src]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
@@ -324,15 +378,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
 
     t = 0
     while t < min(m, n):
-        # locate pivot: smallest |nonzero| in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
+        pivot = _smallest_entry(d, t)
         if pivot is None:
             break
         pi, pj = pivot
@@ -359,56 +405,60 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             if not dirty:
                 break
         # force divisibility of the trailing block by the pivot
-        fixed = False
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t] != 0:
-                    add_row(i, t, 1)
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
+        i = _indivisible_row(d, t)
+        if i is not None:
+            add_row(i, t, 1)
             continue
         if d[t][t] < 0:
             negate_row(t)
         t += 1
 
-    D = IntMatrix.from_rows(d) if d else IntMatrix.zero(m, n)
-    return SNFResult(IntMatrix.from_rows(u) if u else IntMatrix.zero(m, m),
-                     D if m and n else IntMatrix.zero(m, n),
-                     IntMatrix.from_rows(v) if v else IntMatrix.zero(n, n))
+    return SNFResult(IntMatrix(m, m, tuple(map(tuple, u))),
+                     IntMatrix(m, n, tuple(map(tuple, d))),
+                     IntMatrix(n, n, tuple(map(tuple, v))))
+
+
+def _bareiss(a: IntMatrix) -> tuple[int, int]:
+    """(rank, determinant) by fraction-free elimination (Bareiss 1968).
+
+    Row swaps bring a nonzero entry to the pivot row; a column with none
+    is skipped and adds nothing to the rank.  Every entry stays a minor of
+    ``a``, so the divisions are exact and the entries never outgrow
+    Hadamard's bound.  The determinant is 0 unless ``a`` is square and of
+    full rank.
+    """
+    m = [list(r) for r in a.data]
+    rank, sign, prev = 0, 1, 1
+    for col in range(a.cols):
+        if rank == a.rows:
+            break
+        pivot = next((i for i in range(rank, a.rows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        top = m[rank]
+        p = top[col]
+        for row in m[rank + 1:]:
+            f = row[col]
+            for j in range(col + 1, a.cols):
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+        rank += 1
+    return rank, (sign * prev if rank == a.rows == a.cols else 0)
 
 
 def int_det_sign_unimodular(a: IntMatrix) -> int:
     """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = a.rows
-    if n != a.cols:
+    if a.rows != a.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    m = [list(r) for r in a.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return _bareiss(a)[1]
 
 
 def int_rank(a: IntMatrix) -> int:
-    """Rank of an integer matrix (over Q), via its Smith normal form."""
-    return sum(1 for x in smith_normal_form(a).diagonal() if x != 0)
+    """Rank of an integer matrix (over Q), by fraction-free Bareiss."""
+    return _bareiss(a)[0]
 
 
 def cokernel_invariants(a: IntMatrix) -> list[int]:
@@ -436,48 +486,31 @@ def int_kernel_basis(a: IntMatrix) -> list[list[int]]:
     return [snf.V.column(j) for j in range(r, a.cols)]
 
 
-def _solve_with_snf(snf: SNFResult, a_rows: int, a_cols: int,
-                    b: Sequence[int]):
-    c = snf.U.mul_vec(list(b))
-    y = [0] * a_cols
-    diag = snf.diagonal()
-    for i in range(a_rows):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-    return snf.V.mul_vec(y)
-
-
-def int_solve(a: IntMatrix, b: Sequence[int]):
-    """One integer solution x of a x = b, or None when unsolvable over Z."""
-    if len(b) != a.rows:
-        raise ShapeMismatch("rhs length mismatch")
-    return _solve_with_snf(smith_normal_form(a), a.rows, a.cols, b)
-
-
 def int_solve_many(a: IntMatrix, rhs: IntMatrix):
-    """Integer solutions of a X = rhs, column by column, sharing one SNF.
+    """Integer solutions X of a X = rhs, or None if a column has none.
 
-    Returns an IntMatrix of solutions or None if any column is unsolvable.
+    With U a V = D, X = V Y where D Y = U rhs: two products around one
+    Smith form, and row i of Y is row i of U rhs divided by d_i.
     """
     if rhs.rows != a.rows:
         raise ShapeMismatch("rhs row count mismatch")
     snf = smith_normal_form(a)
-    cols = []
-    for j in range(rhs.cols):
-        x = _solve_with_snf(snf, a.rows, a.cols, rhs.column(j))
-        if x is None:
+    diag = snf.diagonal()
+    zero = (0,) * rhs.cols
+    y = []
+    for i, row in enumerate((snf.U @ rhs).data):
+        di = diag[i] if i < len(diag) else 0
+        if any(x % di for x in row) if di else any(row):
             return None
-        cols.append(x)
-    if not cols:
-        return IntMatrix.zero(a.cols, 0)
-    return IntMatrix.from_rows([[cols[j][i] for j in range(len(cols))]
-                                for i in range(a.cols)])
+        y.append(tuple(x // di for x in row) if di else zero)
+    y = tuple(y[:a.cols]) + (zero,) * (a.cols - a.rows)
+    return snf.V @ IntMatrix(a.cols, rhs.cols, y)
+
+
+def int_solve(a: IntMatrix, b: Sequence[int]):
+    """One integer solution x of a x = b, or None when unsolvable over Z."""
+    x = int_solve_many(a, IntMatrix.from_columns(len(b), [b]))
+    return None if x is None else x.column(0)
 
 
 def column_span_basis(a: IntMatrix) -> IntMatrix:
@@ -491,8 +524,7 @@ def column_span_basis(a: IntMatrix) -> IntMatrix:
     basis = []
     row = 0
     while row < a.rows and cols:
-        live = [c for c in cols if any(x != 0 for x in c[row:])]
-        cols = live
+        cols = [c for c in cols if any(c[row:])]
         if not cols:
             break
         # Euclid on the entries of the current row across columns
@@ -509,8 +541,5 @@ def column_span_basis(a: IntMatrix) -> IntMatrix:
         if nz:
             basis.append(cols.pop(nz[0]))
         row += 1
-    basis.extend(c for c in cols if any(x != 0 for x in c))
-    if not basis:
-        return IntMatrix.zero(a.rows, 0)
-    return IntMatrix.from_rows([[b[i] for b in basis]
-                                for i in range(a.rows)])
+    basis.extend(c for c in cols if any(c))
+    return IntMatrix.from_columns(a.rows, basis)

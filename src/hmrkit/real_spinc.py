@@ -76,11 +76,19 @@ class EquivariantCWData:
         object.__setattr__(self, "delta_M", tuple(self.delta_M))
         object.__setattr__(self, "delta_Q", tuple(self.delta_Q))
         object.__setattr__(self, "orbit", tuple(self.orbit))
-        self._validate()
+        # (degree, index) -> (its orbit entry, its partner's entry)
+        index = {}
+        for pre in self._validate().values():
+            for e in pre:
+                index[(e.degree, e.index)] = \
+                    (e, pre[-1] if pre[0] is e else pre[0])
+        object.__setattr__(self, "_orbit_index", index)
 
     # -- validation ---------------------------------------------------
 
-    def _validate(self):
+    def _validate(self) -> dict:
+        """Check shapes and the orbit map; return the preimages of each
+        quotient cell, keyed by (degree, image)."""
         dim = len(self.cells_M) - 1
         if len(self.cells_Q) != len(self.cells_M):
             raise MalformedOrbitMap("M and Q have different dimensions")
@@ -136,6 +144,7 @@ class EquivariantCWData:
                     f"quotient cell ({n},{q}) covered by {len(pre)} cells "
                     "with inconsistent fixed flags"
                 )
+        return preimages
 
     # -- derived structure -------------------------------------------
 
@@ -143,28 +152,25 @@ class EquivariantCWData:
     def dim(self) -> int:
         return len(self.cells_M) - 1
 
-    def _entry(self, degree: int, index: int) -> OrbitEntry:
-        for e in self.orbit:
-            if (e.degree, e.index) == (degree, index):
-                return e
-        raise MalformedOrbitMap(f"no orbit entry for ({degree},{index})")
-
     def orbit_table(self, degree: int) -> list[OrbitEntry]:
-        table: list = [None] * self.cells_M[degree]
-        for e in self.orbit:
-            if e.degree == degree:
-                table[e.index] = e
-        return table
+        return [self._orbit_index[(degree, i)][0]
+                for i in range(self.cells_M[degree])]
 
     def partner(self, degree: int, index: int) -> int:
         """The other cell in the orbit (itself for fixed cells)."""
-        e = self._entry(degree, index)
-        if e.fixed:
-            return index
-        for f in self.orbit:
-            if f.degree == degree and f.image == e.image and f.index != index:
-                return f.index
-        raise MalformedOrbitMap("free cell without partner")
+        try:
+            return self._orbit_index[(degree, index)][1].index
+        except KeyError:
+            raise MalformedOrbitMap(
+                f"no orbit entry for ({degree},{index})") from None
+
+    def sigma(self, e: OrbitEntry) -> int:
+        """Orientation factor of the projection on the cell of ``e``.
+
+        +1 on fixed cells and on orbit representatives (the lower index of
+        a free orbit), the listed sign on the other cell of a free orbit.
+        """
+        return 1 if e.index <= self.partner(e.degree, e.index) else e.sign
 
     def iota_matrix(self, degree: int) -> IntMatrix:
         """Matrix of the induced involution on C^degree(M) cochains.
@@ -172,31 +178,23 @@ class EquivariantCWData:
         (iota* beta)(e) = beta(iota e) = sign(e) * beta(partner(e)).
         """
         n = self.cells_M[degree]
-        table = self.orbit_table(degree)
         # row e picks out sign(e) * beta(partner(e))
         out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            e = table[i]
+        for i, e in enumerate(self.orbit_table(degree)):
             out[i][self.partner(degree, i)] = e.sign
-        return IntMatrix.from_rows(out)
+        return IntMatrix(n, n, tuple(map(tuple, out)))
 
     def pullback_matrix(self, degree: int) -> IntMatrix:
         """Matrix of pi*: C^degree(Q) -> C^degree(M).
 
-        (pi* gamma)(e) = sigma(e) * gamma(image e), where sigma is +1 on
-        fixed cells and on orbit representatives (the listed sign on the
-        non-representative cell of a free orbit).
+        (pi* gamma)(e) = sigma(e) * gamma(image e), with sigma as in
+        :meth:`sigma`.
         """
-        grid = [[0] * self.cells_Q[degree]
-                for _ in range(self.cells_M[degree])]
-        table = self.orbit_table(degree)
-        reps: dict = {}
-        for i, e in enumerate(table):
-            reps.setdefault(e.image, i)
-        for i, e in enumerate(table):
-            sigma = 1 if (e.fixed or reps[e.image] == i) else e.sign
-            grid[i][e.image] = sigma
-        return IntMatrix.from_rows(grid)
+        n, q = self.cells_M[degree], self.cells_Q[degree]
+        grid = [[0] * q for _ in range(n)]
+        for i, e in enumerate(self.orbit_table(degree)):
+            grid[i][e.image] = self.sigma(e)
+        return IntMatrix(n, q, tuple(map(tuple, grid)))
 
     def to_json(self) -> dict:
         return {
@@ -245,18 +243,11 @@ def theta_on_cochains(data: EquivariantCWData, degree: int) -> IntMatrix:
     representative, the recorded sign on its partner), so that the value
     on an orbit is beta(e) + beta(iota e) in the chosen orientations.
     """
-    grid = [[0] * data.cells_M[degree]
-            for _ in range(data.cells_Q[degree])]
-    table = data.orbit_table(degree)
-    reps: dict = {}
-    for i, e in enumerate(table):
-        reps.setdefault(e.image, i)
-    for i, e in enumerate(table):
-        if e.fixed:
-            grid[e.image][i] = 2
-        else:
-            grid[e.image][i] = 1 if reps[e.image] == i else e.sign
-    return IntMatrix.from_rows(grid)
+    n, q = data.cells_M[degree], data.cells_Q[degree]
+    grid = [[0] * n for _ in range(q)]
+    for i, e in enumerate(data.orbit_table(degree)):
+        grid[e.image][i] = 2 if e.fixed else data.sigma(e)
+    return IntMatrix(q, n, tuple(map(tuple, grid)))
 
 
 def verify_theta_chain_map(data: EquivariantCWData, degree: int) -> bool:
@@ -319,14 +310,9 @@ def cohomology_presentation(deltas: Sequence[IntMatrix], cells: Sequence[int],
     """Present H^degree = ker(delta^degree) / im(delta^{degree-1})."""
     n = cells[degree]
     if degree < len(deltas):
-        kernel = int_kernel_basis(deltas[degree])
+        zmat = IntMatrix.from_columns(n, int_kernel_basis(deltas[degree]))
     else:
-        kernel = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    if kernel:
-        zmat = IntMatrix.from_rows([[kernel[j][i] for j in range(len(kernel))]
-                                    for i in range(n)])
-    else:
-        zmat = IntMatrix.zero(n, 0)
+        zmat = IntMatrix.identity(n)
     if degree == 0 or not zmat.cols:
         rels = IntMatrix.zero(zmat.cols, 0)
     else:
@@ -360,9 +346,8 @@ def induced_map(t: IntMatrix, src: PresentedGroup,
 def _hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise ShapeMismatch("hstack row mismatch")
-    return IntMatrix.from_rows(
-        [list(ra) + list(rb) for ra, rb in zip(a.data, b.data)]
-    ) if a.rows else IntMatrix.zero(0, a.cols + b.cols)
+    return IntMatrix(a.rows, a.cols + b.cols,
+                     tuple(ra + rb for ra, rb in zip(a.data, b.data)))
 
 
 def subquotient_invariants(gens: IntMatrix, rels: IntMatrix) -> list[int]:
@@ -388,10 +373,7 @@ def _kernel_lattice(m: CohomMap) -> IntMatrix:
     """
     g = m.matrix.cols
     kern = int_kernel_basis(_hstack(m.matrix, m.target.relations))
-    if kern:
-        gens = IntMatrix.from_rows([[v[i] for v in kern] for i in range(g)])
-    else:
-        gens = IntMatrix.zero(g, 0)
+    gens = IntMatrix.from_columns(g, [v[:g] for v in kern])
     return _hstack(gens, m.source.relations)
 
 
@@ -446,10 +428,10 @@ def theta_on_cohomology(data: EquivariantCWData, degree: int) -> CohomMap:
     return induced_map(theta_on_cochains(data, degree), src, tgt)
 
 
-def _require_two_cells(data: EquivariantCWData):
-    if data.dim < 2:
+def _require_cells(data: EquivariantCWData, degree: int, what: str):
+    if data.dim < degree:
         raise ShapeMismatch(
-            f"a first Chern class needs 2-cells; the complex has "
+            f"{what} needs {degree}-cells; the complex has "
             f"dimension {data.dim}"
         )
 
@@ -457,7 +439,7 @@ def _require_two_cells(data: EquivariantCWData):
 def admits_real_structure(data: EquivariantCWData,
                           c1: Sequence[int]) -> bool:
     """True iff the class of Theta(c1) vanishes in H^2(Q)."""
-    _require_two_cells(data)
+    _require_cells(data, 2, "a first Chern class")
     if len(c1) != data.cells_M[2]:
         raise ShapeMismatch("c1 has wrong length for the 2-cells of M")
     if 2 < data.dim:
@@ -474,6 +456,7 @@ def admits_real_structure(data: EquivariantCWData,
 
 def real_structure_classes(data: EquivariantCWData) -> list[int]:
     """Invariants of H^1(Q) / Im Theta: classes on a fixed line bundle."""
+    _require_cells(data, 1, "H^1(Q) / Im Theta")
     _require_chain_map(data, 1)
     m = theta_on_cohomology(data, 1)
     rels = _hstack(m.target.relations, m.matrix)
@@ -489,7 +472,7 @@ def real_spinc_torsor(data: EquivariantCWData,
     the census is then a torsor over ker(Theta on H^2) x H^1(M)^inv /
     Im(1 + iota*).
     """
-    _require_two_cells(data)
+    _require_cells(data, 2, "a first Chern class")
     if c1 is None:
         c1 = [0] * data.cells_M[2]
     if not admits_real_structure(data, c1):

@@ -7,6 +7,8 @@ form, and direct group-order arithmetic for cokernels.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,8 +21,11 @@ from hmrkit.f2lin import (
     f2_block,
     f2_kernel_basis,
     f2_rank,
+    int_det_sign_unimodular,
     int_kernel_basis,
+    int_rank,
     int_solve,
+    int_solve_many,
     smith_normal_form,
 )
 
@@ -161,9 +166,8 @@ def test_kernel_properties(r, c, seed):
         assert in_kernel(grid.tolist(), v, c)
 
 
-def grids(rows, cols):
-    return st.lists(st.lists(st.integers(0, 1), min_size=cols,
-                             max_size=cols),
+def grids(rows, cols, entries=st.integers(0, 1)):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows)
 
 
@@ -308,3 +312,203 @@ def test_int_solve_unsolvable():
     a = IntMatrix.from_rows([[2]])
     assert int_solve(a, [3]) is None
 
+
+
+# ---------------------------------------------------------------------------
+# integer products, solves, Smith form and rank against naive oracles
+# ---------------------------------------------------------------------------
+
+#: entries of the census matrices: coboundaries, Theta and the involution
+#: have entries in -2..2, mostly zero
+CENSUS_ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
+
+
+def int_matrix(grid, cols: int) -> IntMatrix:
+    return IntMatrix(len(grid), cols, tuple(map(tuple, grid)))
+
+
+def naive_int_product(a, b, inner: int, cols: int) -> list:
+    """Triple loop over every index triple, zeros included."""
+    return [[sum(a[i][k] * b[k][j] for k in range(inner))
+             for j in range(cols)] for i in range(len(a))]
+
+
+def oracle_solvable(a, b, cols: int) -> bool:
+    """Whether b is an integer combination of the columns of the grid a.
+
+    Independent of Smith form: Euclid leaves one column with a nonzero
+    entry at each coordinate in turn, and b is reduced against it.
+    """
+    vecs = [[row[j] for row in a] for j in range(cols)]
+    b = list(b)
+    for i in range(len(b)):
+        while True:
+            live = sorted((v for v in vecs if v[i]), key=lambda v: abs(v[i]))
+            if len(live) <= 1:
+                break
+            p = live[0]
+            vecs = [v if v is p or not v[i] else
+                    [x - v[i] // p[i] * y for x, y in zip(v, p)]
+                    for v in vecs]
+        pivot = next((v for v in vecs if v[i]), None)
+        if pivot is None:
+            if b[i]:
+                return False
+            continue
+        if b[i] % pivot[i]:
+            return False
+        q = b[i] // pivot[i]
+        b = [x - q * y for x, y in zip(b, pivot)]
+        vecs = [v for v in vecs if v is not pivot]
+    return True
+
+
+def oracle_rank_det(grid, cols: int) -> tuple:
+    """(rank, determinant if square) by Gaussian elimination over Q."""
+    m = [[Fraction(x) for x in row] for row in grid]
+    rank, det = 0, Fraction(1)
+    for c in range(cols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        det *= m[rank][c]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    assert det.denominator == 1
+    return rank, (int(det) if rank == len(m) == cols else 0)
+
+
+@st.composite
+def int_products(draw):
+    """Two multipliable integer grids and a vector; dimensions 0..8."""
+    r, k, c = (draw(st.integers(0, 8)) for _ in range(3))
+    entries = st.one_of(st.just(0), st.integers(-9, 9))
+    return (r, k, c, draw(grids(r, k, entries)), draw(grids(k, c, entries)),
+            draw(st.lists(entries, min_size=k, max_size=k)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_products())
+@example((0, 5, 3, [], [[1, 0, -2]] * 5, [1] * 5))      # 0x5 times 5x3
+@example((4, 0, 2, [[]] * 4, [], []))                   # 4x0 times 0x2
+@example((3, 2, 0, [[1, 0], [0, -1], [2, 1]], [[], []], [3, 4]))
+def test_int_products_against_naive_loop(case):
+    r, k, c, a, b, v = case
+    prod = int_matrix(a, k) @ int_matrix(b, c)
+    assert (prod.rows, prod.cols) == (r, c)
+    assert [list(row) for row in prod.data] == naive_int_product(a, b, k, c)
+    assert int_matrix(a, k).mul_vec(v) == \
+        [row[0] for row in naive_int_product(a, [[x] for x in v], k, 1)]
+
+
+@st.composite
+def solve_cases(draw):
+    """a (r x c) and rhs (r x k), dimensions 0..8; half the time the
+    rhs is a @ X for an integer X, otherwise it is drawn freely."""
+    r, c, k = (draw(st.integers(0, 8)) for _ in range(3))
+    a = draw(grids(r, c, CENSUS_ENTRIES))
+    if draw(st.booleans()):
+        x = draw(grids(c, k, st.integers(-3, 3)))
+        rhs = naive_int_product(a, x, c, k)
+    else:
+        rhs = draw(grids(r, k, st.integers(-4, 4)))
+    return r, c, k, a, rhs
+
+
+# The smallest-pivot Smith form can still grow without bound on dense
+# inputs (8x8 with entries in -4..4: about a third take over 0.5 s), so
+# the tests that run it draw census-like entries from a fixed sequence.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(solve_cases())
+@example((0, 3, 2, [], []))                              # 0x3 system
+@example((3, 0, 1, [[]] * 3, [[0], [0], [0]]))            # 3x0, solvable
+@example((3, 0, 1, [[]] * 3, [[0], [1], [0]]))            # 3x0, unsolvable
+@example((2, 2, 1, [[2, 0], [0, 3]], [[4], [3]]))
+@example((1, 1, 2, [[2]], [[4, 3]]))                      # second column fails
+def test_int_solve_against_lattice_oracle(case):
+    r, c, k, a, rhs = case
+    ma = int_matrix(a, c)
+    columns = [[row[j] for row in rhs] for j in range(k)]
+    solvable = [oracle_solvable(a, b, c) for b in columns]
+    x = int_solve_many(ma, int_matrix(rhs, k))
+    assert (x is not None) == all(solvable)
+    if x is not None:
+        assert (x.rows, x.cols) == (c, k)
+        assert naive_int_product(a, [list(row) for row in x.data], c, k) \
+            == rhs
+    for b, ok in zip(columns, solvable):
+        xb = int_solve(ma, b)
+        assert (xb is not None) == ok
+        assert xb is None or ma.mul_vec(xb) == b
+
+
+@st.composite
+def census_grids(draw):
+    r, c = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    return r, c, draw(grids(r, c, CENSUS_ENTRIES))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(census_grids())
+@example((0, 4, []))
+@example((3, 0, [[]] * 3))
+@example((2, 2, [[2, 4], [6, 8]]))
+def test_snf_properties(case):
+    r, c, a = case
+    res = smith_normal_form(int_matrix(a, c))
+    u = [list(row) for row in res.U.data]
+    v = [list(row) for row in res.V.data]
+    d = [list(row) for row in res.D.data]
+    assert (res.U.rows, res.U.cols, res.V.rows, res.V.cols) == (r, r, c, c)
+    assert naive_int_product(naive_int_product(u, a, r, c), v, c, c) == d
+    assert all(d[i][j] == 0 for i in range(r) for j in range(c) if i != j)
+    diag = res.diagonal()
+    assert all(x >= 0 for x in diag)
+    for x, y in zip(diag, diag[1:]):
+        assert y == 0 if x == 0 else y % x == 0
+    assert abs(oracle_rank_det(u, r)[1]) == 1
+    assert abs(oracle_rank_det(v, c)[1]) == 1
+
+
+def test_snf_transforms_pinned():
+    # the pivot is the first smallest |entry| in row-major order, so U and
+    # V are determined, and kernel bases and solutions are read off them
+    cases = [
+        ([[2, 1], [4, 3]], ((1, 0), (3, -1)), ((1, 0), (0, 2)),
+         ((0, 1), (1, -2))),
+        ([[6, 4, 3], [2, 5, 1]], ((0, 1), (-1, 3)), ((1, 0, 0), (0, 11, 0)),
+         ((0, 0, 1), (0, 1, 0), (1, -5, -2))),
+        ([[4, 6], [6, 4], [2, 8]], ((0, 0, 1), (-1, 0, 2), (-2, 1, 1)),
+         ((2, 0), (0, 10), (0, 0)), ((1, -4), (0, 1))),
+    ]
+    for grid, u, d, v in cases:
+        res = smith_normal_form(IntMatrix.from_rows(grid))
+        assert (res.U.data, res.D.data, res.V.data) == (u, d, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 9), st.integers(0, 3),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_int_rank_and_det_against_fractions(r, c, deficit, sparse, seed):
+    # a product through an inner dimension k has rank at most k: deficit 0
+    # gives nonsingular square matrices, deficit > 0 singular ones; sparse
+    # grids put zeros under the pivots, so rows swap and columns skip
+    rng = np.random.default_rng(seed)
+    k = max(0, min(r, c) - deficit)
+    if sparse:
+        grid = (rng.integers(-2, 3, size=(r, c))
+                * (rng.random((r, c)) < 0.4)).tolist()
+    else:
+        grid = (rng.integers(-3, 4, size=(r, k))
+                @ rng.integers(-3, 4, size=(k, c))).tolist()
+    m = int_matrix(grid, c)
+    rank, det = oracle_rank_det(grid, c)
+    assert int_rank(m) == rank
+    if r == c:
+        assert int_det_sign_unimodular(m) == det

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hmrkit.cw_fixtures import FIXTURE_BUILDERS, build_fixture, lens_space
@@ -200,6 +204,13 @@ def test_real_structure_classes():
     assert real_structure_classes(build_fixture("s3_conjugation")) == []
     assert real_structure_classes(build_fixture("lens_5_1")) == []
     assert real_structure_classes(build_fixture("s1_x_s2_rotation")) == [2]
+    assert real_structure_classes(build_fixture("circle_antipodal")) == []
+    assert real_structure_classes(build_fixture("circle_reflection")) == []
+
+
+def test_real_structure_classes_need_one_cells():
+    with pytest.raises(ShapeMismatch, match="dimension 0"):
+        real_structure_classes(build_fixture("point_pair"))
 
 
 @pytest.mark.parametrize("p,name", [(3, "lens_3_1"), (5, "lens_5_1"),
@@ -247,6 +258,67 @@ def test_census_invariant_under_subdivision():
     assert m_c.target.invariants == m_f.target.invariants
 
 
+def relabel(data: EquivariantCWData, rng: random.Random
+            ) -> EquivariantCWData:
+    """The same involutive space with renumbered and reoriented cells.
+
+    Each degree gets random permutations of the cells of M and of Q, each
+    cell of M a random orientation, and the orbit list is shuffled.  A
+    quotient cell is reoriented so that the projection keeps the factor
+    +1 on the new representative of its orbit (the lower new index).
+    """
+    pre: dict = {}
+    for e in data.orbit:
+        pre.setdefault((e.degree, e.image), []).append(e.index)
+    perm_m = [rng.sample(range(n), n) for n in data.cells_M]
+    perm_q = [rng.sample(range(n), n) for n in data.cells_Q]
+    eps_m = [[rng.choice((1, -1)) for _ in range(n)] for n in data.cells_M]
+    eps_q = [[0] * n for n in data.cells_Q]
+    orbit = []
+    for e in data.orbit:
+        d, i = e.degree, e.index
+        p = next((j for j in pre[(d, e.image)] if j != i), i)
+        old_sigma = 1 if i <= p else e.sign
+        if perm_m[d][i] <= perm_m[d][p]:
+            eps_q[d][e.image] = eps_m[d][i] * old_sigma
+        orbit.append(OrbitEntry(d, perm_m[d][i], perm_q[d][e.image], e.fixed,
+                                e.sign * eps_m[d][i] * eps_m[d][p]))
+    rng.shuffle(orbit)
+
+    def move(m, n, perm, eps):
+        grid = [[0] * m.cols for _ in range(m.rows)]
+        for r in range(m.rows):
+            for c in range(m.cols):
+                grid[perm[n + 1][r]][perm[n][c]] = \
+                    eps[n + 1][r] * eps[n][c] * m[r, c]
+        return IntMatrix(m.rows, m.cols, tuple(map(tuple, grid)))
+
+    return EquivariantCWData(
+        cells_M=data.cells_M, cells_Q=data.cells_Q,
+        delta_M=[move(m, n, perm_m, eps_m) for n, m in enumerate(data.delta_M)],
+        delta_Q=[move(m, n, perm_q, eps_q) for n, m in enumerate(data.delta_Q)],
+        orbit=orbit)
+
+
+@pytest.mark.parametrize("name", ["lens_5_2", "torus_hyperelliptic_fine",
+                                  "s1_x_s2_rotation"])
+def test_census_invariant_under_relabelling(name):
+    data = build_fixture(name)
+    census = real_spinc_torsor(data)
+    classes = real_structure_classes(data)
+    for seed in range(3):
+        moved = relabel(data, random.Random(seed))
+        assert moved.orbit != data.orbit
+        assert all(verify_theta_chain_map(moved, d) and
+                   verify_naturality(moved, d) for d in range(moved.dim + 1))
+        other = real_spinc_torsor(moved)
+        assert other.size() == census.size()
+        assert other.torsor_invariants == census.torsor_invariants
+        assert (other.kernel_invariants, other.h1_invariants) == \
+            (census.kernel_invariants, census.h1_invariants)
+        assert real_structure_classes(moved) == classes
+
+
 def test_lens_space_rejects_bad_parameters():
     with pytest.raises(NotCoprime):
         lens_space(4, 1)
@@ -287,6 +359,38 @@ CASES = {
     "figure_eight": (IntMatrix.from_rows([[1, -1], [0, -1]]), 5, 0),
     "split_unlink": (IntMatrix.from_rows([[0]]), 0, 1),
 }
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_branched_cover_random_9x9_is_fast():
+    # the smallest-pivot Smith form once behind int_rank gave no answer
+    # on this matrix in 60 s
+    a = IntMatrix.from_rows(
+        np.random.RandomState(1).randint(-2, 3, size=(9, 9)).tolist())
+    # block sum with a zero (an unknot component), then a congruence by
+    # a unimodular p: the cover gains b_1 = 1 and H_1 becomes infinite
+    grid = [list(r) + [0] for r in a.data] + [[0] * 10]
+    p = IntMatrix.from_rows([[1 if i == j else (i + j) % 3 if i < j else 0
+                              for j in range(10)] for i in range(10)])
+    singular = p.transpose() @ IntMatrix.from_rows(grid) @ p
+    with time_limit(2.0):
+        assert branched_cover_invariants(SeifertMatrix(a)) == \
+            (oracle_alexander_at_minus_one(a), 0)
+        assert branched_cover_invariants(SeifertMatrix(singular)) == (0, 1)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
