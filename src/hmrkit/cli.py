@@ -17,6 +17,7 @@ import csv
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +60,28 @@ from .seifert_hmr import (
 )
 
 SELFTEST_BUDGET_SECONDS = 60.0
+
+# Pinned example values: ``fixtures-selftest`` re-runs them, and acceptance
+# criteria 5, 6 and 8 check them beside their own cases and oracles.
+#: (fixture, number of real spin-c structures)
+LENS_CENSUS = (("lens_3_1", 3), ("lens_5_1", 5), ("lens_7_1", 7))
+#: census size and real_structure_classes of ``s1_x_s2_rotation``
+ROTATION_CENSUS = (2, [2])
+#: (check name, Seifert matrix, |H_1| with 0 for infinite, b_1)
+BRANCHED_COVERS = (
+    ("unknot_cover", [], 1, 0),
+    ("trefoil_cover", [[-1, 1], [0, -1]], 3, 0),
+    ("figure_eight_cover", [[1, -1], [0, -1]], 5, 0),
+    ("split_unlink_cover", [[0]], 0, 1),
+)
+#: (check name, family, k, finite part of check, hat undetermined)
+BRIESKORN_ANSWERS = (
+    ("brieskorn_2_3_13", "2,3,+1", 2, ((0, 2),), False),
+    ("brieskorn_2_3_11_hat_open", "2,3,-1", 2, ((0, 2),), True),
+    ("brieskorn_2_5_19", "2,5,-1", 2, ((0, 2), (1, 2), (2, 2)), False),
+    ("brieskorn_2_7_29", "2,7,29", 1,
+     ((0, 2), (2, 2), (4, 2), (5, 4), (6, 2)), False),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +126,11 @@ def _triple_json(triple) -> dict:
 
 def _parse_window(text: str):
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise InvalidInput(f"--window must be lo:hi with integer ends, "
+                           f"got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +172,9 @@ def _cmd_morse(args) -> int:
 
 
 def _cmd_flow(args) -> int:
+    if (args.samples or args.csv) and args.stride < 1:
+        raise InvalidInput(f"--stride must be a positive integer, "
+                           f"got {args.stride}")
     raw = _load_input(args)
     matrix = input_field(raw, "L", _float_array)
     phi0 = input_field(raw, "phi0", _float_array, None)
@@ -276,8 +306,7 @@ def _selftest_checks():
                        + 0.25)
         base = BaseMorseData((BasePoint("q", 0, LinearFlowModel(diag)),))
         cx = assemble(build_model_complexes(base))
-        bar_total = sum(homology(cx, "bar").values())
-        return bar_total == n
+        return sum(homology(cx, "bar").values()) == n
 
     def s3_tower():
         vals = np.array([float(k) for k in range(-10, 0)]
@@ -290,30 +319,23 @@ def _selftest_checks():
         return (all(check.get(j, 0) == 1 for j in range(0, 10))
                 and all(hat.get(j, 0) == 1 for j in range(-9, 1)))
 
-    def lens_census(p, name):
-        census = real_spinc_torsor(cw_fixtures.build_fixture(name))
-        return census.size() == p
+    def census_size(name, size):
+        data = cw_fixtures.build_fixture(name)
+        return real_spinc_torsor(data).size() == size
 
     def rotation_census():
         data = cw_fixtures.build_fixture("s1_x_s2_rotation")
-        return (real_spinc_torsor(data).size() == 2
-                and real_structure_classes(data) == [2])
+        return (real_spinc_torsor(data).size(),
+                real_structure_classes(data)) == ROTATION_CENSUS
 
     def branched(a, order, b1):
-        m = SeifertMatrix(IntMatrix.from_rows(a)) if a else \
-            SeifertMatrix(IntMatrix.zero(0, 0))
+        m = SeifertMatrix(IntMatrix.from_rows(a))
         return branched_cover_invariants(m) == (order, b1)
 
-    def brieskorn_family(family, k, total, undetermined):
+    def brieskorn_family(family, k, finite, undetermined):
         res = brieskorn_hmr(BrieskornInput(family, k))
-        if undetermined != res.hat.undetermined:
-            return False
-        flavor = res.check
-        return sum(c for _, c in flavor.finite) == total
-
-    def brieskorn_29():
-        res = brieskorn_hmr(BrieskornInput("2,7,29"))
-        return res.check.finite == ((0, 2), (2, 2), (4, 2), (5, 4), (6, 2))
+        return (res.check.finite, res.hat.undetermined) == \
+            (finite, undetermined)
 
     def psc_single_towers():
         hat, check, bar = psc_hmr(0, True)
@@ -327,22 +349,15 @@ def _selftest_checks():
             TopologicalData4(8, 0, 1, 1, 0)) == 1),
         ("loop_shift", lambda: loop_grading_shift(4) == 2),
         ("rotation_census", rotation_census),
-        ("unknot_cover", lambda: branched(None, 1, 0)),
-        ("trefoil_cover", lambda: branched([[-1, 1], [0, -1]], 3, 0)),
-        ("figure_eight_cover", lambda: branched([[1, -1], [0, -1]], 5, 0)),
-        ("split_unlink_cover", lambda: branched([[0]], 0, 1)),
-        ("brieskorn_2_3_13", lambda: brieskorn_family("2,3,+1", 2, 2, False)),
-        ("brieskorn_2_3_11_hat_open",
-         lambda: brieskorn_family("2,3,-1", 2, 2, True)),
-        ("brieskorn_2_5_19", lambda: brieskorn_family("2,5,-1", 2, 6, False)),
-        ("brieskorn_2_7_29", brieskorn_29),
-        ("lens_answer_count", lambda: len(lens_hmr(5, 2)) == 5),
     ]
-    for n in range(2, 9):
-        checks.append((f"rp_model_n{n}", lambda n=n: rp_model(n)))
-    for p, name in ((3, "lens_3_1"), (5, "lens_5_1"), (7, "lens_7_1")):
-        checks.append((f"census_{name}", lambda p=p, name=name:
-                       lens_census(p, name)))
+    checks += [(name, partial(branched, *case))
+               for name, *case in BRANCHED_COVERS]
+    checks += [(name, partial(brieskorn_family, *case))
+               for name, *case in BRIESKORN_ANSWERS]
+    checks.append(("lens_answer_count", lambda: len(lens_hmr(5, 2)) == 5))
+    checks += [(f"rp_model_n{n}", partial(rp_model, n)) for n in range(2, 9)]
+    checks += [(f"census_{name}", partial(census_size, name, size))
+               for name, size in LENS_CENSUS]
     return checks
 
 

@@ -19,7 +19,6 @@ lens fixtures shipped here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import MalformedOrbitMap, NotCoprime, ShapeMismatch

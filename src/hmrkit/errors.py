@@ -103,12 +103,6 @@ class UnknownFamily(HmrkitError):
     code = "unknown_family"
 
 
-class AmbiguousDifferential(HmrkitError):
-    """A differential cannot be pinned down; the group is undetermined."""
-
-    code = "ambiguous_differential"
-
-
 _REQUIRED = object()
 
 

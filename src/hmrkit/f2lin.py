@@ -8,8 +8,8 @@ integers (coboundary maps stay small but pivots in Smith normal form do
 not, so arbitrary precision is mandatory); its products skip zero entries,
 since coboundaries have a few nonzeros per row.  Rank and determinant come
 from fraction-free Bareiss elimination, whose entries stay minors of the
-input; Smith normal form is reserved for what needs its transforms or
-invariant factors (kernels, solves, cokernels).  Everything downstream —
+input; every other lattice question (kernels, solves, cokernels and
+subquotients) reads one Smith normal form.  Everything downstream —
 homology ranks, cohomology presentations, group quotients — reduces to the
 handful of operations in this module.
 """
@@ -486,24 +486,32 @@ def int_kernel_basis(a: IntMatrix) -> list[list[int]]:
     return [snf.V.column(j) for j in range(r, a.cols)]
 
 
-def int_solve_many(a: IntMatrix, rhs: IntMatrix):
-    """Integer solutions X of a X = rhs, or None if a column has none.
-
-    With U a V = D, X = V Y where D Y = U rhs: two products around one
-    Smith form, and row i of Y is row i of U rhs divided by d_i.
-    """
-    if rhs.rows != a.rows:
-        raise ShapeMismatch("rhs row count mismatch")
-    snf = smith_normal_form(a)
+def _diagonal_solve(snf: SNFResult, rhs: IntMatrix):
+    """The rows of Y with D Y = U rhs, or None if no integer Y exists:
+    row i of U rhs divided by d_i, and zero past the rank of D."""
     diag = snf.diagonal()
-    zero = (0,) * rhs.cols
     y = []
     for i, row in enumerate((snf.U @ rhs).data):
         di = diag[i] if i < len(diag) else 0
         if any(x % di for x in row) if di else any(row):
             return None
-        y.append(tuple(x // di for x in row) if di else zero)
-    y = tuple(y[:a.cols]) + (zero,) * (a.cols - a.rows)
+        y.append(tuple(x // di for x in row) if di else row)
+    return y
+
+
+def int_solve_many(a: IntMatrix, rhs: IntMatrix):
+    """Integer solutions X of a X = rhs, or None if a column has none.
+
+    With U a V = D, X = V Y where D Y = U rhs: two products around one
+    Smith form.
+    """
+    if rhs.rows != a.rows:
+        raise ShapeMismatch("rhs row count mismatch")
+    snf = smith_normal_form(a)
+    y = _diagonal_solve(snf, rhs)
+    if y is None:
+        return None
+    y = tuple(y[:a.cols]) + ((0,) * rhs.cols,) * (a.cols - a.rows)
     return snf.V @ IntMatrix(a.cols, rhs.cols, y)
 
 
@@ -511,35 +519,3 @@ def int_solve(a: IntMatrix, b: Sequence[int]):
     """One integer solution x of a x = b, or None when unsolvable over Z."""
     x = int_solve_many(a, IntMatrix.from_columns(len(b), [b]))
     return None if x is None else x.column(0)
-
-
-def column_span_basis(a: IntMatrix) -> IntMatrix:
-    """A lattice basis of the integer column span of ``a``.
-
-    Column-style Hermite reduction: Euclidean column operations only, so
-    the span is preserved exactly; the surviving nonzero columns are
-    independent and form a basis of the spanned lattice.
-    """
-    cols = [list(a.column(j)) for j in range(a.cols)]
-    basis = []
-    row = 0
-    while row < a.rows and cols:
-        cols = [c for c in cols if any(c[row:])]
-        if not cols:
-            break
-        # Euclid on the entries of the current row across columns
-        while True:
-            nz = [j for j, c in enumerate(cols) if c[row] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda j: abs(cols[j][row]))
-            piv = nz[0]
-            for j in nz[1:]:
-                q = cols[j][row] // cols[piv][row]
-                cols[j] = [x - q * y for x, y in zip(cols[j], cols[piv])]
-        nz = [j for j, c in enumerate(cols) if c[row] != 0]
-        if nz:
-            basis.append(cols.pop(nz[0]))
-        row += 1
-    basis.extend(c for c in cols if any(c))
-    return IntMatrix.from_columns(a.rows, basis)

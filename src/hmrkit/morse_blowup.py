@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -48,6 +48,9 @@ CONVERGENCE_STEPS = 100
 #: h lambda only up to 1.596; past that the modes can swap order, and with
 #: them the limit of the flow.
 MAX_STEP_SPECTRAL = 1.5
+#: eigenvalues within 10 * SPECTRAL_TOLERANCE * max(1, max|eigenvalue|)
+#: of zero or of each other make the spectrum degenerate
+SPECTRAL_TOLERANCE = 1e-10
 #: sample rows allocated up front; the buffer doubles as steps are taken
 _INITIAL_ROWS = 1024
 
@@ -57,7 +60,6 @@ class LinearFlowModel:
     """Symmetric matrix with simple nonzero spectrum, plus its eigendata."""
 
     L: np.ndarray
-    tolerance: float = 1e-10
     eigenvalues: np.ndarray = field(init=False, repr=False)
     eigenvectors: np.ndarray = field(init=False, repr=False)  # columns
 
@@ -73,7 +75,7 @@ class LinearFlowModel:
         # index classification must not depend on solver internals
         vecs, _ = np.linalg.qr(vecs)
         scale = max(1.0, float(np.max(np.abs(vals))))
-        gap_tol = 10.0 * self.tolerance * scale
+        gap_tol = 10.0 * SPECTRAL_TOLERANCE * scale
         if np.any(np.abs(vals) <= gap_tol):
             raise DegenerateSpectrum("spectrum contains (near-)zero")
         if vals.size > 1 and np.min(np.diff(vals)) <= gap_tol:
@@ -90,36 +92,6 @@ class LinearFlowModel:
     @property
     def n(self) -> int:
         return self.L.shape[0]
-
-    @property
-    def num_negative(self) -> int:
-        return int(np.sum(self.eigenvalues < 0))
-
-    @property
-    def num_positive(self) -> int:
-        return int(np.sum(self.eigenvalues > 0))
-
-
-def rp_critical_points(model: LinearFlowModel) -> list[tuple[int, int]]:
-    """Critical points of the flow on projective space.
-
-    Returns (eigen index i, Morse index i - 1) pairs, 1-based, ordered by
-    increasing eigenvalue: [w_i] is a Morse critical point of index i - 1.
-    """
-    return [(i + 1, i) for i in range(model.n)]
-
-
-def adjacent_trajectory_count_mod2(model: LinearFlowModel,
-                                   i: int, j: int) -> int:
-    """Mod-2 count of unparametrized index-1 trajectories [w_i] -> [w_j].
-
-    For lambda_i > lambda_j adjacent the moduli space is the two half-arcs
-    of the great circle through w_i and w_j, hence 0 mod 2; for
-    lambda_i < lambda_j it is empty; i = j has no self-trajectories.
-    """
-    if not (1 <= i <= model.n and 1 <= j <= model.n):
-        raise ShapeMismatch("eigen index out of range")
-    return 0
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ from .errors import (
 )
 from .f2lin import (
     IntMatrix,
+    _diagonal_solve,
     cokernel_invariants,
-    column_span_basis,
     int_det_sign_unimodular,
     int_kernel_basis,
     int_rank,
@@ -284,25 +284,8 @@ class PresentedGroup:
     invariants: tuple = field(init=False)
 
     def __post_init__(self):
-        inv = tuple(cokernel_invariants(self.relations)) \
-            if self.relations.rows else ()
-        object.__setattr__(self, "invariants", inv)
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.invariants if x == 0)
-
-    def order(self) -> int:
-        """Group order; 0 encodes infinite."""
-        out = 1
-        for x in self.invariants:
-            if x == 0:
-                return 0
-            out *= x
-        return out
-
-    def is_trivial(self) -> bool:
-        return not self.invariants
+        object.__setattr__(self, "invariants",
+                           tuple(cokernel_invariants(self.relations)))
 
 
 def cohomology_presentation(deltas: Sequence[IntMatrix], cells: Sequence[int],
@@ -316,11 +299,9 @@ def cohomology_presentation(deltas: Sequence[IntMatrix], cells: Sequence[int],
     if degree == 0 or not zmat.cols:
         rels = IntMatrix.zero(zmat.cols, 0)
     else:
-        bmat = deltas[degree - 1]
-        coords = int_solve_many(zmat, bmat)
-        if coords is None:
+        rels = int_solve_many(zmat, deltas[degree - 1])
+        if rels is None:
             raise NotChainMap("coboundaries do not lie in the cocycle lattice")
-        rels = coords
     return PresentedGroup(zmat, rels)
 
 
@@ -353,15 +334,16 @@ def _hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def subquotient_invariants(gens: IntMatrix, rels: IntMatrix) -> list[int]:
     """Invariants of (column span of gens) / (column span of rels).
 
-    The relation columns must lie in the generator span.
+    With U gens V = D of rank r, x -> ((U x)_i / d_i)_{i<r} maps the span
+    of gens onto Z^r, so the answer is the cokernel of the first r rows of
+    D^-1 U rels.  The relation columns must lie in the generator span.
     """
-    basis = column_span_basis(gens)
-    if basis.cols == 0:
-        return []
-    coords = int_solve_many(basis, rels)
-    if coords is None:
+    snf = smith_normal_form(gens)
+    y = _diagonal_solve(snf, rels)
+    if y is None:
         raise ShapeMismatch("relations do not lie in the generator span")
-    return cokernel_invariants(coords)
+    r = sum(1 for x in snf.diagonal() if x)
+    return cokernel_invariants(IntMatrix(r, rels.cols, tuple(y[:r])))
 
 
 def _kernel_lattice(m: CohomMap) -> IntMatrix:
@@ -457,10 +439,9 @@ def admits_real_structure(data: EquivariantCWData,
 def real_structure_classes(data: EquivariantCWData) -> list[int]:
     """Invariants of H^1(Q) / Im Theta: classes on a fixed line bundle."""
     _require_cells(data, 1, "H^1(Q) / Im Theta")
-    _require_chain_map(data, 1)
     m = theta_on_cohomology(data, 1)
     rels = _hstack(m.target.relations, m.matrix)
-    return [x for x in cokernel_invariants(rels) if x != 1]
+    return cokernel_invariants(rels)
 
 
 def real_spinc_torsor(data: EquivariantCWData,
@@ -487,12 +468,10 @@ def real_spinc_torsor(data: EquivariantCWData,
     inv_gens = _kernel_lattice(fixed_map)
     one_plus = iota.matrix + IntMatrix.identity(h1.generators.cols)
     rels = _hstack(one_plus, h1.relations)
-    h1_part = [x for x in subquotient_invariants(inv_gens, rels) if x != 1]
-
     return RealStructureCensus(
         exists=True,
-        kernel_invariants=tuple(x for x in kernel if x != 1),
-        h1_invariants=tuple(h1_part),
+        kernel_invariants=tuple(kernel),
+        h1_invariants=tuple(subquotient_invariants(inv_gens, rels)),
     )
 
 

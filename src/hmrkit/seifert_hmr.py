@@ -22,15 +22,12 @@ Supported inputs:
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .complexes import BlockDifferentials, Generator, ThreeComplexes, assemble
-from .errors import AmbiguousDifferential, NotCoprime, UnknownFamily
+from .errors import NotCoprime, UnknownFamily
 
 TOWER_KINDS = ("down", "up", "full")
 
@@ -72,28 +69,16 @@ class TowerModule:
     undetermined: bool = False
 
     @staticmethod
-    def from_parts(finite=None, towers=(), undetermined=False):
-        counts = {}
-        for g, mult in (finite or {}).items() if isinstance(finite, dict) \
-                else (finite or []):
-            if mult:
-                counts[g] = counts.get(g, 0) + mult
-        fin = tuple(sorted(counts.items()))
-        return TowerModule(fin, tuple(towers), undetermined)
+    def from_parts(finite: dict, towers=()) -> "TowerModule":
+        """The module of ``finite`` {grading: multiplicity} and ``towers``."""
+        fin = tuple(sorted((g, m) for g, m in finite.items() if m))
+        return TowerModule(fin, tuple(towers))
 
     def rank_at(self, g: int) -> int:
         """Total F2 rank in grading g (finite part + tower occupancies)."""
         rank = dict(self.finite).get(g, 0)
         rank += sum(1 for t in self.towers if t.supports(g))
         return rank
-
-    def require_determined(self) -> "TowerModule":
-        if self.undetermined:
-            raise AmbiguousDifferential(
-                "this flavor is not determined by the implemented "
-                "vanishing arguments"
-            )
-        return self
 
     def to_json(self) -> dict:
         return {
@@ -103,23 +88,6 @@ class TowerModule:
                                        key=lambda t: (t.kind, t.anchor))],
             "undetermined": self.undetermined,
         }
-
-
-def apply_upsilon(m: TowerModule) -> TowerModule:
-    """Image of the degree -1 endomorphism v on a tower module.
-
-    Finite summands die (no generator one step down is connected to them
-    in any of the tabulated answers).  v is injective on a down tower, so
-    the image is the tower re-anchored one lower; it is surjective on an
-    up tower and bijective on a full tower.
-    """
-    towers = []
-    for t in m.towers:
-        if t.kind in ("down", "full"):
-            towers.append(Tower(t.kind, t.anchor - 1))
-        else:
-            towers.append(t)
-    return TowerModule((), tuple(towers), m.undetermined)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +175,6 @@ class IrreducibleSpectrum:
         if any(c <= 0 or c % 2 for _, c in self.counts):
             raise UnknownFamily("irreducibles must come in pairs")
 
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
 
 def brieskorn_irreducibles(inp: BrieskornInput) -> IrreducibleSpectrum:
     """Tabulated irreducible spectrum for the supported families."""
@@ -232,38 +197,32 @@ def brieskorn_irreducibles(inp: BrieskornInput) -> IrreducibleSpectrum:
     return IrreducibleSpectrum(spectrum, theta, ambiguous)
 
 
-def _fixtures_dir() -> Path:
-    override = os.environ.get("HMRKIT_FIXTURES")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "fixtures"
+#: Margin of the window of :func:`divisor_count`: an orbifold line bundle
+#: E = (e; b1, b2, b3) on S^2(p, q, r) is counted when it has a holomorphic
+#: section (floor degree e >= 0) and 0 <= deg E < deg(K)/2 - margin / r,
+#: with r the largest cone order.  The margin encodes which bundles pull
+#: back to the background bundle of the spin structure; it was calibrated
+#: on the (2,3,.) families and cross-checked against the (2,5,.) families
+#: and (2,7,29).  It is data, not a theorem: changing it changes counts.
+DIVISOR_MARGIN = Fraction(1, 4)
 
 
-def _calibration() -> tuple:
-    raw = json.loads((_fixtures_dir() / "divisor_calibration.json")
-                     .read_text())
-    return int(raw["margin_numerator"]), int(raw["margin_scale"])
-
-
-def divisor_count(p: int, q: int, r: int, degree_resolution: int = 4) -> int:
+def divisor_count(p: int, q: int, r: int) -> int:
     """Brute-force count of orbifold line bundles carrying irreducibles.
 
-    Enumerates E = (e; b1, b2, b3) on the orbifold sphere S^2(p, q, r)
-    with 0 <= b_i < cone order and 0 <= e < degree_resolution, keeps the
-    ones admitting a holomorphic section (e >= 0 suffices on the sphere)
-    whose degree lies in [0, deg(K)/2 - margin), where the margin from
-    the calibration fixture encodes the pullback constraint.  Each
-    counted bundle carries one pair of irreducibles.
+    Enumerates E = (e; b1, b2, b3) with 0 <= e < 4 and 0 <= b_i < cone
+    order, and keeps those in the window of DIVISOR_MARGIN (e >= 0 gives a
+    holomorphic section on the sphere).  Each counted bundle carries one
+    pair of irreducibles.
     """
     for a, b in ((p, q), (p, r), (q, r)):
         if math.gcd(a, b) != 1:
             raise NotCoprime(f"cone orders {p},{q},{r} are not coprime")
-    num, scale = _calibration()
     half_canonical = Fraction(1, 2) * (1 - Fraction(1, p) - Fraction(1, q)
                                        - Fraction(1, r))
-    bound = half_canonical - Fraction(num, scale * max(p, q, r))
+    bound = half_canonical - DIVISOR_MARGIN / max(p, q, r)
     count = 0
-    for e in range(max(1, degree_resolution)):
+    for e in range(4):
         for b1 in range(p):
             for b2 in range(q):
                 for b3 in range(r):
@@ -294,13 +253,10 @@ class BrieskornResult:
     complexes: ThreeComplexes
     truncation: tuple
 
-    def flavor(self, name: str) -> TowerModule:
-        return {"hat": self.hat, "check": self.check, "bar": self.bar}[name]
-
 
 def assemble_brieskorn_hmr(spec: IrreducibleSpectrum,
-                           truncation: tuple | None = None,
-                           on_undetermined: str = "mark") -> BrieskornResult:
+                           truncation: tuple | None = None
+                           ) -> BrieskornResult:
     """Build the flavor triple and a truncated explicit complex.
 
     The reducible tower sits at gradings g, g+1, ... (boundary-stable
@@ -308,8 +264,7 @@ def assemble_brieskorn_hmr(spec: IrreducibleSpectrum,
     (boundary-unstable side).  The trajectory-exclusion arguments behind
     the tabulated families force every differential to vanish, except
     possibly the unstable-to-irreducible piece flagged on the spectrum;
-    in that case the hat flavor is reported undetermined (or raises,
-    with ``on_undetermined="raise"``).
+    in that case the hat flavor is reported undetermined.
     """
     if truncation is None:
         truncation = default_truncation(spec)
@@ -330,21 +285,15 @@ def assemble_brieskorn_hmr(spec: IrreducibleSpectrum,
 
     finite = dict(spec.counts)
     check = TowerModule.from_parts(finite, (Tower("up", g0 - 1),))
-    bar = TowerModule.from_parts((), (Tower("full", g0),))
+    bar = TowerModule.from_parts({}, (Tower("full", g0),))
     if spec.hat_ambiguous:
         hat = TowerModule(undetermined=True)
-        if on_undetermined == "raise":
-            raise AmbiguousDifferential(
-                "unstable-to-irreducible differentials cannot be excluded; "
-                "the hat flavor is undetermined"
-            )
     else:
         hat = TowerModule.from_parts(finite, (Tower("down", g0),))
     return BrieskornResult(hat, check, bar, cx, (lo, hi))
 
 
-def brieskorn_hmr(inp: BrieskornInput,
-                  on_undetermined: str = "mark") -> BrieskornResult:
+def brieskorn_hmr(inp: BrieskornInput) -> BrieskornResult:
     """Convenience wrapper: tabulate the spectrum, then assemble."""
     return assemble_brieskorn_hmr(brieskorn_irreducibles(inp),
-                                  inp.truncation, on_undetermined)
+                                  inp.truncation)

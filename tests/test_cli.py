@@ -263,15 +263,36 @@ def test_unknown_family_error(capsys):
     assert report["error"]["code"] == "unknown_family"
 
 
-def test_fixture_dir_override(capsys, tmp_path, monkeypatch):
-    # widening the calibrated window changes the divisor count, proving
-    # the fixture directory override is honored
-    fixtures = tmp_path / "fixtures"
-    fixtures.mkdir()
-    (fixtures / "divisor_calibration.json").write_text(
-        json.dumps({"margin_numerator": 0, "margin_scale": 4}))
-    monkeypatch.setenv("HMRKIT_FIXTURES", str(fixtures))
+def test_brieskorn_divisor_pairs_calibrated(capsys):
+    # a margin of 0 instead of the calibrated 1/4 would give 1 at k = 1
+    for k, pairs in ((1, 0), (4, 2)):
+        code, report = run_json(capsys, "brieskorn", "--family", "2,3,+1",
+                                "--k", str(k))
+        assert code == 0
+        assert report["divisor_pairs"] == pairs
+
+
+@pytest.mark.parametrize("stride", ["0", "-1"])
+@pytest.mark.parametrize("output", ["--samples", "--csv"])
+def test_flow_bad_stride_exits_2(capsys, tmp_path, stride, output):
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({"L": [[-1.0, 0.0], [0.0, 2.0]],
+                                "phi0": [0.6, 0.8], "t_max": 1.0,
+                                "step": 0.01}))
+    csv_path = tmp_path / "trajectory.csv"
+    extra = [output] + ([str(csv_path)] if output == "--csv" else [])
+    code, report = run_json(capsys, "flow", "--input", str(path),
+                            "--stride", stride, *extra)
+    assert code == 2
+    assert report["error"]["code"] == "invalid_input"
+    assert "--stride" in report["error"]["message"]
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("window", ["abc", "1", ":"])
+def test_brieskorn_bad_window_exits_2(capsys, window):
     code, report = run_json(capsys, "brieskorn", "--family", "2,3,+1",
-                            "--k", "1")
-    assert code == 0
-    assert report["divisor_pairs"] == 1  # calibrated value is 0
+                            f"--window={window}")
+    assert code == 2
+    assert report["error"]["code"] == "invalid_input"
+    assert "--window" in report["error"]["message"]

@@ -261,3 +261,61 @@ def test_acyclic_pairs_keep_ranks_and_exactness(base, pairs):
     blocks = BASES[base]()
     assert ranks_and_exactness(with_acyclic_pairs(blocks, pairs)) == \
         ranks_and_exactness(blocks)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: a grading-preserving change of basis changes nothing
+# ---------------------------------------------------------------------------
+
+
+def change_of_basis(rng, gens):
+    """A random invertible 0/1 matrix P on the span of ``gens`` that maps
+    each generator into the span of those of its grading, and P^-1.
+
+    P is a product of elementary row additions within one grading; each
+    is its own inverse over F2, so P^-1 is the same product reversed.
+    """
+    n = len(gens)
+    p, p_inv = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    for _ in range(4 * n):
+        i, j = (int(x) for x in rng.integers(0, max(n, 1), 2))
+        if i != j and gens[i].gr == gens[j].gr:
+            e = np.eye(n, dtype=np.int64)
+            e[i, j] = 1
+            p, p_inv = e @ p % 2, p_inv @ e % 2
+    return p, p_inv
+
+
+def conjugated(blocks, seed):
+    """``blocks`` with each kind-subspace re-based: block B from kind s to
+    kind t becomes P_t B P_s^-1 (dense products mod 2, not hmrkit's)."""
+    rng = np.random.default_rng(seed)
+    bases = {k: change_of_basis(rng, getattr(blocks, f"gens_{k}"))
+             for k in "osu"}
+    out = []
+    for name, (t, src) in BLOCK_SHAPES.items():
+        b = getattr(blocks, name)
+        dense = np.zeros((b.rows, b.cols), dtype=np.int64)
+        for r, c in b.ones:
+            dense[r, c] = 1
+        dense = bases[t][0] @ dense @ bases[src][1] % 2
+        out.append(F2Matrix(b.rows, b.cols, frozenset(
+            (int(r), int(c)) for r, c in zip(*np.nonzero(dense)))))
+    return BlockDifferentials(blocks.gens_o, blocks.gens_s, blocks.gens_u,
+                              *out)
+
+
+def test_change_of_basis_mixes_generators():
+    blocks = with_acyclic_pairs(morse_pair_blocks(), [("s", 2), ("u", 1)])
+    assert any(conjugated(blocks, seed) != blocks for seed in range(5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BASES)),
+       st.lists(st.tuples(st.sampled_from("osu"), st.integers(-3, 6)),
+                max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_change_of_basis_keeps_ranks_and_exactness(base, pairs, seed):
+    blocks = with_acyclic_pairs(BASES[base](), pairs)
+    assert ranks_and_exactness(conjugated(blocks, seed)) == \
+        ranks_and_exactness(blocks)

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hmrkit.cw_fixtures import FIXTURE_BUILDERS, build_fixture, lens_space
 from hmrkit.errors import (
@@ -18,7 +20,8 @@ from hmrkit.errors import (
     NotCoprime,
     ShapeMismatch,
 )
-from hmrkit.f2lin import IntMatrix, int_kernel_basis
+from hmrkit.f2lin import (IntMatrix, cokernel_invariants, int_kernel_basis,
+                          int_solve_many)
 from hmrkit.real_spinc import (
     EquivariantCWData,
     OrbitEntry,
@@ -28,6 +31,7 @@ from hmrkit.real_spinc import (
     cohomology_presentation,
     real_spinc_torsor,
     real_structure_classes,
+    subquotient_invariants,
     theta_on_cochains,
     theta_on_cohomology,
     verify_naturality,
@@ -116,7 +120,7 @@ def test_theta_zero_when_target_vanishes():
     data = build_fixture("lens_3_1")
     m = theta_on_cohomology(data, 2)
     # target H^2(S^3) = 0, so the induced map has trivial image
-    assert m.target.is_trivial()
+    assert m.target.invariants == ()
 
 
 def test_theta_torus_degree1_matches_hand_computation():
@@ -124,7 +128,7 @@ def test_theta_torus_degree1_matches_hand_computation():
     data = build_fixture("torus_hyperelliptic")
     m = theta_on_cohomology(data, 1)
     assert m.source.invariants == (0, 0)
-    assert m.target.is_trivial()
+    assert m.target.invariants == ()
 
 
 def test_theta_torus_brute_force_small_cochains():
@@ -317,6 +321,94 @@ def test_census_invariant_under_relabelling(name):
         assert (other.kernel_invariants, other.h1_invariants) == \
             (census.kernel_invariants, census.h1_invariants)
         assert real_structure_classes(moved) == classes
+
+
+# ---------------------------------------------------------------------------
+# subquotients against a Euclid column reduction
+# ---------------------------------------------------------------------------
+
+
+def column_span_basis(a: IntMatrix) -> IntMatrix:
+    """A lattice basis of the integer column span of ``a``.
+
+    Column-style Hermite reduction: Euclidean column operations only, so
+    the span is preserved exactly; the surviving nonzero columns are
+    independent and form a basis of the spanned lattice.
+    """
+    cols = [list(a.column(j)) for j in range(a.cols)]
+    basis = []
+    row = 0
+    while row < a.rows and cols:
+        cols = [c for c in cols if any(c[row:])]
+        if not cols:
+            break
+        # Euclid on the entries of the current row across columns
+        while True:
+            nz = [j for j, c in enumerate(cols) if c[row] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda j: abs(cols[j][row]))
+            piv = nz[0]
+            for j in nz[1:]:
+                q = cols[j][row] // cols[piv][row]
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[piv])]
+        nz = [j for j, c in enumerate(cols) if c[row] != 0]
+        if nz:
+            basis.append(cols.pop(nz[0]))
+        row += 1
+    basis.extend(c for c in cols if any(c))
+    return IntMatrix.from_columns(a.rows, basis)
+
+
+def oracle_subquotient(gens: IntMatrix, rels: IntMatrix) -> list:
+    """Cokernel of the coordinates of rels in a Euclid basis of gens."""
+    basis = column_span_basis(gens)
+    if basis.cols == 0:
+        return []
+    coords = int_solve_many(basis, rels)
+    assert coords is not None, "relations outside the generator span"
+    return cokernel_invariants(coords)
+
+
+CENSUS_ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
+
+
+def grid(rows, cols, entries):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def spans_with_relations(draw):
+    """gens (g x k) and rels = gens . c (g x m), every dimension 0..6."""
+    g, k, m = (draw(st.integers(0, 6)) for _ in range(3))
+    gens = draw(grid(g, k, CENSUS_ENTRIES))
+    c = draw(grid(k, m, CENSUS_ENTRIES))
+    rels = [[sum(gens[i][t] * c[t][j] for t in range(k)) for j in range(m)]
+            for i in range(g)]
+    return (IntMatrix(g, k, tuple(map(tuple, gens))),
+            IntMatrix(g, m, tuple(map(tuple, rels))))
+
+
+# The smallest-pivot Smith form can grow without bound on dense inputs, so
+# this draws census-like entries from a fixed sequence.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spans_with_relations())
+@example((IntMatrix.zero(3, 0), IntMatrix.zero(3, 0)))      # 0-column gens
+@example((IntMatrix.zero(3, 0), IntMatrix.zero(3, 2)))      # zero relations
+@example((IntMatrix.from_rows([[2, 0], [0, 3]]), IntMatrix.zero(2, 0)))
+@example((IntMatrix.from_rows([[2, 4], [0, 0]]),            # Z / 3Z
+          IntMatrix.from_rows([[6], [0]])))
+def test_subquotient_matches_euclid_basis_oracle(case):
+    gens, rels = case
+    assert subquotient_invariants(gens, rels) == oracle_subquotient(gens, rels)
+
+
+@pytest.mark.parametrize("rels", [[[1], [0]], [[0], [1]], [[3], [2]]])
+def test_subquotient_rejects_relations_outside_span(rels):
+    gens = IntMatrix.from_rows([[2], [0]])
+    with pytest.raises(ShapeMismatch):
+        subquotient_invariants(gens, IntMatrix.from_rows(rels))
 
 
 def test_lens_space_rejects_bad_parameters():

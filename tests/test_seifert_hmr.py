@@ -5,18 +5,15 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from hmrkit.complexes import homology, les_maps, verify_d_squared, \
     verify_les_exact
-from hmrkit.errors import AmbiguousDifferential, NotCoprime, UnknownFamily
+from hmrkit.errors import NotCoprime, UnknownFamily
 from hmrkit.seifert_hmr import (
     BrieskornInput,
     IrreducibleSpectrum,
     Tower,
     TowerModule,
-    apply_upsilon,
     assemble_brieskorn_hmr,
     brieskorn_hmr,
     brieskorn_irreducibles,
@@ -52,29 +49,6 @@ def test_tower_module_rank():
 def test_bad_tower_kind_rejected():
     with pytest.raises(UnknownFamily):
         Tower("sideways", 0)
-
-
-def test_upsilon_kills_finite_and_shifts_down_tower():
-    m = TowerModule.from_parts({4: 2}, (Tower("down", 0),))
-    im = apply_upsilon(m)
-    assert im.finite == ()
-    assert im.towers == (Tower("down", -1),)
-
-
-def test_upsilon_surjective_on_up_full():
-    m = TowerModule(towers=(Tower("up", 2), Tower("full", 0)))
-    im = apply_upsilon(m)
-    assert Tower("up", 2) in im.towers
-    assert Tower("full", -1) in im.towers
-
-
-@given(st.integers(-5, 5), st.sampled_from(["down", "up", "full"]))
-def test_upsilon_associativity(anchor, kind):
-    m = TowerModule.from_parts({anchor + 1: 2}, (Tower(kind, anchor),))
-    u2 = apply_upsilon(apply_upsilon(m))
-    u3a = apply_upsilon(u2)
-    u3b = apply_upsilon(apply_upsilon(apply_upsilon(m)))
-    assert u3a == u3b
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +118,15 @@ def test_family_parameters():
 def test_counts_match_divisor_enumeration(fam, k):
     inp = BrieskornInput(fam, k)
     spec = brieskorn_irreducibles(inp)
-    assert spec.total() == 2 * divisor_count(*inp.pqr)
+    assert sum(c for _, c in spec.counts) == 2 * divisor_count(*inp.pqr)
 
 
 def test_counts_2_7_29():
     spec = brieskorn_irreducibles(BrieskornInput("2,7,29"))
     assert spec.counts == ((0, 2), (2, 2), (4, 2), (5, 4), (6, 2))
     assert spec.theta_minus1_grading == 7
-    assert spec.total() == 2 * divisor_count(2, 7, 29) == 12
+    total = sum(c for _, c in spec.counts)
+    assert total == 2 * divisor_count(2, 7, 29) == 12
 
 
 def test_small_family_members():
@@ -213,10 +188,6 @@ def test_6kminus1_hat_undetermined():
     assert res.hat.undetermined
     assert res.hat.finite == () and res.hat.towers == ()
     assert not res.check.undetermined
-    with pytest.raises(AmbiguousDifferential):
-        res.hat.require_determined()
-    with pytest.raises(AmbiguousDifferential):
-        brieskorn_hmr(BrieskornInput("2,3,-1", 2), on_undetermined="raise")
 
 
 def test_check_rank_matches_truncated_homology():
