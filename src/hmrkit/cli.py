@@ -29,7 +29,7 @@ from .complexes import (
     verify_d_squared,
     verify_les_exact,
 )
-from .errors import HmrkitError, InvalidInput, input_field
+from .errors import HmrkitError, InvalidInput, input_field, input_int
 from .f2lin import F2Matrix, IntMatrix
 from .index_grading import TopologicalData4, closed4_index, loop_grading_shift
 from .morse_blowup import (
@@ -62,7 +62,7 @@ from .seifert_hmr import (
 SELFTEST_BUDGET_SECONDS = 60.0
 
 # Pinned example values: ``fixtures-selftest`` re-runs them, and acceptance
-# criteria 5, 6 and 8 check them beside their own cases and oracles.
+# criteria 2, 4, 5, 6 and 8 check them beside their own cases and oracles.
 #: (fixture, number of real spin-c structures)
 LENS_CENSUS = (("lens_3_1", 3), ("lens_5_1", 5), ("lens_7_1", 7))
 #: census size and real_structure_classes of ``s1_x_s2_rotation``
@@ -74,6 +74,19 @@ BRANCHED_COVERS = (
     ("figure_eight_cover", [[1, -1], [0, -1]], 5, 0),
     ("split_unlink_cover", [[0]], 0, 1),
 )
+#: the three-sphere tower: fiber spectrum, grading shift, and the ranks of
+#: check, hat and bar homology by grading
+S3_TOWER = (
+    tuple(range(-10, 0)) + tuple(range(1, 11)), -10,
+    {"check": dict.fromkeys(range(0, 10), 1),
+     "hat": dict.fromkeys(range(-9, 1), 1),
+     "bar": dict.fromkeys(range(-10, 10), 1)},
+)
+#: (n, fiber spectrum k - (n + 1)/2 + 1/4 for k = 1..n, total bar rank) of
+#: the RP^(n-1) models; criterion 2 draws random fibers of the same sizes
+RP_MODELS = tuple(
+    (n, tuple(k - (n + 1) / 2 + 0.25 for k in range(1, n + 1)), n)
+    for n in range(2, 9))
 #: (check name, family, k, finite part of check, hat undetermined)
 BRIESKORN_ANSWERS = (
     ("brieskorn_2_3_13", "2,3,+1", 2, ((0, 2),), False),
@@ -143,7 +156,7 @@ def _float_array(value) -> np.ndarray:
 
 
 def _base_points(value) -> list:
-    return [(p["label"], int(p["ind_q"]), _float_array(p["fiber"]))
+    return [(p["label"], input_int(p["ind_q"]), _float_array(p["fiber"]))
             for p in value]
 
 
@@ -151,7 +164,7 @@ def _cmd_morse(args) -> int:
     raw = _load_input(args)
     points = input_field(raw, "points", _base_points)
     counts = input_field(raw, "counts", F2Matrix.from_json, None)
-    shift = input_field(raw, "grading_shift", int, 0)
+    shift = input_field(raw, "grading_shift", input_int, 0)
     base = BaseMorseData(
         tuple(BasePoint(label, ind_q, LinearFlowModel(fiber))
               for label, ind_q, fiber in points), counts)
@@ -301,23 +314,19 @@ def _cmd_seifert_matrix(args) -> int:
 def _selftest_checks():
     """(name, thunk) pairs re-running the library's pinned example values."""
 
-    def rp_model(n):
-        diag = np.diag(np.arange(1, n + 1, dtype=float) - (n + 1) / 2.0
-                       + 0.25)
-        base = BaseMorseData((BasePoint("q", 0, LinearFlowModel(diag)),))
-        cx = assemble(build_model_complexes(base))
-        return sum(homology(cx, "bar").values()) == n
+    def fiber_complex(spectrum, shift=0):
+        model = LinearFlowModel(np.diag(np.array(spectrum, dtype=float)))
+        base = BaseMorseData((BasePoint("q", 0, model),))
+        return assemble(build_model_complexes(base, shift))
+
+    def rp_model(spectrum, bar_total):
+        cx = fiber_complex(spectrum)
+        return sum(homology(cx, "bar").values()) == bar_total
 
     def s3_tower():
-        vals = np.array([float(k) for k in range(-10, 0)]
-                        + [float(k) for k in range(1, 11)])
-        base = BaseMorseData((BasePoint("q", 0,
-                                        LinearFlowModel(np.diag(vals))),))
-        cx = assemble(build_model_complexes(base, grading_shift=-10))
-        check = homology(cx, "check")
-        hat = homology(cx, "hat")
-        return (all(check.get(j, 0) == 1 for j in range(0, 10))
-                and all(hat.get(j, 0) == 1 for j in range(-9, 1)))
+        spectrum, shift, ranks = S3_TOWER
+        cx = fiber_complex(spectrum, shift)
+        return all(homology(cx, f) == r for f, r in ranks.items())
 
     def census_size(name, size):
         data = cw_fixtures.build_fixture(name)
@@ -355,7 +364,8 @@ def _selftest_checks():
     checks += [(name, partial(brieskorn_family, *case))
                for name, *case in BRIESKORN_ANSWERS]
     checks.append(("lens_answer_count", lambda: len(lens_hmr(5, 2)) == 5))
-    checks += [(f"rp_model_n{n}", partial(rp_model, n)) for n in range(2, 9)]
+    checks += [(f"rp_model_n{n}", partial(rp_model, *case))
+               for n, *case in RP_MODELS]
     checks += [(f"census_{name}", partial(census_size, name, size))
                for name, size in LENS_CENSUS]
     return checks

@@ -3,10 +3,14 @@
 Every error carries a stable ``code`` attribute so the CLI can emit
 machine-readable error objects without string matching on messages.
 :func:`input_field` reads one field of a JSON input body and turns every
-way it can be malformed into :class:`InvalidInput` naming the field.
+way it can be malformed into :class:`InvalidInput` naming the field;
+:func:`input_int` is how its parsers read an integer, so a float, a string
+or a boolean where an integer belongs is malformed, not truncated.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class HmrkitError(Exception):
@@ -73,12 +77,6 @@ class NotCocycle(HmrkitError):
     code = "not_cocycle"
 
 
-class NoRealStructure(HmrkitError):
-    """No real structure exists for the given first Chern class."""
-
-    code = "no_real_structure"
-
-
 class NotDivisibleBy8(HmrkitError):
     """c1^2 - sigma is not divisible by 8; topological input is inconsistent."""
 
@@ -127,3 +125,11 @@ def input_field(body, name: str, parse, default=_REQUIRED):
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InvalidInput(f"input field {name!r} is malformed: "
                            f"{type(exc).__name__}: {exc}") from None
+
+
+def input_int(value) -> int:
+    """An integer of an input body: what ``operator.index`` accepts, but
+    not a boolean.  Anything else raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, input_int
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,9 @@ class F2Matrix:
     @staticmethod
     def from_json(obj: dict) -> "F2Matrix":
         return F2Matrix(
-            int(obj["rows"]),
-            int(obj["cols"]),
-            frozenset((int(r), int(c)) for r, c in obj["ones"]),
+            input_int(obj["rows"]),
+            input_int(obj["cols"]),
+            frozenset((input_int(r), input_int(c)) for r, c in obj["ones"]),
         )
 
     # -- algebra ------------------------------------------------------
@@ -211,10 +211,10 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(grid: Sequence[Sequence[int]]) -> "IntMatrix":
-        """Build from outside input, coercing every entry with ``int``."""
+        """Build from outside input, reading every entry with ``input_int``."""
         rows = len(grid)
         cols = len(grid[0]) if rows else 0
-        return IntMatrix(rows, cols, tuple(tuple(int(x) for x in r)
+        return IntMatrix(rows, cols, tuple(tuple(input_int(x) for x in r)
                                            for r in grid))
 
     @staticmethod
@@ -242,9 +242,10 @@ class IntMatrix:
 
     @staticmethod
     def from_json(obj: dict) -> "IntMatrix":
+        shape = (input_int(obj["rows"]), input_int(obj["cols"]))
         m = IntMatrix.from_rows(obj["data"]) if obj["data"] else \
-            IntMatrix.zero(int(obj["rows"]), int(obj["cols"]))
-        if (m.rows, m.cols) != (int(obj["rows"]), int(obj["cols"])):
+            IntMatrix.zero(*shape)
+        if (m.rows, m.cols) != shape:
             raise ShapeMismatch("declared shape disagrees with data grid")
         return m
 

@@ -164,48 +164,35 @@ def build_model_complexes(base: BaseMorseData,
             "base counts require a common fiber dimension across points"
         )
     gens = blowup_critical_points(base, grading_shift)
-    # positions: (point index, eigen index) per kind
-    s_keys, u_keys = [], []
-    s_gens, u_gens = [], []
-    k = 0
-    for pi, q in enumerate(base.points):
-        for i, lam in enumerate(q.fiber.eigenvalues, start=1):
-            g = gens[k]
-            k += 1
-            if lam > 0:
-                s_keys.append((pi, i))
-                s_gens.append(g)
-            else:
-                u_keys.append((pi, i))
-                u_gens.append(g)
-    s_pos = {key: idx for idx, key in enumerate(s_keys)}
-    u_pos = {key: idx for idx, key in enumerate(u_keys)}
+    keys = [(pi, i) for pi, q in enumerate(base.points)
+            for i in range(1, q.fiber.n + 1)]
+    by_kind = {"s": [], "u": []}
+    pos = {}  # (point index, eigen index) -> (kind, position in kind)
+    for key, g in zip(keys, gens):
+        pos[key] = (g.kind, len(by_kind[g.kind]))
+        by_kind[g.kind].append(g)
 
-    bar_ss_entries = []
-    bar_uu_entries = []
+    bar = {"s": [], "u": []}
     if base.counts is not None:
         for (tr, sc) in base.counts.ones:  # base trajectory q_sc -> q_tr
-            n_fiber = base.points[sc].fiber.n
-            for i in range(1, n_fiber + 1):
-                if (sc, i) in s_pos and (tr, i) in s_pos:
-                    bar_ss_entries.append((s_pos[(tr, i)], s_pos[(sc, i)]))
-                elif (sc, i) in u_pos and (tr, i) in u_pos:
-                    bar_uu_entries.append((u_pos[(tr, i)], u_pos[(sc, i)]))
-                else:
+            for i in range(1, base.points[sc].fiber.n + 1):
+                (kind, src), (tgt_kind, tgt) = pos[(sc, i)], pos[(tr, i)]
+                if kind != tgt_kind:
                     raise GradingViolation(
                         "eigenvalue sign pattern differs across a base "
                         "trajectory; trivialized-bundle model cannot "
                         "couple stable to unstable"
                     )
-    ns, nu = len(s_gens), len(u_gens)
+                bar[kind].append((tgt, src))
+    ns, nu = len(by_kind["s"]), len(by_kind["u"])
     z = F2Matrix.zero
     return BlockDifferentials(
-        gens_o=(), gens_s=tuple(s_gens), gens_u=tuple(u_gens),
+        gens_o=(), gens_s=tuple(by_kind["s"]), gens_u=tuple(by_kind["u"]),
         d_oo=z(0, 0), d_os=z(ns, 0), d_uo=z(0, nu), d_us=z(ns, nu),
-        bar_ss=F2Matrix.from_entries(ns, ns, bar_ss_entries),
+        bar_ss=F2Matrix.from_entries(ns, ns, bar["s"]),
         bar_us=z(ns, nu),
         bar_su=z(nu, ns),
-        bar_uu=F2Matrix.from_entries(nu, nu, bar_uu_entries),
+        bar_uu=F2Matrix.from_entries(nu, nu, bar["u"]),
     )
 
 

@@ -11,8 +11,9 @@ this the averaging map Theta on cochains,
 is an integer matrix, and everything else is Smith-normal-form bookkeeping:
 existence of a real structure on a line bundle is the vanishing of
 Theta(c1) in H^2(Q), the equivalence classes on a fixed bundle form
-H^1(Q)/Im Theta, and the set of real spin-c structures is a torsor over
-ker(Theta on H^2) x H^1(M)^inv / Im(1 + iota*).
+H^1(Q)/Im Theta, and the real spin-c structures on the trivial bundle,
+which always admits one, form a torsor over ker(Theta on H^2) x
+H^1(M)^inv / Im(1 + iota*).
 
 Branched double covers of links enter through their Seifert matrices:
 |H_1| = |det(A + A^t)| and b_1 = nullity(A + A^t).
@@ -20,16 +21,16 @@ Branched double covers of links enter through their Seifert matrices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import (
     MalformedOrbitMap,
-    NoRealStructure,
     NotChainMap,
     NotCocycle,
     ShapeMismatch,
     input_field,
+    input_int,
 )
 from .f2lin import (
     IntMatrix,
@@ -214,16 +215,22 @@ class EquivariantCWData:
         """Parse :meth:`to_json` output; a malformed field is InvalidInput."""
 
         def counts(v):
-            return tuple(int(n) for n in v)
+            return tuple(input_int(n) for n in v)
 
         def matrices(v):
             return tuple(IntMatrix.from_json(m) for m in v)
 
+        def flag(v):
+            if not isinstance(v, bool):
+                raise TypeError(f"'fixed' must be a boolean, got {v!r}")
+            return v
+
         def orbit(v):
             return tuple(
-                OrbitEntry(degree=int(o["cell"][0]), index=int(o["cell"][1]),
-                           image=int(o["image"]), fixed=o["fixed"],
-                           sign=int(o["sign"]))
+                OrbitEntry(degree=input_int(o["cell"][0]),
+                           index=input_int(o["cell"][1]),
+                           image=input_int(o["image"]), fixed=flag(o["fixed"]),
+                           sign=input_int(o["sign"]))
                 for o in v)
 
         return EquivariantCWData(
@@ -281,11 +288,6 @@ class PresentedGroup:
 
     generators: IntMatrix
     relations: IntMatrix
-    invariants: tuple = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "invariants",
-                           tuple(cokernel_invariants(self.relations)))
 
 
 def cohomology_presentation(deltas: Sequence[IntMatrix], cells: Sequence[int],
@@ -359,11 +361,6 @@ def _kernel_lattice(m: CohomMap) -> IntMatrix:
     return _hstack(gens, m.source.relations)
 
 
-def map_kernel_invariants(m: CohomMap) -> list[int]:
-    """Invariant factors of the kernel of a map of presented groups."""
-    return subquotient_invariants(_kernel_lattice(m), m.source.relations)
-
-
 # ---------------------------------------------------------------------------
 # Census operations
 # ---------------------------------------------------------------------------
@@ -379,10 +376,7 @@ class RealStructureCensus:
 
     @property
     def torsor_invariants(self) -> tuple:
-        if not self.exists:
-            return ()
-        return tuple(x for x in self.kernel_invariants + self.h1_invariants
-                     if x != 1)
+        return self.kernel_invariants + self.h1_invariants
 
     def size(self) -> int:
         """Number of real spin-c structures; 0 encodes infinite."""
@@ -444,21 +438,18 @@ def real_structure_classes(data: EquivariantCWData) -> list[int]:
     return cokernel_invariants(rels)
 
 
-def real_spinc_torsor(data: EquivariantCWData,
-                      c1: Optional[Sequence[int]] = None
-                      ) -> RealStructureCensus:
-    """Census of real spin-c structures.
+def real_spinc_torsor(data: EquivariantCWData) -> RealStructureCensus:
+    """Census of real spin-c structures on the trivial bundle.
 
-    ``c1`` (default zero) must name a bundle admitting a real structure;
-    the census is then a torsor over ker(Theta on H^2) x H^1(M)^inv /
-    Im(1 + iota*).
+    The trivial bundle always admits a real structure, and the census is
+    a torsor over ker(Theta on H^2) x H^1(M)^inv / Im(1 + iota*).  For a
+    c1 that :func:`admits_real_structure` accepts the torsor is the same
+    group.
     """
     _require_cells(data, 2, "a first Chern class")
-    if c1 is None:
-        c1 = [0] * data.cells_M[2]
-    if not admits_real_structure(data, c1):
-        raise NoRealStructure("Theta(c1) does not vanish in H^2(Q)")
-    kernel = map_kernel_invariants(theta_on_cohomology(data, 2))
+    theta = theta_on_cohomology(data, 2)
+    kernel = subquotient_invariants(_kernel_lattice(theta),
+                                    theta.source.relations)
 
     h1 = cohomology_presentation(data.delta_M, data.cells_M, 1)
     iota = induced_map(data.iota_matrix(1), h1, h1)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 
 import pytest
 
 from hmrkit import cli
+from hmrkit.cw_fixtures import lens_space
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +237,50 @@ def test_malformed_body_exits_2(capsys, monkeypatch, command, field,
     assert expected in report["error"]["message"]
 
 
+MORSE_BODY = {"points": [{"label": "a", "ind_q": 0, "fiber": [[1.0]]},
+                        {"label": "b", "ind_q": 1, "fiber": [[1.0]]}],
+              "counts": {"rows": 2, "cols": 2, "ones": [[0, 1]]},
+              "grading_shift": 0}
+
+#: (id, command, field named by the error, valid body, path to one integer
+#: or boolean entry, a value that is neither and was once truncated)
+NON_INTEGER_FIELDS = (
+    ("seifert_float", "seifert-matrix", "data", {"data": [[1]]},
+     ("data", 0, 0), 1.5),
+    ("seifert_bool", "seifert-matrix", "data", {"data": [[1]]},
+     ("data", 0, 0), True),
+    ("morse_ind_q", "morse", "points", MORSE_BODY,
+     ("points", 0, "ind_q"), 0.9),
+    ("morse_shift", "morse", "grading_shift", MORSE_BODY,
+     ("grading_shift",), 1.7),
+    ("morse_counts", "morse", "counts", MORSE_BODY,
+     ("counts", "ones", 0, 1), 1.9),
+    ("spinc_sign", "spinc", "orbit", lens_space(3, 1).to_json(),
+     ("orbit", 0, "sign"), 1.4),
+    ("spinc_fixed", "spinc", "orbit", lens_space(3, 1).to_json(),
+     ("orbit", 0, "fixed"), "no"),
+)
+
+
+@pytest.mark.parametrize("command, field, body, path, value",
+                         [t[1:] for t in NON_INTEGER_FIELDS],
+                         ids=[t[0] for t in NON_INTEGER_FIELDS])
+def test_non_integer_field_exits_2(capsys, monkeypatch, command, field,
+                                   body, path, value):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(body)))
+    assert run_json(capsys, command, "--input", "-")[0] == 0
+    body = copy.deepcopy(body)
+    node = body
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(body)))
+    code, report = run_json(capsys, command, "--input", "-")
+    assert code == 2
+    assert report["error"]["code"] == "invalid_input"
+    assert repr(field) in report["error"]["message"]
+
+
 @pytest.mark.parametrize("fixture", ["point_pair", "circle_antipodal",
                                      "circle_reflection"])
 def test_spinc_low_dimension_is_coded_error(capsys, fixture):
@@ -242,6 +288,16 @@ def test_spinc_low_dimension_is_coded_error(capsys, fixture):
     assert code == 1
     assert report["error"]["code"] == "shape_mismatch"
     assert "dimension" in report["error"]["message"]
+
+
+def test_spinc_theta_not_chain_map_is_coded_error(capsys, monkeypatch):
+    body = lens_space(3, 1).to_json()
+    body["delta_Q"][1]["data"] = [[-x for x in row]
+                                  for row in body["delta_Q"][1]["data"]]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(body)))
+    code, report = run_json(capsys, "spinc", "--input", "-")
+    assert code == 1
+    assert report["error"]["code"] == "not_chain_map"
 
 
 def test_module_error_object(capsys):

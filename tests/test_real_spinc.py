@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hmrkit.cw_fixtures import FIXTURE_BUILDERS, build_fixture, lens_space
 from hmrkit.errors import (
     MalformedOrbitMap,
-    NoRealStructure,
     NotChainMap,
     NotCoprime,
     ShapeMismatch,
@@ -41,10 +40,10 @@ from hmrkit.real_spinc import (
 
 def cohomology_invariants(data, degree, space="M"):
     if space == "M":
-        return cohomology_presentation(data.delta_M, data.cells_M,
-                                       degree).invariants
-    return cohomology_presentation(data.delta_Q, data.cells_Q,
-                                   degree).invariants
+        h = cohomology_presentation(data.delta_M, data.cells_M, degree)
+    else:
+        h = cohomology_presentation(data.delta_Q, data.cells_Q, degree)
+    return cokernel_invariants(h.relations)
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +102,12 @@ def test_fixture_homology_sanity():
     # the quotients of the lens fixtures are three-spheres
     for name in ("s3_conjugation", "lens_3_1", "lens_5_1", "lens_7_1"):
         data = build_fixture(name)
-        assert cohomology_invariants(data, 1, "Q") == ()
-        assert cohomology_invariants(data, 2, "Q") == ()
-        assert cohomology_invariants(data, 3, "Q") == (0,)
-    assert cohomology_invariants(build_fixture("lens_5_2"), 2) == (5,)
+        assert cohomology_invariants(data, 1, "Q") == []
+        assert cohomology_invariants(data, 2, "Q") == []
+        assert cohomology_invariants(data, 3, "Q") == [0]
+    assert cohomology_invariants(build_fixture("lens_5_2"), 2) == [5]
     assert cohomology_invariants(build_fixture("torus_hyperelliptic"), 1) \
-        == (0, 0)
+        == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +119,15 @@ def test_theta_zero_when_target_vanishes():
     data = build_fixture("lens_3_1")
     m = theta_on_cohomology(data, 2)
     # target H^2(S^3) = 0, so the induced map has trivial image
-    assert m.target.invariants == ()
+    assert cokernel_invariants(m.target.relations) == []
 
 
 def test_theta_torus_degree1_matches_hand_computation():
     # H^1(T^2) = Z^2 maps to H^1(pillowcase S^2) = 0: the zero map
     data = build_fixture("torus_hyperelliptic")
     m = theta_on_cohomology(data, 1)
-    assert m.source.invariants == (0, 0)
-    assert m.target.invariants == ()
+    assert cokernel_invariants(m.source.relations) == [0, 0]
+    assert cokernel_invariants(m.target.relations) == []
 
 
 def test_theta_torus_brute_force_small_cochains():
@@ -158,6 +157,20 @@ def test_not_chain_map_detected():
     assert not verify_theta_chain_map(corrupted, 0)
     with pytest.raises(NotChainMap):
         theta_on_cohomology(corrupted, 0)
+
+
+def test_census_rejects_theta_not_chain_map():
+    # negating delta_Q[1] keeps d.d = 0, so the data is accepted, but
+    # Theta no longer commutes with the coboundaries C^1 -> C^2
+    body = lens_space(3, 1).to_json()
+    body["delta_Q"][1]["data"] = [[-x for x in row]
+                                  for row in body["delta_Q"][1]["data"]]
+    data = EquivariantCWData.from_json(body)
+    assert not verify_theta_chain_map(data, 1)
+    with pytest.raises(NotChainMap, match="degree 2"):
+        real_spinc_torsor(data)
+    with pytest.raises(NotChainMap, match="degree 1"):
+        real_structure_classes(data)
 
 
 def test_malformed_orbit_rejected():
@@ -196,7 +209,7 @@ def test_lens_torsion_c1_always_admits():
 def test_s1xs2_rotation_only_trivial_admits():
     data = build_fixture("s1_x_s2_rotation")
     h2 = cohomology_presentation(data.delta_M, data.cells_M, 2)
-    assert h2.invariants == (0,)
+    assert cokernel_invariants(h2.relations) == [0]
     admitted = [admits_real_structure(data, h2.generators.column(j))
                 for j in range(h2.generators.cols)]
     # some generator cocycles represent the nontrivial class and fail
@@ -243,23 +256,15 @@ def test_unlink_cover_census_infinite():
     assert census.kernel_invariants == (0,)
 
 
-def test_no_real_structure_raises():
-    data = build_fixture("s1_x_s2_rotation")
-    h2 = cohomology_presentation(data.delta_M, data.cells_M, 2)
-    bad = next(h2.generators.column(j) for j in range(h2.generators.cols)
-               if not admits_real_structure(data, h2.generators.column(j)))
-    with pytest.raises(NoRealStructure):
-        real_spinc_torsor(data, bad)
-
-
 def test_census_invariant_under_subdivision():
     coarse = build_fixture("torus_hyperelliptic")
     fine = build_fixture("torus_hyperelliptic_fine")
     assert real_structure_classes(coarse) == real_structure_classes(fine)
     m_c = theta_on_cohomology(coarse, 1)
     m_f = theta_on_cohomology(fine, 1)
-    assert m_c.source.invariants == m_f.source.invariants
-    assert m_c.target.invariants == m_f.target.invariants
+    for h_c, h_f in ((m_c.source, m_f.source), (m_c.target, m_f.target)):
+        assert cokernel_invariants(h_c.relations) == \
+            cokernel_invariants(h_f.relations)
 
 
 def relabel(data: EquivariantCWData, rng: random.Random
