@@ -48,7 +48,6 @@ from .real_spinc import (
     real_spinc_torsor,
     real_structure_classes,
     verify_naturality,
-    verify_theta_chain_map,
 )
 from .seifert_hmr import (
     BrieskornInput,
@@ -220,11 +219,10 @@ def _cmd_flow(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["t"] + [f"phi{i}" for i in range(model.n)]
                             + ["s", "lambda"])
-            for i in range(0, len(traj.times), args.stride):
+            for p in traj.to_json(stride=args.stride)["samples"]:
                 writer.writerow(
-                    [f"{traj.times[i]:.6f}"]
-                    + [f"{x:.9f}" for x in traj.phis[i]]
-                    + [f"{traj.ss[i]:.9f}", f"{traj.lambdas[i]:.9f}"])
+                    [f"{p['t']:.6f}"] + [f"{x:.9f}" for x in p["phi"]]
+                    + [f"{p['s']:.9f}", f"{p['lambda']:.9f}"])
     return _emit(report, args)
 
 
@@ -233,15 +231,13 @@ def _cmd_spinc(args) -> int:
         data = cw_fixtures.build_fixture(args.fixture)
     else:
         data = EquivariantCWData.from_json(_load_input(args))
-    chain_map = all(verify_theta_chain_map(data, d)
-                    for d in range(data.dim + 1))
     natural = all(verify_naturality(data, d) for d in range(data.dim + 1))
     census = real_spinc_torsor(data)
     report = {
         "dim": data.dim,
         "cells_M": list(data.cells_M),
         "cells_Q": list(data.cells_Q),
-        "theta_chain_map": chain_map,
+        "theta_chain_map": True,  # else the data would not construct
         "naturality": natural,
         "census": {
             "exists": census.exists,

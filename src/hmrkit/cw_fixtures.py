@@ -1,13 +1,16 @@
 """Equivariant CW fixtures: small spaces with involution, built honestly.
 
 Each builder assembles cells with explicit integer boundaries and an
-explicit cellular involution, then checks d.d = 0, that the involution is
-a chain involution, and only then forms the quotient complex and the orbit
-data.  The centerpiece is a genus-one splitting of lens spaces: the torus
-carries the arrangement of four circles through the involution's fixed
-points (two "horizontal" ones and two of slope p/q), and each handlebody
-contributes two fixed diameters, four half-disks swapped in pairs, and two
-solid slabs swapped by the involution.
+explicit cellular involution, then forms the quotient complex and the
+orbit data.  It checks only what that needs (boundary cells one degree
+lower, an image for every cell): d.d = 0 and that the involution is a
+chain map are checked once, by the :class:`EquivariantCWData`
+constructor, as for any other input.  The centerpiece is a genus-one
+splitting of lens spaces: the torus carries the arrangement of four
+circles through the involution's fixed points (two "horizontal" ones and
+two of slope p/q), and each handlebody contributes two fixed diameters,
+four half-disks swapped in pairs, and two solid slabs swapped by the
+involution.
 
 Coordinates on the torus R^2/Z^2 (involution v -> -v, fixed points at
 {0,1/2}^2): vertices V[m] = (m/2p, 0) and W[m] = (m/2p, 1/2) for
@@ -27,7 +30,7 @@ from .real_spinc import EquivariantCWData, OrbitEntry
 
 
 class _Builder:
-    """Accumulates cells, boundaries and the involution, then validates."""
+    """Accumulates cells, boundaries and the involution."""
 
     def __init__(self):
         self.order: dict[int, list] = {}
@@ -52,34 +55,10 @@ class _Builder:
 
     def _check(self):
         for cid, bdry in self.boundary.items():
-            for other, coeff in bdry.items():
-                if self.degree[other] != self.degree[cid] - 1:
-                    raise ShapeMismatch(f"boundary of {cid} has wrong degree")
-            # d.d = 0
-            dd: dict = {}
-            for mid, c1 in bdry.items():
-                for low, c2 in self.boundary[mid].items():
-                    dd[low] = dd.get(low, 0) + c1 * c2
-            if any(v != 0 for v in dd.values()):
-                raise ShapeMismatch(f"d.d != 0 at cell {cid}")
-        for cid in self.degree:
+            if any(self.degree[o] != self.degree[cid] - 1 for o in bdry):
+                raise ShapeMismatch(f"boundary of {cid} has wrong degree")
             if cid not in self.iota:
                 raise MalformedOrbitMap(f"no involution image for {cid}")
-            img, sign = self.iota[cid]
-            img2, sign2 = self.iota[img]
-            if img2 != cid or sign * sign2 != 1:
-                raise MalformedOrbitMap(f"involution not an involution at {cid}")
-            # chain map: iota(d c) = d(iota c)
-            lhs: dict = {}
-            for other, coeff in self.boundary[cid].items():
-                oimg, osign = self.iota[other]
-                lhs[oimg] = lhs.get(oimg, 0) + coeff * osign
-            rhs: dict = {}
-            for other, coeff in self.boundary[img].items():
-                rhs[other] = rhs.get(other, 0) + coeff * sign
-            keys = set(lhs) | set(rhs)
-            if any(lhs.get(k, 0) != rhs.get(k, 0) for k in keys):
-                raise MalformedOrbitMap(f"involution not a chain map at {cid}")
 
     # -- output -------------------------------------------------------
 
@@ -96,11 +75,10 @@ class _Builder:
         for d in range(dim + 1):
             for cid in self.order.get(d, []):
                 img, _ = self.iota[cid]
-                if img == cid or cid not in rep_of:
-                    if cid not in rep_of:
-                        rep_of[cid] = cid
-                        rep_of[img] = cid
-                        q_order[d].append(cid)
+                if cid not in rep_of:
+                    rep_of[cid] = cid
+                    rep_of[img] = cid
+                    q_order[d].append(cid)
         q_index = {rep: i for d in range(dim + 1)
                    for i, rep in enumerate(q_order[d])}
         cells_q = [len(q_order[d]) for d in range(dim + 1)]

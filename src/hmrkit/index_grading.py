@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .errors import NotDivisibleBy8, OddPairing
+from .errors import InvalidInput, NotDivisibleBy8, OddPairing
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,11 @@ class TopologicalData4:
     b1_inv: int
     bplus_inv: int
     b0_inv: int
+
+    def __post_init__(self):
+        for name in ("b1_inv", "bplus_inv", "b0_inv"):
+            if getattr(self, name) < 0:
+                raise InvalidInput(f"{name} is a dimension; it is negative")
 
 
 @dataclass(frozen=True)

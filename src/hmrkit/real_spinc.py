@@ -15,6 +15,10 @@ H^1(Q)/Im Theta, and the real spin-c structures on the trivial bundle,
 which always admits one, form a torsor over ker(Theta on H^2) x
 H^1(M)^inv / Im(1 + iota*).
 
+Constructing :class:`EquivariantCWData` is the one validation: data that
+constructs has d.d = 0, a consistent orbit map, and chain maps iota* and
+Theta, so the census functions below do not check them again.
+
 Branched double covers of links enter through their Seifert matrices:
 |H_1| = |det(A + A^t)| and b_1 = nullity(A + A^t).
 """
@@ -63,6 +67,10 @@ class EquivariantCWData:
     ``delta_M[n]`` is the coboundary C^n(M) -> C^{n+1}(M) (rows indexed by
     (n+1)-cells); likewise for Q.  The lists have one entry per degree
     below the top dimension.
+
+    Construction checks the shapes, d.d = 0, the orbit map, and then per
+    degree that iota* (else MalformedOrbitMap) and Theta (else NotChainMap)
+    commute with the coboundaries; errors name the degree or cell at fault.
     """
 
     cells_M: tuple
@@ -84,6 +92,14 @@ class EquivariantCWData:
                 index[(e.degree, e.index)] = \
                     (e, pre[-1] if pre[0] is e else pre[0])
         object.__setattr__(self, "_orbit_index", index)
+        iota = [self.iota_matrix(n) for n in range(self.dim + 1)]
+        for n, dm in enumerate(self.delta_M):
+            if (dm @ iota[n]).data != (iota[n + 1] @ dm).data:
+                raise MalformedOrbitMap(
+                    f"iota* does not commute with delta_M in degree {n}")
+            if not verify_theta_chain_map(self, n):
+                raise NotChainMap(f"Theta does not commute with the "
+                                  f"coboundaries in degree {n}")
 
     # -- validation ---------------------------------------------------
 
@@ -92,7 +108,8 @@ class EquivariantCWData:
         quotient cell, keyed by (degree, image)."""
         dim = len(self.cells_M) - 1
         if len(self.cells_Q) != len(self.cells_M):
-            raise MalformedOrbitMap("M and Q have different dimensions")
+            raise MalformedOrbitMap(f"M has dimension {dim}, Q "
+                                    f"{len(self.cells_Q) - 1}")
         if len(self.delta_M) != dim or len(self.delta_Q) != dim:
             raise ShapeMismatch(
                 f"dimension {dim} needs {dim} coboundaries per space, got "
@@ -112,17 +129,17 @@ class EquivariantCWData:
         seen = set()
         preimages: dict = {}
         for e in self.orbit:
-            if not (0 <= e.degree <= dim):
-                raise MalformedOrbitMap("orbit entry with bad degree")
-            if not (0 <= e.index < self.cells_M[e.degree]):
-                raise MalformedOrbitMap("orbit entry cell index out of range")
-            if not (0 <= e.image < self.cells_Q[e.degree]):
-                raise MalformedOrbitMap("orbit image index out of range")
-            if e.sign not in (1, -1):
-                raise MalformedOrbitMap("orbit sign must be +-1")
-            if e.fixed and e.sign != 1:
-                raise MalformedOrbitMap("fixed cells must carry sign +1")
             key = (e.degree, e.index)
+            if not (0 <= e.degree <= dim):
+                raise MalformedOrbitMap(f"cell {key}: bad degree")
+            if not (0 <= e.index < self.cells_M[e.degree]):
+                raise MalformedOrbitMap(f"cell {key}: index out of range")
+            if not (0 <= e.image < self.cells_Q[e.degree]):
+                raise MalformedOrbitMap(f"cell {key}: image out of range")
+            if e.sign not in (1, -1):
+                raise MalformedOrbitMap(f"cell {key}: sign is not +-1")
+            if e.fixed and e.sign != 1:
+                raise MalformedOrbitMap(f"fixed cell {key} has sign -1")
             if key in seen:
                 raise MalformedOrbitMap(f"cell {key} listed twice")
             seen.add(key)
@@ -130,7 +147,7 @@ class EquivariantCWData:
         for n in range(dim + 1):
             for i in range(self.cells_M[n]):
                 if (n, i) not in seen:
-                    raise MalformedOrbitMap(f"cell ({n},{i}) missing")
+                    raise MalformedOrbitMap(f"cell {(n, i)} missing")
             for q in range(self.cells_Q[n]):
                 pre = preimages.get((n, q), [])
                 if len(pre) == 1 and pre[0].fixed:
@@ -388,17 +405,8 @@ class RealStructureCensus:
         return out
 
 
-def _require_chain_map(data: EquivariantCWData, degree: int):
-    if not verify_theta_chain_map(data, degree) or (
-            degree > 0 and not verify_theta_chain_map(data, degree - 1)):
-        raise NotChainMap(
-            f"Theta does not commute with coboundaries near degree {degree}"
-        )
-
-
 def theta_on_cohomology(data: EquivariantCWData, degree: int) -> CohomMap:
     """Theta: H^degree(M) -> H^degree(Q) between SNF presentations."""
-    _require_chain_map(data, degree)
     src = cohomology_presentation(data.delta_M, data.cells_M, degree)
     tgt = cohomology_presentation(data.delta_Q, data.cells_Q, degree)
     return induced_map(theta_on_cochains(data, degree), src, tgt)
@@ -421,7 +429,6 @@ def admits_real_structure(data: EquivariantCWData,
     if 2 < data.dim:
         if any(x != 0 for x in data.delta_M[2].mul_vec(list(c1))):
             raise NotCocycle("c1 is not closed")
-    _require_chain_map(data, 2)
     image = theta_on_cochains(data, 2).mul_vec(list(c1))
     if all(x == 0 for x in image):
         return True

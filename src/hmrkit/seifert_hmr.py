@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import BlockDifferentials, Generator, ThreeComplexes, assemble
-from .errors import NotCoprime, UnknownFamily
+from .errors import InvalidInput, NotCoprime, UnknownFamily
 
 TOWER_KINDS = ("down", "up", "full")
 
@@ -103,7 +103,7 @@ def psc_hmr(b1_inv: int, torsion: bool):
     towers shifted up by d, for d = 0..b1.
     """
     if b1_inv < 0:
-        raise UnknownFamily("negative first Betti number")
+        raise InvalidInput(f"b1 must be nonnegative, got {b1_inv}")
     if not torsion:
         zero = TowerModule()
         return zero, zero, zero
@@ -145,7 +145,7 @@ class BrieskornInput:
         if self.family not in FAMILIES:
             raise UnknownFamily(f"unknown family {self.family!r}")
         if self.k < 1:
-            raise UnknownFamily("k must be a positive integer")
+            raise InvalidInput(f"k must be a positive integer, got {self.k}")
 
     @property
     def pqr(self) -> tuple:

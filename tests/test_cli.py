@@ -352,3 +352,144 @@ def test_brieskorn_bad_window_exits_2(capsys, window):
     assert code == 2
     assert report["error"]["code"] == "invalid_input"
     assert "--window" in report["error"]["message"]
+
+
+def test_flow_csv_rows_are_the_json_samples(capsys, tmp_path):
+    # t_max = 3 with step 0.01 is 300 steps; stride 7 misses the last one,
+    # and both outputs must still end at the terminal sample
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({"L": [[-1, 0], [0, 2]], "phi0": [0.6, 0.8],
+                                "t_max": 3, "step": 0.01}))
+    csv_path = tmp_path / "trajectory.csv"
+    code, report = run_json(capsys, "flow", "--input", str(path),
+                            "--samples", "--stride", "7",
+                            "--csv", str(csv_path))
+    assert code == 0
+    json_times = [f"{s['t']:.6f}" for s in report["trajectory"]["samples"]]
+    csv_times = [row.split(",")[0]
+                 for row in csv_path.read_text().splitlines()[1:]]
+    assert csv_times == json_times
+    assert json_times[-1] == "3.000000"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["psc", "--b1", "-1", "--torsion"], "b1"),
+    (["brieskorn", "--family", "2,3,+1", "--k", "0"], "k"),
+    (["index", "--c1sq", "0", "--sigma", "0", "--b1", "-5", "--bplus", "0",
+      "--b0", "0"], "b1"),
+    (["index", "--c1sq", "0", "--sigma", "0", "--b1", "0", "--bplus", "-2",
+      "--b0", "0"], "bplus"),
+    (["index", "--c1sq", "0", "--sigma", "0", "--b1", "0", "--bplus", "0",
+      "--b0", "-1"], "b0"),
+], ids=["psc_b1", "brieskorn_k", "index_b1", "index_bplus", "index_b0"])
+def test_out_of_domain_flag_exits_2(capsys, argv, flag):
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["error"]["code"] == "invalid_input"
+    assert flag in report["error"]["message"]
+
+
+def _set(path, value):
+    """An edit of a CW body that sets the entry at ``path`` to ``value``."""
+
+    def edit(body):
+        node = body
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+def _add_at(name, degree):
+    """An edit adding 1 to entry (0, 0) of coboundary ``name[degree]``."""
+
+    def edit(body):
+        body[name][degree]["data"][0][0] += 1
+    return edit
+
+
+def _drop_row(name, degree):
+    def edit(body):
+        m = body[name][degree]
+        m["data"].pop()
+        m["rows"] -= 1
+    return edit
+
+
+def _equivariance_broken(body):
+    # rows (A, B) of the swapped 3-cells T_A, T_B become (2A, B - A):
+    # d.d = 0 and Theta . delta = delta . Theta survive, iota* does not
+    rows = body["delta_M"][2]["data"]
+    a, b = rows[0], rows[1]
+    rows[0], rows[1] = [2 * x for x in a], [y - x for x, y in zip(a, b)]
+
+
+def _theta_broken(body):
+    body["delta_Q"][1]["data"] = [[-x for x in row]
+                                  for row in body["delta_Q"][1]["data"]]
+
+
+def _free_cell(body):
+    """Index in ``orbit`` of the first degree-0 cell that is not fixed."""
+    return next(i for i, o in enumerate(body["orbit"])
+                if o["cell"][0] == 0 and not o["fixed"])
+
+
+def _unequal_signs(body):
+    body["orbit"][_free_cell(body)]["sign"] = -1
+
+
+def _inconsistent_fixed(body):
+    body["orbit"][_free_cell(body)]["fixed"] = True
+
+
+#: (id, edit of the lens_space(3, 1) body, error code, text of the message
+#: naming the degree, cell or dimension at fault)
+CW_REJECTIONS = (
+    ("dimensions_differ", lambda b: b["cells_Q"].pop(), "malformed_orbit_map",
+     "M has dimension 3, Q 2"),
+    ("coboundary_count", lambda b: b["delta_M"].pop(), "shape_mismatch",
+     "dimension 3"),
+    ("delta_M_shape", _drop_row("delta_M", 1), "shape_mismatch",
+     "delta_M[1]"),
+    ("delta_Q_shape", _drop_row("delta_Q", 2), "shape_mismatch",
+     "delta_Q[2]"),
+    ("dd_M", _add_at("delta_M", 1), "malformed_orbit_map",
+     "delta_M fails d.d=0 at degree 0"),
+    ("dd_Q", _add_at("delta_Q", 1), "malformed_orbit_map",
+     "delta_Q fails d.d=0 at degree 0"),
+    ("bad_degree", _set(("orbit", 0, "cell", 0), 4), "malformed_orbit_map",
+     "(4, 0): bad degree"),
+    ("bad_index", _set(("orbit", 0, "cell", 1), 99), "malformed_orbit_map",
+     "(0, 99): index"),
+    ("bad_image", _set(("orbit", 0, "image"), 99), "malformed_orbit_map",
+     "(0, 0): image"),
+    ("sign_not_unit", _set(("orbit", 0, "sign"), 2), "malformed_orbit_map",
+     "(0, 0): sign"),
+    ("fixed_sign", _set(("orbit", 0, "sign"), -1), "malformed_orbit_map",
+     "fixed cell (0, 0)"),
+    ("listed_twice", lambda b: b["orbit"].append(dict(b["orbit"][0])),
+     "malformed_orbit_map", "(0, 0) listed twice"),
+    ("missing", lambda b: b["orbit"].pop(0), "malformed_orbit_map",
+     "(0, 0) missing"),
+    ("unequal_signs", _unequal_signs, "malformed_orbit_map", "(0,2) has unequal signs"),
+    ("inconsistent_fixed", _inconsistent_fixed, "malformed_orbit_map",
+     "(0,2) covered by 2 cells"),
+    ("iota_not_chain_map", _equivariance_broken, "malformed_orbit_map",
+     "degree 2"),
+    ("theta_not_chain_map", _theta_broken, "not_chain_map", "degree 1"),
+)
+
+
+@pytest.mark.parametrize("edit, code_name, named",
+                         [c[1:] for c in CW_REJECTIONS],
+                         ids=[c[0] for c in CW_REJECTIONS])
+def test_spinc_input_rejected_before_census(capsys, monkeypatch, edit,
+                                            code_name, named):
+    body = lens_space(3, 1).to_json()
+    edit(body)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(body)))
+    code, report = run_json(capsys, "spinc", "--input", "-")
+    assert code == 1
+    assert report["error"]["code"] == code_name
+    assert named in report["error"]["message"]

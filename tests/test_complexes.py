@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hmrkit.complexes import (
     BlockDifferentials,
     Generator,
+    LesMaps,
     assemble,
     homology,
     les_maps,
@@ -113,6 +114,36 @@ def test_obstructed_pair_les():
     c = assemble(blocks)
     maps = les_maps(blocks)
     assert verify_les_exact(c, maps, window=(-1, 3))
+
+
+def level_pair_blocks():
+    """An o and an s generator in grading 0 and no differentials.
+
+    check_0 = <o, s>; i carries bar's s onto check's s, which j kills, and
+    j carries o onto hat's o: exact, with ranks 1 + 1 = 2 at check_0.
+    """
+    return zero_blocks((Generator("o", "o", 0),), (Generator("s", "s", 0),))
+
+
+def test_les_checker_rejects_a_zero_map():
+    blocks = level_pair_blocks()
+    c, maps = assemble(blocks), les_maps(blocks)
+    assert verify_les_exact(c, maps, window=(-2, 2))
+    broken = LesMaps(i=maps.i, j=F2Matrix.zero(maps.j.rows, maps.j.cols),
+                     p=maps.p)
+    assert not verify_les_exact(c, broken, window=(-2, 2))
+
+
+def test_les_checker_rejects_a_nonzero_composite():
+    # swapping o and s is a chain automorphism of check, so j . swap has
+    # the rank of j and every rank sum still holds; but it sends the image
+    # of i onto o, so the composite H(bar) -> H(hat) is no longer zero
+    blocks = level_pair_blocks()
+    c, maps = assemble(blocks), les_maps(blocks)
+    swap = F2Matrix.from_entries(2, 2, [(0, 1), (1, 0)])
+    assert (swap @ c.check.d).ones == (c.check.d @ swap).ones
+    broken = LesMaps(i=maps.i, j=maps.j @ swap, p=maps.p)
+    assert not verify_les_exact(c, broken, window=(-2, 2))
 
 
 def two_point_base_blocks(eta=1):

@@ -148,29 +148,23 @@ def test_theta_torus_brute_force_small_cochains():
 
 def test_not_chain_map_detected():
     data = build_fixture("circle_antipodal")
-    corrupted = EquivariantCWData(
-        cells_M=data.cells_M, cells_Q=data.cells_Q,
-        delta_M=data.delta_M,
-        delta_Q=(IntMatrix.from_rows([[1]]),),
-        orbit=data.orbit,
-    )
-    assert not verify_theta_chain_map(corrupted, 0)
-    with pytest.raises(NotChainMap):
-        theta_on_cohomology(corrupted, 0)
+    with pytest.raises(NotChainMap, match="degree 0"):
+        EquivariantCWData(
+            cells_M=data.cells_M, cells_Q=data.cells_Q,
+            delta_M=data.delta_M,
+            delta_Q=(IntMatrix.from_rows([[1]]),),
+            orbit=data.orbit,
+        )
 
 
 def test_census_rejects_theta_not_chain_map():
-    # negating delta_Q[1] keeps d.d = 0, so the data is accepted, but
-    # Theta no longer commutes with the coboundaries C^1 -> C^2
+    # negating delta_Q[1] keeps d.d = 0, but Theta no longer commutes
+    # with the coboundaries C^1 -> C^2, so the data does not construct
     body = lens_space(3, 1).to_json()
     body["delta_Q"][1]["data"] = [[-x for x in row]
                                   for row in body["delta_Q"][1]["data"]]
-    data = EquivariantCWData.from_json(body)
-    assert not verify_theta_chain_map(data, 1)
-    with pytest.raises(NotChainMap, match="degree 2"):
-        real_spinc_torsor(data)
     with pytest.raises(NotChainMap, match="degree 1"):
-        real_structure_classes(data)
+        EquivariantCWData.from_json(body)
 
 
 def test_malformed_orbit_rejected():

@@ -8,7 +8,7 @@ import pytest
 
 from hmrkit.complexes import homology, les_maps, verify_d_squared, \
     verify_les_exact
-from hmrkit.errors import NotCoprime, UnknownFamily
+from hmrkit.errors import InvalidInput, NotCoprime, UnknownFamily
 from hmrkit.seifert_hmr import (
     BrieskornInput,
     IrreducibleSpectrum,
@@ -110,7 +110,7 @@ def test_family_parameters():
     assert BrieskornInput("2,7,29").pqr == (2, 7, 29)
     with pytest.raises(UnknownFamily):
         BrieskornInput("3,4,5")
-    with pytest.raises(UnknownFamily):
+    with pytest.raises(InvalidInput, match="k must be"):
         BrieskornInput("2,3,+1", 0)
 
 
