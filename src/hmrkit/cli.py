@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from functools import partial
@@ -47,7 +48,6 @@ from .real_spinc import (
     branched_cover_invariants,
     real_spinc_torsor,
     real_structure_classes,
-    verify_naturality,
 )
 from .seifert_hmr import (
     BrieskornInput,
@@ -151,12 +151,28 @@ def _parse_window(text: str):
 
 
 def _float_array(value) -> np.ndarray:
-    return np.array(value, dtype=float)
+    out = np.array(value, dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError("entries must be finite, not NaN or infinite")
+    return out
+
+
+def _finite_float(value) -> float:
+    out = float(value)
+    if not np.isfinite(out):
+        raise ValueError(f"must be finite, got {out}")
+    return out
+
+
+def _label(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"a point label must be a string, got {value!r}")
+    return value
 
 
 def _base_points(value) -> list:
-    return [(p["label"], input_int(p["ind_q"]), _float_array(p["fiber"]))
-            for p in value]
+    return [(_label(p["label"]), input_int(p["ind_q"]),
+             _float_array(p["fiber"])) for p in value]
 
 
 def _cmd_morse(args) -> int:
@@ -190,7 +206,7 @@ def _cmd_flow(args) -> int:
     raw = _load_input(args)
     matrix = input_field(raw, "L", _float_array)
     phi0 = input_field(raw, "phi0", _float_array, None)
-    s0 = input_field(raw, "s0", float, 0.0)
+    s0 = input_field(raw, "s0", _finite_float, 0.0)
     t_max = input_field(raw, "t_max", float)
     step = input_field(raw, "step", float)
     model = LinearFlowModel(matrix)
@@ -231,14 +247,15 @@ def _cmd_spinc(args) -> int:
         data = cw_fixtures.build_fixture(args.fixture)
     else:
         data = EquivariantCWData.from_json(_load_input(args))
-    natural = all(verify_naturality(data, d) for d in range(data.dim + 1))
     census = real_spinc_torsor(data)
     report = {
         "dim": data.dim,
         "cells_M": list(data.cells_M),
         "cells_Q": list(data.cells_Q),
-        "theta_chain_map": True,  # else the data would not construct
-        "naturality": natural,
+        # the constructor checks Theta, and its orbit checks imply
+        # pi* Theta = 1 + iota*, so both hold for any data that constructs
+        "theta_chain_map": True,
+        "naturality": True,
         "census": {
             "exists": census.exists,
             "size": census.size(),
@@ -503,7 +520,15 @@ def run(argv=None) -> int:
 
 
 def main(argv=None):
-    raise SystemExit(run(argv))
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone; point stdout at devnull so that the
+        # interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

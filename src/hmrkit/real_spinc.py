@@ -8,12 +8,14 @@ this the averaging map Theta on cochains,
 
     Theta(beta)(image of e) = beta(e) + beta(iota e),
 
-is an integer matrix, and everything else is Smith-normal-form bookkeeping:
-existence of a real structure on a line bundle is the vanishing of
-Theta(c1) in H^2(Q), the equivalence classes on a fixed bundle form
-H^1(Q)/Im Theta, and the real spin-c structures on the trivial bundle,
-which always admits one, form a torsor over ker(Theta on H^2) x
-H^1(M)^inv / Im(1 + iota*).
+is an integer matrix.  Existence of a real structure on a line bundle is
+the vanishing of Theta(c1) in H^2(Q).  Every census answer is one
+subquotient of two lattices of cochains, read off a Smith normal form:
+the equivalence classes on a fixed bundle form H^1(Q)/Im Theta =
+Z^1(Q) / (B^1(Q) + Theta Z^1(M)), and the real spin-c structures on the
+trivial bundle, which always admits one, form a torsor over
+ker(Theta on H^2) x H^1(M)^inv / Im(1 + iota*).  No cohomology group is
+presented in generator coordinates.
 
 Constructing :class:`EquivariantCWData` is the one validation: data that
 constructs has d.d = 0, a consistent orbit map, and chain maps iota* and
@@ -44,7 +46,6 @@ from .f2lin import (
     int_kernel_basis,
     int_rank,
     int_solve,
-    int_solve_many,
     smith_normal_form,
 )
 
@@ -291,56 +292,23 @@ def verify_naturality(data: EquivariantCWData, degree: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Cohomology presentations
+# Cochain lattices
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PresentedGroup:
-    """An abelian group Z^g / Im(relations), with cocycle generators.
-
-    ``generators`` has one column per generator, written in the ambient
-    cochain basis; ``relations`` is in generator coordinates.
-    """
-
-    generators: IntMatrix
-    relations: IntMatrix
+def cocycles(deltas: Sequence[IntMatrix], cells: Sequence[int],
+             n: int) -> IntMatrix:
+    """Z^n as columns: a basis of ker(delta^n), all of C^n in the top
+    degree."""
+    if n < len(deltas):
+        return IntMatrix.from_columns(cells[n], int_kernel_basis(deltas[n]))
+    return IntMatrix.identity(cells[n])
 
 
-def cohomology_presentation(deltas: Sequence[IntMatrix], cells: Sequence[int],
-                            degree: int) -> PresentedGroup:
-    """Present H^degree = ker(delta^degree) / im(delta^{degree-1})."""
-    n = cells[degree]
-    if degree < len(deltas):
-        zmat = IntMatrix.from_columns(n, int_kernel_basis(deltas[degree]))
-    else:
-        zmat = IntMatrix.identity(n)
-    if degree == 0 or not zmat.cols:
-        rels = IntMatrix.zero(zmat.cols, 0)
-    else:
-        rels = int_solve_many(zmat, deltas[degree - 1])
-        if rels is None:
-            raise NotChainMap("coboundaries do not lie in the cocycle lattice")
-    return PresentedGroup(zmat, rels)
-
-
-@dataclass(frozen=True)
-class CohomMap:
-    """A map between presented cohomology groups, in generator coordinates."""
-
-    source: PresentedGroup
-    target: PresentedGroup
-    matrix: IntMatrix
-
-
-def induced_map(t: IntMatrix, src: PresentedGroup,
-                tgt: PresentedGroup) -> CohomMap:
-    """The map a cochain-level matrix induces between presentations."""
-    images = t @ src.generators
-    coords = int_solve_many(tgt.generators, images)
-    if coords is None:
-        raise NotChainMap("cochain map does not preserve cocycles")
-    return CohomMap(src, tgt, coords)
+def coboundaries(deltas: Sequence[IntMatrix], cells: Sequence[int],
+                 n: int) -> IntMatrix:
+    """B^n as columns: delta^{n-1}, no columns in degree 0."""
+    return deltas[n - 1] if n else IntMatrix.zero(cells[0], 0)
 
 
 def _hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -348,6 +316,14 @@ def _hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         raise ShapeMismatch("hstack row mismatch")
     return IntMatrix(a.rows, a.cols + b.cols,
                      tuple(ra + rb for ra, rb in zip(a.data, b.data)))
+
+
+def _preimage(t: IntMatrix, z: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Columns spanning the combinations of the columns of z that t maps
+    into span(b): the first z.cols coordinates of ker [t z | b], so the
+    sign of b does not matter."""
+    kern = int_kernel_basis(_hstack(t @ z, b))
+    return z @ IntMatrix.from_columns(z.cols, [v[:z.cols] for v in kern])
 
 
 def subquotient_invariants(gens: IntMatrix, rels: IntMatrix) -> list[int]:
@@ -363,19 +339,6 @@ def subquotient_invariants(gens: IntMatrix, rels: IntMatrix) -> list[int]:
         raise ShapeMismatch("relations do not lie in the generator span")
     r = sum(1 for x in snf.diagonal() if x)
     return cokernel_invariants(IntMatrix(r, rels.cols, tuple(y[:r])))
-
-
-def _kernel_lattice(m: CohomMap) -> IntMatrix:
-    """Columns spanning the lattice of source coordinates x with [x] in ker m.
-
-    [x] lies in the kernel iff T x is a target relation, so the lattice is
-    the projection of ker [T | R_target] to the source coordinates, plus
-    the source relations.
-    """
-    g = m.matrix.cols
-    kern = int_kernel_basis(_hstack(m.matrix, m.target.relations))
-    gens = IntMatrix.from_columns(g, [v[:g] for v in kern])
-    return _hstack(gens, m.source.relations)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +368,6 @@ class RealStructureCensus:
         return out
 
 
-def theta_on_cohomology(data: EquivariantCWData, degree: int) -> CohomMap:
-    """Theta: H^degree(M) -> H^degree(Q) between SNF presentations."""
-    src = cohomology_presentation(data.delta_M, data.cells_M, degree)
-    tgt = cohomology_presentation(data.delta_Q, data.cells_Q, degree)
-    return induced_map(theta_on_cochains(data, degree), src, tgt)
-
-
 def _require_cells(data: EquivariantCWData, degree: int, what: str):
     if data.dim < degree:
         raise ShapeMismatch(
@@ -438,11 +394,13 @@ def admits_real_structure(data: EquivariantCWData,
 
 
 def real_structure_classes(data: EquivariantCWData) -> list[int]:
-    """Invariants of H^1(Q) / Im Theta: classes on a fixed line bundle."""
+    """Invariants of H^1(Q) / Im Theta: classes on a fixed line bundle,
+    Z^1(Q) / (B^1(Q) + Theta Z^1(M))."""
     _require_cells(data, 1, "H^1(Q) / Im Theta")
-    m = theta_on_cohomology(data, 1)
-    rels = _hstack(m.target.relations, m.matrix)
-    return cokernel_invariants(rels)
+    m, q = (data.delta_M, data.cells_M), (data.delta_Q, data.cells_Q)
+    image = theta_on_cochains(data, 1) @ cocycles(*m, 1)
+    return subquotient_invariants(cocycles(*q, 1),
+                                  _hstack(coboundaries(*q, 1), image))
 
 
 def real_spinc_torsor(data: EquivariantCWData) -> RealStructureCensus:
@@ -451,25 +409,24 @@ def real_spinc_torsor(data: EquivariantCWData) -> RealStructureCensus:
     The trivial bundle always admits a real structure, and the census is
     a torsor over ker(Theta on H^2) x H^1(M)^inv / Im(1 + iota*).  For a
     c1 that :func:`admits_real_structure` accepts the torsor is the same
-    group.
+    group.  The kernel is the cocycles of M that Theta maps to
+    coboundaries of Q, modulo B^2(M); the invariant part is the cocycles
+    z with iota* z - z a coboundary, modulo B^1(M) + (1 + iota*) Z^1(M).
     """
     _require_cells(data, 2, "a first Chern class")
-    theta = theta_on_cohomology(data, 2)
-    kernel = subquotient_invariants(_kernel_lattice(theta),
-                                    theta.source.relations)
+    m = (data.delta_M, data.cells_M)
+    kernel = _preimage(theta_on_cochains(data, 2), cocycles(*m, 2),
+                       coboundaries(data.delta_Q, data.cells_Q, 2))
 
-    h1 = cohomology_presentation(data.delta_M, data.cells_M, 1)
-    iota = induced_map(data.iota_matrix(1), h1, h1)
-    minus_one = IntMatrix.identity(h1.generators.cols).scale(-1)
-    fixed_map = CohomMap(h1, h1, iota.matrix + minus_one)
-    # invariant lattice: classes with iota* x = x
-    inv_gens = _kernel_lattice(fixed_map)
-    one_plus = iota.matrix + IntMatrix.identity(h1.generators.cols)
-    rels = _hstack(one_plus, h1.relations)
+    z1, b1 = cocycles(*m, 1), coboundaries(*m, 1)
+    iota, one = data.iota_matrix(1), IntMatrix.identity(data.cells_M[1])
+    invariant = _preimage(iota + one.scale(-1), z1, b1)
     return RealStructureCensus(
         exists=True,
-        kernel_invariants=tuple(kernel),
-        h1_invariants=tuple(subquotient_invariants(inv_gens, rels)),
+        kernel_invariants=tuple(
+            subquotient_invariants(kernel, coboundaries(*m, 2))),
+        h1_invariants=tuple(subquotient_invariants(
+            invariant, _hstack(b1, (iota + one) @ z1))),
     )
 
 

@@ -5,6 +5,10 @@ from __future__ import annotations
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,11 +266,10 @@ NON_INTEGER_FIELDS = (
 )
 
 
-@pytest.mark.parametrize("command, field, body, path, value",
-                         [t[1:] for t in NON_INTEGER_FIELDS],
-                         ids=[t[0] for t in NON_INTEGER_FIELDS])
-def test_non_integer_field_exits_2(capsys, monkeypatch, command, field,
-                                   body, path, value):
+def assert_edit_exits_2(capsys, monkeypatch, command, field, body, path,
+                        value):
+    """``body`` answers with exit 0; with the entry at ``path`` set to
+    ``value`` it is invalid_input naming ``field``."""
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(body)))
     assert run_json(capsys, command, "--input", "-")[0] == 0
     body = copy.deepcopy(body)
@@ -279,6 +282,63 @@ def test_non_integer_field_exits_2(capsys, monkeypatch, command, field,
     assert code == 2
     assert report["error"]["code"] == "invalid_input"
     assert repr(field) in report["error"]["message"]
+
+
+@pytest.mark.parametrize("command, field, body, path, value",
+                         [t[1:] for t in NON_INTEGER_FIELDS],
+                         ids=[t[0] for t in NON_INTEGER_FIELDS])
+def test_non_integer_field_exits_2(capsys, monkeypatch, command, field,
+                                   body, path, value):
+    assert_edit_exits_2(capsys, monkeypatch, command, field, body, path,
+                        value)
+
+
+FLOW_BODY = {"L": [[-1.0, 0.0], [0.0, 2.0]], "phi0": [0.6, 0.8],
+             "s0": 0.25, "t_max": 1.0, "step": 0.01}
+
+#: (id, command, field named by the error, valid body, path to one float)
+FLOAT_FIELDS = (
+    ("flow_L", "flow", "L", FLOW_BODY, ("L", 0, 0)),
+    ("flow_phi0", "flow", "phi0", FLOW_BODY, ("phi0", 0)),
+    ("flow_s0", "flow", "s0", FLOW_BODY, ("s0",)),
+    ("morse_fiber", "morse", "points", MORSE_BODY,
+     ("points", 0, "fiber", 0, 0)),
+)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, field, body, path",
+                         [t[1:] for t in FLOAT_FIELDS],
+                         ids=[t[0] for t in FLOAT_FIELDS])
+def test_non_finite_float_field_exits_2(capsys, monkeypatch, command, field,
+                                        body, path, value):
+    assert_edit_exits_2(capsys, monkeypatch, command, field, body, path,
+                        value)
+
+
+@pytest.mark.parametrize("label", [[1, 2], 7], ids=["list", "int"])
+def test_morse_label_must_be_string(capsys, monkeypatch, label):
+    assert_edit_exits_2(capsys, monkeypatch, "morse", "points", MORSE_BODY,
+                        ("points", 0, "label"), label)
+
+
+def test_closed_pipe_ends_quietly():
+    # stdout is a pipe whose read end is closed before the report is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hmrkit.cli", "spinc", "--fixture",
+             "lens_3_1"], stdout=write_end, stderr=subprocess.PIPE, env=env,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 @pytest.mark.parametrize("fixture", ["point_pair", "circle_antipodal",

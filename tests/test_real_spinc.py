@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -27,23 +29,27 @@ from hmrkit.real_spinc import (
     SeifertMatrix,
     admits_real_structure,
     branched_cover_invariants,
-    cohomology_presentation,
+    coboundaries,
+    cocycles,
     real_spinc_torsor,
     real_structure_classes,
     subquotient_invariants,
     theta_on_cochains,
-    theta_on_cohomology,
     verify_naturality,
     verify_theta_chain_map,
 )
 
 
-def cohomology_invariants(data, degree, space="M"):
+def complex_of(data, space="M"):
     if space == "M":
-        h = cohomology_presentation(data.delta_M, data.cells_M, degree)
-    else:
-        h = cohomology_presentation(data.delta_Q, data.cells_Q, degree)
-    return cokernel_invariants(h.relations)
+        return data.delta_M, data.cells_M
+    return data.delta_Q, data.cells_Q
+
+
+def cohomology_invariants(data, degree, space="M"):
+    cx = complex_of(data, space)
+    return subquotient_invariants(cocycles(*cx, degree),
+                                  coboundaries(*cx, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +123,18 @@ def test_fixture_homology_sanity():
 
 def test_theta_zero_when_target_vanishes():
     data = build_fixture("lens_3_1")
-    m = theta_on_cohomology(data, 2)
-    # target H^2(S^3) = 0, so the induced map has trivial image
-    assert cokernel_invariants(m.target.relations) == []
+    # target H^2(S^3) = 0, so the induced map has trivial image and its
+    # kernel is all of H^2(L(3,1)) = Z/3
+    assert cohomology_invariants(data, 2, "Q") == []
+    assert real_spinc_torsor(data).kernel_invariants == \
+        tuple(cohomology_invariants(data, 2)) == (3,)
 
 
 def test_theta_torus_degree1_matches_hand_computation():
     # H^1(T^2) = Z^2 maps to H^1(pillowcase S^2) = 0: the zero map
     data = build_fixture("torus_hyperelliptic")
-    m = theta_on_cohomology(data, 1)
-    assert cokernel_invariants(m.source.relations) == [0, 0]
-    assert cokernel_invariants(m.target.relations) == []
+    assert cohomology_invariants(data, 1) == [0, 0]
+    assert cohomology_invariants(data, 1, "Q") == []
 
 
 def test_theta_torus_brute_force_small_cochains():
@@ -137,8 +144,6 @@ def test_theta_torus_brute_force_small_cochains():
     t1 = theta_on_cochains(data, 1)
     t2 = theta_on_cochains(data, 2)
     dm, dq = data.delta_M[1], data.delta_Q[1]
-    import itertools
-
     for beta in itertools.islice(
             itertools.product((-1, 0, 1), repeat=data.cells_M[1]), 300):
         lhs = dq.mul_vec(t1.mul_vec(list(beta)))
@@ -202,10 +207,10 @@ def test_lens_torsion_c1_always_admits():
 
 def test_s1xs2_rotation_only_trivial_admits():
     data = build_fixture("s1_x_s2_rotation")
-    h2 = cohomology_presentation(data.delta_M, data.cells_M, 2)
-    assert cokernel_invariants(h2.relations) == [0]
-    admitted = [admits_real_structure(data, h2.generators.column(j))
-                for j in range(h2.generators.cols)]
+    assert cohomology_invariants(data, 2) == [0]
+    z2 = cocycles(*complex_of(data), 2)
+    admitted = [admits_real_structure(data, z2.column(j))
+                for j in range(z2.cols)]
     # some generator cocycles represent the nontrivial class and fail
     assert not all(admitted)
     assert admits_real_structure(data, [0] * data.cells_M[2])
@@ -254,11 +259,9 @@ def test_census_invariant_under_subdivision():
     coarse = build_fixture("torus_hyperelliptic")
     fine = build_fixture("torus_hyperelliptic_fine")
     assert real_structure_classes(coarse) == real_structure_classes(fine)
-    m_c = theta_on_cohomology(coarse, 1)
-    m_f = theta_on_cohomology(fine, 1)
-    for h_c, h_f in ((m_c.source, m_f.source), (m_c.target, m_f.target)):
-        assert cokernel_invariants(h_c.relations) == \
-            cokernel_invariants(h_f.relations)
+    for space in ("M", "Q"):
+        assert cohomology_invariants(coarse, 1, space) == \
+            cohomology_invariants(fine, 1, space)
 
 
 def relabel(data: EquivariantCWData, rng: random.Random
@@ -320,6 +323,128 @@ def test_census_invariant_under_relabelling(name):
         assert (other.kernel_invariants, other.h1_invariants) == \
             (census.kernel_invariants, census.h1_invariants)
         assert real_structure_classes(moved) == classes
+        assert_matches_presented_census(moved)
+
+
+# ---------------------------------------------------------------------------
+# the census against presented cohomology groups
+# ---------------------------------------------------------------------------
+
+
+def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return IntMatrix.from_columns(
+        a.rows, [a.column(j) for j in range(a.cols)]
+        + [b.column(j) for j in range(b.cols)])
+
+
+def presented(cx, degree):
+    """(cocycle generators, coboundaries in their coordinates)."""
+    z = cocycles(*cx, degree)
+    rels = int_solve_many(z, coboundaries(*cx, degree))
+    assert rels is not None
+    return z, rels
+
+
+def induced(t: IntMatrix, src, tgt) -> IntMatrix:
+    """The map t induces between presentations, in generator coordinates."""
+    coords = int_solve_many(tgt[0], t @ src[0])
+    assert coords is not None
+    return coords
+
+
+def kernel_lattice(m: IntMatrix, src, tgt) -> IntMatrix:
+    """Source coordinates of the classes that m maps to zero."""
+    kern = int_kernel_basis(hstack(m, tgt[1]))
+    return hstack(IntMatrix.from_columns(m.cols, [v[:m.cols] for v in kern]),
+                  src[1])
+
+
+def presented_classes(data) -> list:
+    """H^1(Q) / Im Theta as the cokernel of Theta and the relations."""
+    h1m = presented(complex_of(data), 1)
+    h1q = presented(complex_of(data, "Q"), 1)
+    theta = induced(theta_on_cochains(data, 1), h1m, h1q)
+    return cokernel_invariants(hstack(h1q[1], theta))
+
+
+def presented_torsor(data) -> tuple:
+    """(ker Theta on H^2, H^1(M)^inv / Im(1 + iota*)) in generator
+    coordinates of presented groups, written there by int_solve_many."""
+    h2m = presented(complex_of(data), 2)
+    h2q = presented(complex_of(data, "Q"), 2)
+    theta = induced(theta_on_cochains(data, 2), h2m, h2q)
+    kernel = subquotient_invariants(kernel_lattice(theta, h2m, h2q), h2m[1])
+    h1 = presented(complex_of(data), 1)
+    iota = induced(data.iota_matrix(1), h1, h1)
+    one = IntMatrix.identity(iota.cols)
+    invariant = kernel_lattice(iota + one.scale(-1), h1, h1)
+    h1_inv = subquotient_invariants(invariant, hstack(iota + one, h1[1]))
+    return tuple(kernel), tuple(h1_inv)
+
+
+def assert_matches_presented_census(data):
+    if data.dim >= 1:
+        assert real_structure_classes(data) == presented_classes(data)
+    if data.dim >= 2:
+        census = real_spinc_torsor(data)
+        assert (census.kernel_invariants, census.h1_invariants) == \
+            presented_torsor(data)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_census_matches_presented_groups_on_fixtures(name):
+    assert_matches_presented_census(build_fixture(name))
+
+
+@pytest.mark.parametrize("p", range(1, 16, 2))
+def test_census_matches_presented_groups_on_lens_spaces(p):
+    for q in range(p):
+        if gcd(p, q) == 1:
+            assert_matches_presented_census(lens_space(p, q))
+
+
+def unitriangular(a: int, b: int, upper: list, lower: list) -> IntMatrix:
+    """[[1, upper], [lower, 1]] on Z^(a + b); one of the blocks is zero."""
+    rows = [[int(i == j) for j in range(a + b)] for i in range(a + b)]
+    for i, j in itertools.product(range(a), range(b)):
+        rows[i][a + j] = upper[i][j] if upper else 0
+        rows[a + j][i] = lower[j][i] if lower else 0
+    return IntMatrix(a + b, a + b, tuple(map(tuple, rows)))
+
+
+@st.composite
+def cochain_complexes(draw):
+    """C^0 -> C^1 -> C^2 with delta_0 = T [X; 0] and delta_1 = [0 | Y] T^-1,
+    so that delta_1 delta_0 = 0 holds as a product.  T = P L U with P a
+    permutation and L, U unitriangular, so T^-1 = U' L' P^t with the
+    off-diagonal blocks negated."""
+    n0, a, b, n2 = (draw(st.integers(0, 4)) for _ in range(4))
+    n1 = a + b
+    x = draw(grid(a, n0, CENSUS_ENTRIES))
+    y = draw(grid(n2, b, CENSUS_ENTRIES))
+    e = draw(grid(a, b, CENSUS_ENTRIES))
+    f = draw(grid(b, a, CENSUS_ENTRIES))
+    perm = draw(st.permutations(range(n1)))
+    p = IntMatrix(n1, n1, tuple(tuple(int(perm[i] == j) for j in range(n1))
+                                for i in range(n1)))
+    t = p @ unitriangular(a, b, None, f) @ unitriangular(a, b, e, None)
+    t_inv = (unitriangular(a, b, [[-v for v in r] for r in e], None)
+             @ unitriangular(a, b, None, [[-v for v in r] for r in f])
+             @ p.transpose())
+    assert (t @ t_inv).data == IntMatrix.identity(n1).data
+    d0 = t @ IntMatrix(n1, n0, tuple(map(tuple, x + [[0] * n0] * b)))
+    d1 = IntMatrix(n2, n1, tuple(tuple([0] * a + r) for r in y)) @ t_inv
+    assert (d1 @ d0).is_zero()
+    return (d0, d1), (n0, n1, n2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cochain_complexes())
+def test_cohomology_subquotient_matches_presentation(cx):
+    for degree in range(3):
+        z, rels = presented(cx, degree)
+        assert subquotient_invariants(z, coboundaries(*cx, degree)) == \
+            cokernel_invariants(rels)
 
 
 # ---------------------------------------------------------------------------
