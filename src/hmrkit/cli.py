@@ -30,7 +30,8 @@ from .complexes import (
     verify_d_squared,
     verify_les_exact,
 )
-from .errors import HmrkitError, InvalidInput, input_field, input_int
+from .errors import (HmrkitError, InvalidInput, input_field, input_float,
+                     input_int)
 from .f2lin import F2Matrix, IntMatrix
 from .index_grading import TopologicalData4, closed4_index, loop_grading_shift
 from .morse_blowup import (
@@ -51,6 +52,7 @@ from .real_spinc import (
 )
 from .seifert_hmr import (
     BrieskornInput,
+    assemble_brieskorn_hmr,
     brieskorn_hmr,
     brieskorn_irreducibles,
     divisor_count,
@@ -150,15 +152,22 @@ def _parse_window(text: str):
 # ---------------------------------------------------------------------------
 
 
+def _floats(value):
+    """Nested lists of input numbers, each read with ``input_float``."""
+    if isinstance(value, list):
+        return [_floats(v) for v in value]
+    return input_float(value)
+
+
 def _float_array(value) -> np.ndarray:
-    out = np.array(value, dtype=float)
+    out = np.array(_floats(value), dtype=float)
     if not np.isfinite(out).all():
         raise ValueError("entries must be finite, not NaN or infinite")
     return out
 
 
 def _finite_float(value) -> float:
-    out = float(value)
+    out = input_float(value)
     if not np.isfinite(out):
         raise ValueError(f"must be finite, got {out}")
     return out
@@ -191,7 +200,9 @@ def _cmd_morse(args) -> int:
             {"id": g.id, "kind": g.kind, "gr": g.gr}
             for g in blocks.gens_o + blocks.gens_s + blocks.gens_u
         ],
-        "d_squared": verify_d_squared(cx),
+        # homology raises CompositionNonzero unless d.d = 0, so this
+        # holds for any report that is written
+        "d_squared": True,
         "homology": {f: _graded(homology(cx, f))
                      for f in ("check", "hat", "bar")},
         "les_exact": verify_les_exact(cx, maps),
@@ -207,8 +218,8 @@ def _cmd_flow(args) -> int:
     matrix = input_field(raw, "L", _float_array)
     phi0 = input_field(raw, "phi0", _float_array, None)
     s0 = input_field(raw, "s0", _finite_float, 0.0)
-    t_max = input_field(raw, "t_max", float)
-    step = input_field(raw, "step", float)
+    t_max = input_field(raw, "t_max", input_float)
+    step = input_field(raw, "step", input_float)
     model = LinearFlowModel(matrix)
     if phi0 is None:
         rng = np.random.default_rng(args.seed)
@@ -217,13 +228,13 @@ def _cmd_flow(args) -> int:
     traj = integrate_blowup_flow(model, phi0, s0, t_max, step)
     exact = closed_form_phi(model, phi0, float(traj.times[-1]))
     sign = 1.0 if float(exact @ traj.terminal_phi) >= 0 else -1.0
+    index = limiting_eigen_index(model, phi0)
     report = {
         "converged": traj.converged,
         "terminal_lambda": round(traj.terminal_lambda, 12),
-        "predicted_eigen_index": limiting_eigen_index(model, phi0),
-        "predicted_eigenvalue": round(
-            float(model.eigenvalues[limiting_eigen_index(model, phi0) - 1]),
-            12),
+        "predicted_eigen_index": index,
+        "predicted_eigenvalue": round(float(model.eigenvalues[index - 1]),
+                                      12),
         "closed_form_deviation": round(
             float(np.max(np.abs(sign * exact - traj.terminal_phi))), 12),
         "terminal_phi": [round(float(x), 12) for x in traj.terminal_phi],
@@ -271,7 +282,7 @@ def _cmd_brieskorn(args) -> int:
     window = _parse_window(args.window) if args.window else None
     inp = BrieskornInput(args.family, args.k, window)
     spec = brieskorn_irreducibles(inp)
-    res = brieskorn_hmr(inp)
+    res = assemble_brieskorn_hmr(spec, inp.truncation)
     report = {
         "family": args.family,
         "k": args.k,

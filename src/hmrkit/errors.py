@@ -5,7 +5,9 @@ machine-readable error objects without string matching on messages.
 :func:`input_field` reads one field of a JSON input body and turns every
 way it can be malformed into :class:`InvalidInput` naming the field;
 :func:`input_int` is how its parsers read an integer, so a float, a string
-or a boolean where an integer belongs is malformed, not truncated.
+or a boolean where an integer belongs is malformed, not truncated, and
+:func:`input_float` is how they read a real number, so a string or a
+boolean where a number belongs is malformed, not converted.
 """
 
 from __future__ import annotations
@@ -133,3 +135,18 @@ def input_int(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
     return operator.index(value)
+
+
+def input_float(value) -> float:
+    """A real number of an input body: a JSON integer or float, not a
+    boolean and not a string.  A string raises ValueError, with the
+    message ``float`` gives for one it cannot read; anything else that is
+    not a number raises TypeError."""
+    if isinstance(value, str):
+        raise ValueError(f"could not convert string to float: {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("the integer is too large for a float") from None

@@ -362,8 +362,11 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, k):  # row[dst] += k * row[src]
-        d[dst] = [x + k * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+        for rows in (d, u):
+            row = rows[dst]
+            for j, x in enumerate(rows[src]):
+                if x:
+                    row[j] += k * x
 
     def add_col(src, dst, k):  # col[dst] += k * col[src]
         for row in d:

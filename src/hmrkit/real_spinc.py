@@ -17,9 +17,11 @@ trivial bundle, which always admits one, form a torsor over
 ker(Theta on H^2) x H^1(M)^inv / Im(1 + iota*).  No cohomology group is
 presented in generator coordinates.
 
-Constructing :class:`EquivariantCWData` is the one validation: data that
-constructs has d.d = 0, a consistent orbit map, and chain maps iota* and
-Theta, so the census functions below do not check them again.
+Constructing :class:`EquivariantCWData` is the one validation, and it
+builds the matrices of Theta, iota* and pi* once per degree from the
+validated orbit map: data that constructs has d.d = 0, a consistent orbit
+map, and chain maps iota* and Theta, so the census functions below read
+those matrices and do not check them again.
 
 Branched double covers of links enter through their Seifert matrices:
 |H_1| = |det(A + A^t)| and b_1 = nullity(A + A^t).
@@ -27,7 +29,7 @@ Branched double covers of links enter through their Seifert matrices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import (
@@ -69,9 +71,12 @@ class EquivariantCWData:
     (n+1)-cells); likewise for Q.  The lists have one entry per degree
     below the top dimension.
 
-    Construction checks the shapes, d.d = 0, the orbit map, and then per
-    degree that iota* (else MalformedOrbitMap) and Theta (else NotChainMap)
-    commute with the coboundaries; errors name the degree or cell at fault.
+    Construction checks the shapes, d.d = 0 and the orbit map, then builds
+    per degree n the matrices ``theta[n]`` of Theta: C^n(M) -> C^n(Q),
+    ``iota[n]`` of iota* on C^n(M), and ``pullback[n]`` of
+    pi*: C^n(Q) -> C^n(M), and checks that iota* (else MalformedOrbitMap)
+    and Theta (else NotChainMap) commute with the coboundaries; errors
+    name the degree or cell at fault.
     """
 
     cells_M: tuple
@@ -79,6 +84,9 @@ class EquivariantCWData:
     delta_M: tuple
     delta_Q: tuple
     orbit: tuple
+    theta: tuple = field(init=False, compare=False, repr=False)
+    iota: tuple = field(init=False, compare=False, repr=False)
+    pullback: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cells_M", tuple(self.cells_M))
@@ -86,16 +94,35 @@ class EquivariantCWData:
         object.__setattr__(self, "delta_M", tuple(self.delta_M))
         object.__setattr__(self, "delta_Q", tuple(self.delta_Q))
         object.__setattr__(self, "orbit", tuple(self.orbit))
-        # (degree, index) -> (its orbit entry, its partner's entry)
-        index = {}
-        for pre in self._validate().values():
+        # the grids are sized by the cell counts, so validate them first
+        preimages = self._validate()
+        theta = [[[0] * m for _ in range(q)]
+                 for m, q in zip(self.cells_M, self.cells_Q)]
+        iota = [[[0] * m for _ in range(m)] for m in self.cells_M]
+        pullback = [[[0] * q for _ in range(m)]
+                    for m, q in zip(self.cells_M, self.cells_Q)]
+        # one pass over the orbits, which _validate has checked in range
+        for (n, image), pre in preimages.items():
             for e in pre:
-                index[(e.degree, e.index)] = \
-                    (e, pre[-1] if pre[0] is e else pre[0])
-        object.__setattr__(self, "_orbit_index", index)
-        iota = [self.iota_matrix(n) for n in range(self.dim + 1)]
+                other = pre[-1] if pre[0] is e else pre[0]
+                # the orientation factor of pi*: +1 on a fixed cell and on
+                # the lower index of a free orbit, the listed sign on the
+                # other cell
+                sigma = 1 if e.index <= other.index else e.sign
+                # (Theta beta)(image) = beta(e) + beta(iota e)
+                theta[n][image][e.index] = 2 if e.fixed else sigma
+                # (iota* beta)(e) = sign(e) * beta(other)
+                iota[n][e.index][other.index] = e.sign
+                # (pi* gamma)(e) = sigma(e) * gamma(image)
+                pullback[n][e.index][image] = sigma
+        for name, grids, cols in (("theta", theta, self.cells_M),
+                                  ("iota", iota, self.cells_M),
+                                  ("pullback", pullback, self.cells_Q)):
+            object.__setattr__(self, name, tuple(
+                IntMatrix(len(g), c, tuple(map(tuple, g)))
+                for g, c in zip(grids, cols)))
         for n, dm in enumerate(self.delta_M):
-            if (dm @ iota[n]).data != (iota[n + 1] @ dm).data:
+            if (dm @ self.iota[n]).data != (self.iota[n + 1] @ dm).data:
                 raise MalformedOrbitMap(
                     f"iota* does not commute with delta_M in degree {n}")
             if not verify_theta_chain_map(self, n):
@@ -171,50 +198,6 @@ class EquivariantCWData:
     def dim(self) -> int:
         return len(self.cells_M) - 1
 
-    def orbit_table(self, degree: int) -> list[OrbitEntry]:
-        return [self._orbit_index[(degree, i)][0]
-                for i in range(self.cells_M[degree])]
-
-    def partner(self, degree: int, index: int) -> int:
-        """The other cell in the orbit (itself for fixed cells)."""
-        try:
-            return self._orbit_index[(degree, index)][1].index
-        except KeyError:
-            raise MalformedOrbitMap(
-                f"no orbit entry for ({degree},{index})") from None
-
-    def sigma(self, e: OrbitEntry) -> int:
-        """Orientation factor of the projection on the cell of ``e``.
-
-        +1 on fixed cells and on orbit representatives (the lower index of
-        a free orbit), the listed sign on the other cell of a free orbit.
-        """
-        return 1 if e.index <= self.partner(e.degree, e.index) else e.sign
-
-    def iota_matrix(self, degree: int) -> IntMatrix:
-        """Matrix of the induced involution on C^degree(M) cochains.
-
-        (iota* beta)(e) = beta(iota e) = sign(e) * beta(partner(e)).
-        """
-        n = self.cells_M[degree]
-        # row e picks out sign(e) * beta(partner(e))
-        out = [[0] * n for _ in range(n)]
-        for i, e in enumerate(self.orbit_table(degree)):
-            out[i][self.partner(degree, i)] = e.sign
-        return IntMatrix(n, n, tuple(map(tuple, out)))
-
-    def pullback_matrix(self, degree: int) -> IntMatrix:
-        """Matrix of pi*: C^degree(Q) -> C^degree(M).
-
-        (pi* gamma)(e) = sigma(e) * gamma(image e), with sigma as in
-        :meth:`sigma`.
-        """
-        n, q = self.cells_M[degree], self.cells_Q[degree]
-        grid = [[0] * q for _ in range(n)]
-        for i, e in enumerate(self.orbit_table(degree)):
-            grid[i][e.image] = self.sigma(e)
-        return IntMatrix(n, q, tuple(map(tuple, grid)))
-
     def to_json(self) -> dict:
         return {
             "cells_M": list(self.cells_M),
@@ -260,34 +243,19 @@ class EquivariantCWData:
         )
 
 
-def theta_on_cochains(data: EquivariantCWData, degree: int) -> IntMatrix:
-    """Matrix of the averaging map C^degree(M) -> C^degree(Q).
-
-    Column e contributes to the row of its image cell: coefficient 2 for a
-    fixed cell, else the orientation factor sigma(e) (+1 on the orbit
-    representative, the recorded sign on its partner), so that the value
-    on an orbit is beta(e) + beta(iota e) in the chosen orientations.
-    """
-    n, q = data.cells_M[degree], data.cells_Q[degree]
-    grid = [[0] * n for _ in range(q)]
-    for i, e in enumerate(data.orbit_table(degree)):
-        grid[e.image][i] = 2 if e.fixed else data.sigma(e)
-    return IntMatrix(q, n, tuple(map(tuple, grid)))
-
-
 def verify_theta_chain_map(data: EquivariantCWData, degree: int) -> bool:
     """delta_Q . Theta = Theta . delta_M in the given degree."""
     if degree >= data.dim:
         return True
-    lhs = data.delta_Q[degree] @ theta_on_cochains(data, degree)
-    rhs = theta_on_cochains(data, degree + 1) @ data.delta_M[degree]
+    lhs = data.delta_Q[degree] @ data.theta[degree]
+    rhs = data.theta[degree + 1] @ data.delta_M[degree]
     return lhs.data == rhs.data
 
 
 def verify_naturality(data: EquivariantCWData, degree: int) -> bool:
     """pi* . Theta = 1 + iota* on cochains in the given degree."""
-    lhs = data.pullback_matrix(degree) @ theta_on_cochains(data, degree)
-    rhs = IntMatrix.identity(data.cells_M[degree]) + data.iota_matrix(degree)
+    lhs = data.pullback[degree] @ data.theta[degree]
+    rhs = IntMatrix.identity(data.cells_M[degree]) + data.iota[degree]
     return lhs.data == rhs.data
 
 
@@ -385,7 +353,7 @@ def admits_real_structure(data: EquivariantCWData,
     if 2 < data.dim:
         if any(x != 0 for x in data.delta_M[2].mul_vec(list(c1))):
             raise NotCocycle("c1 is not closed")
-    image = theta_on_cochains(data, 2).mul_vec(list(c1))
+    image = data.theta[2].mul_vec(list(c1))
     if all(x == 0 for x in image):
         return True
     if data.cells_Q[1] == 0:
@@ -398,7 +366,7 @@ def real_structure_classes(data: EquivariantCWData) -> list[int]:
     Z^1(Q) / (B^1(Q) + Theta Z^1(M))."""
     _require_cells(data, 1, "H^1(Q) / Im Theta")
     m, q = (data.delta_M, data.cells_M), (data.delta_Q, data.cells_Q)
-    image = theta_on_cochains(data, 1) @ cocycles(*m, 1)
+    image = data.theta[1] @ cocycles(*m, 1)
     return subquotient_invariants(cocycles(*q, 1),
                                   _hstack(coboundaries(*q, 1), image))
 
@@ -415,11 +383,11 @@ def real_spinc_torsor(data: EquivariantCWData) -> RealStructureCensus:
     """
     _require_cells(data, 2, "a first Chern class")
     m = (data.delta_M, data.cells_M)
-    kernel = _preimage(theta_on_cochains(data, 2), cocycles(*m, 2),
+    kernel = _preimage(data.theta[2], cocycles(*m, 2),
                        coboundaries(data.delta_Q, data.cells_Q, 2))
 
     z1, b1 = cocycles(*m, 1), coboundaries(*m, 1)
-    iota, one = data.iota_matrix(1), IntMatrix.identity(data.cells_M[1])
+    iota, one = data.iota[1], IntMatrix.identity(data.cells_M[1])
     invariant = _preimage(iota + one.scale(-1), z1, b1)
     return RealStructureCensus(
         exists=True,

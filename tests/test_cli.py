@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,71 @@ def test_output_file(capsys, tmp_path):
     assert json.loads(out.read_text()) == {"index": 0}
 
 
+#: sha256 of the compact ``spinc`` report of every fixture, error reports
+#: included: a change to the census code must keep them byte for byte
+SPINC_FIXTURE_SHA256 = {
+    "circle_antipodal":
+        "783478a6bcd588663ca1032321663d537798b2e7f5cff7325f2b717987f9e536",
+    "circle_reflection":
+        "783478a6bcd588663ca1032321663d537798b2e7f5cff7325f2b717987f9e536",
+    "lens_3_1":
+        "f3ec88fa1f6b350f7b0c6f5f61eb8e08983b9755af18f45c9687a470f849006e",
+    "lens_5_1":
+        "0bb680a20a1707ce243a54422f876d5d125c7f5da7adf26b95e018738fb9f2cc",
+    "lens_5_2":
+        "0bb680a20a1707ce243a54422f876d5d125c7f5da7adf26b95e018738fb9f2cc",
+    "lens_7_1":
+        "7f8e3ea5381a4f9d3b774d81f46f27bd5b2324e8e781281d4fec2f7c448ea77d",
+    "lens_7_2":
+        "7f8e3ea5381a4f9d3b774d81f46f27bd5b2324e8e781281d4fec2f7c448ea77d",
+    "point_pair":
+        "729f9b92807bfa4b8c0629c2b688b84acfa06c5573ee739ab2fc9e86554ea821",
+    "s1_x_s2_rotation":
+        "7713efaef05af79b4077c4f6a5d09bb0cda87a70338822ed464463b0180f0119",
+    "s1_x_s2_unlink_cover":
+        "093585ea9315362ccb57bb56193bd291bc9fb95c8142b36a597be663ae95d857",
+    "s3_conjugation":
+        "1fb0d691444f0a645db323c48f3b0ab737ce7011ca73e99396d46c96cf8aa39a",
+    "torus_hyperelliptic":
+        "e89826106653e1779e6dc936c0bb553f1e9d30882275cff5380293ff0ca0c54a",
+    "torus_hyperelliptic_fine":
+        "67def8d1caf6bea4038a0052e17d3a1d9a76608d3842fe445d174a632968c1b9",
+}
+
+#: the same for L(p, q) through ``--input``, by p: every coprime q gives
+#: the same report
+SPINC_LENS_SHA256 = {
+    1: "1fb0d691444f0a645db323c48f3b0ab737ce7011ca73e99396d46c96cf8aa39a",
+    3: "f3ec88fa1f6b350f7b0c6f5f61eb8e08983b9755af18f45c9687a470f849006e",
+    5: "0bb680a20a1707ce243a54422f876d5d125c7f5da7adf26b95e018738fb9f2cc",
+    7: "7f8e3ea5381a4f9d3b774d81f46f27bd5b2324e8e781281d4fec2f7c448ea77d",
+    9: "239aa39e8324e145a896a94b9a5b44539c692259521b6f5eff664375a7f109d6",
+    11: "fd5a4b29d1a9b5a078cf016658ec871bc88b6b4254aebf41927ed3235c579f83",
+    13: "ab44f46881e9211badc7d5acfaefa11df479db2f6b65e77adfb70ec7c2b0b0eb",
+    15: "cad5d4132a9b1ed36e6511ebbb50a33219e32966f04e639f5b66c40c79286cc0",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SPINC_FIXTURE_SHA256))
+def test_spinc_fixture_report_pinned(capsys, name):
+    _, text = run_cli(capsys, "spinc", "--fixture", name)
+    assert sha256(text) == SPINC_FIXTURE_SHA256[name]
+
+
+@pytest.mark.parametrize("p", sorted(SPINC_LENS_SHA256))
+def test_spinc_lens_report_pinned(capsys, monkeypatch, p):
+    for q in range(p):
+        if gcd(p, q) == 1:
+            body = json.dumps(lens_space(p, q).to_json())
+            monkeypatch.setattr("sys.stdin", io.StringIO(body))
+            _, text = run_cli(capsys, "spinc", "--input", "-")
+            assert sha256(text) == SPINC_LENS_SHA256[p], (p, q)
+
+
 # ---------------------------------------------------------------------------
 # error paths
 # ---------------------------------------------------------------------------
@@ -313,6 +380,25 @@ FLOAT_FIELDS = (
                          ids=[t[0] for t in FLOAT_FIELDS])
 def test_non_finite_float_field_exits_2(capsys, monkeypatch, command, field,
                                         body, path, value):
+    assert_edit_exits_2(capsys, monkeypatch, command, field, body, path,
+                        value)
+
+
+#: the float fields, and the two flow scalars whose range is checked later
+NUMBER_FIELDS = FLOAT_FIELDS + (
+    ("flow_t_max", "flow", "t_max", FLOW_BODY, ("t_max",)),
+    ("flow_step", "flow", "step", FLOW_BODY, ("step",)),
+)
+
+
+@pytest.mark.parametrize("value", ["1", True, 10 ** 400],
+                         ids=["string", "bool", "huge_int"])
+@pytest.mark.parametrize("command, field, body, path",
+                         [t[1:] for t in NUMBER_FIELDS],
+                         ids=[t[0] for t in NUMBER_FIELDS])
+def test_non_number_float_field_exits_2(capsys, monkeypatch, command, field,
+                                        body, path, value):
+    # a string or a boolean was once converted, a huge integer overflowed
     assert_edit_exits_2(capsys, monkeypatch, command, field, body, path,
                         value)
 
@@ -503,6 +589,15 @@ def _inconsistent_fixed(body):
     body["orbit"][_free_cell(body)]["fixed"] = True
 
 
+def _huge_cell_counts(body):
+    # Theta, iota* and pi* are dense grids sized by the cell counts, so
+    # they must wait for the orbit check: a list of 2**62 entries fails at
+    # once with MemoryError, so building them first fails here without
+    # allocating anything
+    body.update(cells_M=[2 ** 62], cells_Q=[2 ** 62], delta_M=[],
+                delta_Q=[], orbit=[])
+
+
 #: (id, edit of the lens_space(3, 1) body, error code, text of the message
 #: naming the degree, cell or dimension at fault)
 CW_REJECTIONS = (
@@ -531,6 +626,8 @@ CW_REJECTIONS = (
     ("listed_twice", lambda b: b["orbit"].append(dict(b["orbit"][0])),
      "malformed_orbit_map", "(0, 0) listed twice"),
     ("missing", lambda b: b["orbit"].pop(0), "malformed_orbit_map",
+     "(0, 0) missing"),
+    ("huge_cell_counts", _huge_cell_counts, "malformed_orbit_map",
      "(0, 0) missing"),
     ("unequal_signs", _unequal_signs, "malformed_orbit_map", "(0,2) has unequal signs"),
     ("inconsistent_fixed", _inconsistent_fixed, "malformed_orbit_map",

@@ -34,7 +34,6 @@ from hmrkit.real_spinc import (
     real_spinc_torsor,
     real_structure_classes,
     subquotient_invariants,
-    theta_on_cochains,
     verify_naturality,
     verify_theta_chain_map,
 )
@@ -59,7 +58,7 @@ def cohomology_invariants(data, degree, space="M"):
 
 def test_theta_point_pair():
     data = build_fixture("point_pair")
-    t = theta_on_cochains(data, 0)
+    t = data.theta[0]
     assert (t.rows, t.cols) == (1, 2)
     assert sorted(t.data[0]) == [1, 1]
 
@@ -69,14 +68,14 @@ def test_theta_fixed_point_doubles():
         cells_M=(1,), cells_Q=(1,), delta_M=(), delta_Q=(),
         orbit=(OrbitEntry(0, 0, 0, True, 1),),
     )
-    t = theta_on_cochains(data, 0)
+    t = data.theta[0]
     assert t.data == ((2,),)
 
 
 def test_theta_circle_antipodal_rows_sum_preimages():
     data = build_fixture("circle_antipodal")
     for deg in (0, 1):
-        t = theta_on_cochains(data, deg)
+        t = data.theta[deg]
         assert t.rows == 1 and t.cols == 2
         assert sorted(abs(x) for x in t.data[0]) == [1, 1]
         assert verify_theta_chain_map(data, deg)
@@ -141,8 +140,8 @@ def test_theta_torus_brute_force_small_cochains():
     # oracle: enumerate integer 1-cochains with entries in {-1,0,1} and
     # check the chain-map identity value by value
     data = build_fixture("torus_hyperelliptic")
-    t1 = theta_on_cochains(data, 1)
-    t2 = theta_on_cochains(data, 2)
+    t1 = data.theta[1]
+    t2 = data.theta[2]
     dm, dq = data.delta_M[1], data.delta_Q[1]
     for beta in itertools.islice(
             itertools.product((-1, 0, 1), repeat=data.cells_M[1]), 300):
@@ -326,6 +325,36 @@ def test_census_invariant_under_relabelling(name):
         assert_matches_presented_census(moved)
 
 
+def assert_projection_identities(data: EquivariantCWData):
+    """Theta pi* = 2 on C^n(Q), and 2 delta_Q = Theta delta_M pi*: the
+    matrices the constructor builds agree on every quotient cell."""
+    for n in range(data.dim + 1):
+        two = IntMatrix.identity(data.cells_Q[n]).scale(2)
+        assert (data.theta[n] @ data.pullback[n]).data == two.data
+    for n, (dm, dq) in enumerate(zip(data.delta_M, data.delta_Q)):
+        assert (data.theta[n + 1] @ dm @ data.pullback[n]).data == \
+            dq.scale(2).data
+
+
+ODD_LENS_SPACES = [(p, q) for p in range(1, 22, 2) for q in range(p)
+                   if gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_projection_identities_on_fixtures(name):
+    data = build_fixture(name)
+    assert_projection_identities(data)
+    for seed in range(3):
+        assert_projection_identities(relabel(data, random.Random(seed)))
+
+
+@pytest.mark.parametrize("p,q", ODD_LENS_SPACES)
+def test_projection_identities_on_lens_spaces(p, q):
+    data = lens_space(p, q)
+    assert_projection_identities(data)
+    assert_projection_identities(relabel(data, random.Random(p * q)))
+
+
 # ---------------------------------------------------------------------------
 # the census against presented cohomology groups
 # ---------------------------------------------------------------------------
@@ -363,7 +392,7 @@ def presented_classes(data) -> list:
     """H^1(Q) / Im Theta as the cokernel of Theta and the relations."""
     h1m = presented(complex_of(data), 1)
     h1q = presented(complex_of(data, "Q"), 1)
-    theta = induced(theta_on_cochains(data, 1), h1m, h1q)
+    theta = induced(data.theta[1], h1m, h1q)
     return cokernel_invariants(hstack(h1q[1], theta))
 
 
@@ -372,10 +401,10 @@ def presented_torsor(data) -> tuple:
     coordinates of presented groups, written there by int_solve_many."""
     h2m = presented(complex_of(data), 2)
     h2q = presented(complex_of(data, "Q"), 2)
-    theta = induced(theta_on_cochains(data, 2), h2m, h2q)
+    theta = induced(data.theta[2], h2m, h2q)
     kernel = subquotient_invariants(kernel_lattice(theta, h2m, h2q), h2m[1])
     h1 = presented(complex_of(data), 1)
-    iota = induced(data.iota_matrix(1), h1, h1)
+    iota = induced(data.iota[1], h1, h1)
     one = IntMatrix.identity(iota.cols)
     invariant = kernel_lattice(iota + one.scale(-1), h1, h1)
     h1_inv = subquotient_invariants(invariant, hstack(iota + one, h1[1]))
