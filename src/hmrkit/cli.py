@@ -30,8 +30,8 @@ from .complexes import (
     verify_d_squared,
     verify_les_exact,
 )
-from .errors import (HmrkitError, InvalidInput, input_field, input_float,
-                     input_int)
+from .errors import (HmrkitError, InvalidInput, MalformedJson, input_field,
+                     input_float, input_int)
 from .f2lin import F2Matrix, IntMatrix
 from .index_grading import TopologicalData4, closed4_index, loop_grading_shift
 from .morse_blowup import (
@@ -120,12 +120,20 @@ def _emit(obj, args) -> int:
 
 
 def _load_input(args) -> dict:
-    if args.input == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(args.input) as fh:
-            raw = fh.read()
-    return json.loads(raw)
+    """The body of ``--input``: text that is not UTF-8 or not JSON, or an
+    integer literal too long to convert, is MalformedJson."""
+    try:
+        if args.input == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.input) as fh:
+                raw = fh.read()
+        return json.loads(raw)
+    except (IsADirectoryError, PermissionError) as exc:
+        raise InvalidInput(f"--input {args.input!r} cannot be read: "
+                           f"{exc.strerror}") from None
+    except ValueError as exc:
+        raise MalformedJson(str(exc)) from None
 
 
 def _graded(ranks: dict) -> list:
@@ -263,8 +271,9 @@ def _cmd_spinc(args) -> int:
         "dim": data.dim,
         "cells_M": list(data.cells_M),
         "cells_Q": list(data.cells_Q),
-        # the constructor checks Theta, and its orbit checks imply
-        # pi* Theta = 1 + iota*, so both hold for any data that constructs
+        # the constructor derives delta_Q so that Theta commutes, and its
+        # orbit checks imply pi* Theta = 1 + iota*, so both hold for any
+        # data that constructs
         "theta_chain_map": True,
         "naturality": True,
         "census": {
@@ -513,11 +522,6 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        sys.stdout.write(_dump(
-            {"error": {"code": "malformed_json", "message": str(exc)}},
-            args.pretty))
-        return 2
     except FileNotFoundError as exc:
         sys.stdout.write(_dump(
             {"error": {"code": "file_not_found",

@@ -1,11 +1,11 @@
 """Equivariant CW fixtures: small spaces with involution, built honestly.
 
 Each builder assembles cells with explicit integer boundaries and an
-explicit cellular involution, then forms the quotient complex and the
-orbit data.  It checks only what that needs (boundary cells one degree
-lower, an image for every cell): d.d = 0 and that the involution is a
-chain map are checked once, by the :class:`EquivariantCWData`
-constructor, as for any other input.  The centerpiece is a genus-one
+explicit cellular involution, then forms the orbit data.  It checks only
+what that needs (boundary cells one degree lower, an image for every
+cell): the :class:`EquivariantCWData` constructor checks d.d = 0 and that
+the involution is a chain map, as for any other input, and derives the
+quotient complex.  The centerpiece is a genus-one
 splitting of lens spaces: the torus carries the arrangement of four
 circles through the involution's fixed points (two "horizontal" ones and
 two of slope p/q), and each handlebody contributes two fixed diameters,
@@ -83,13 +83,6 @@ class _Builder:
                    for i, rep in enumerate(q_order[d])}
         cells_q = [len(q_order[d]) for d in range(dim + 1)]
 
-        def sigma(cid) -> int:
-            """Coefficient of the projection: pi(c) = sigma(c) * orbit cell."""
-            img, sign = self.iota[cid]
-            if img == cid or rep_of[cid] == cid:
-                return 1
-            return sign
-
         # coboundaries: row = d-cell, column = (d-1)-cell of its boundary
         delta_m = []
         for d in range(1, dim + 1):
@@ -99,16 +92,6 @@ class _Builder:
                 for other, coeff in self.boundary[cid].items():
                     grid[index[cid]][index[other]] += coeff
             delta_m.append(IntMatrix(rows, cols, tuple(map(tuple, grid))))
-
-        delta_q = []
-        for d in range(1, dim + 1):
-            rows, cols = cells_q[d], cells_q[d - 1]
-            grid = [[0] * cols for _ in range(rows)]
-            for rep in q_order[d]:
-                for other, coeff in self.boundary[rep].items():
-                    grid[q_index[rep]][q_index[rep_of[other]]] += \
-                        coeff * sigma(other)
-            delta_q.append(IntMatrix(rows, cols, tuple(map(tuple, grid))))
 
         orbit = []
         for d in range(dim + 1):
@@ -121,8 +104,7 @@ class _Builder:
                 ))
         return EquivariantCWData(
             cells_M=tuple(cells_m), cells_Q=tuple(cells_q),
-            delta_M=tuple(delta_m), delta_Q=tuple(delta_q),
-            orbit=tuple(orbit),
+            delta_M=tuple(delta_m), orbit=tuple(orbit),
         )
 
 

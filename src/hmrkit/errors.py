@@ -51,6 +51,12 @@ class InvalidInput(HmrkitError):
     code = "invalid_input"
 
 
+class MalformedJson(InvalidInput):
+    """An input body is not UTF-8 JSON text that can be read."""
+
+    code = "malformed_json"
+
+
 class StepTooLarge(HmrkitError):
     """The ODE step times the largest |eigenvalue| exceeds the RK4 bound.
 

@@ -17,11 +17,12 @@ trivial bundle, which always admits one, form a torsor over
 ker(Theta on H^2) x H^1(M)^inv / Im(1 + iota*).  No cohomology group is
 presented in generator coordinates.
 
-Constructing :class:`EquivariantCWData` is the one validation, and it
-builds the matrices of Theta, iota* and pi* once per degree from the
-validated orbit map: data that constructs has d.d = 0, a consistent orbit
-map, and chain maps iota* and Theta, so the census functions below read
-those matrices and do not check them again.
+Constructing :class:`EquivariantCWData` is the one validation.  It builds
+the matrices of Theta, iota* and pi* once per degree from the validated
+orbit map, and derives delta_Q from them, 2 delta_Q = Theta delta_M pi*:
+data that constructs has d.d = 0, a consistent orbit map, and chain maps
+iota* and Theta, so the census functions below read those matrices and
+do not check them again.
 
 Branched double covers of links enter through their Seifert matrices:
 |H_1| = |det(A + A^t)| and b_1 = nullity(A + A^t).
@@ -68,22 +69,22 @@ class EquivariantCWData:
     """Cochain complexes of M and Q plus the cell-orbit pairing.
 
     ``delta_M[n]`` is the coboundary C^n(M) -> C^{n+1}(M) (rows indexed by
-    (n+1)-cells); likewise for Q.  The lists have one entry per degree
-    below the top dimension.
+    (n+1)-cells), one per degree below the top dimension.
 
     Construction checks the shapes, d.d = 0 and the orbit map, then builds
     per degree n the matrices ``theta[n]`` of Theta: C^n(M) -> C^n(Q),
     ``iota[n]`` of iota* on C^n(M), and ``pullback[n]`` of
-    pi*: C^n(Q) -> C^n(M), and checks that iota* (else MalformedOrbitMap)
-    and Theta (else NotChainMap) commute with the coboundaries; errors
-    name the degree or cell at fault.
+    pi*: C^n(Q) -> C^n(M), checks that iota* commutes with delta_M (else
+    MalformedOrbitMap), and derives the coboundaries ``delta_Q`` of Q.
+    Then pi* Theta = 1 + iota* and Theta is a chain map by construction.
+    Errors name the degree or cell at fault.
     """
 
     cells_M: tuple
     cells_Q: tuple
     delta_M: tuple
-    delta_Q: tuple
     orbit: tuple
+    delta_Q: tuple = field(init=False, compare=False, repr=False)
     theta: tuple = field(init=False, compare=False, repr=False)
     iota: tuple = field(init=False, compare=False, repr=False)
     pullback: tuple = field(init=False, compare=False, repr=False)
@@ -92,7 +93,6 @@ class EquivariantCWData:
         object.__setattr__(self, "cells_M", tuple(self.cells_M))
         object.__setattr__(self, "cells_Q", tuple(self.cells_Q))
         object.__setattr__(self, "delta_M", tuple(self.delta_M))
-        object.__setattr__(self, "delta_Q", tuple(self.delta_Q))
         object.__setattr__(self, "orbit", tuple(self.orbit))
         # the grids are sized by the cell counts, so validate them first
         preimages = self._validate()
@@ -101,8 +101,11 @@ class EquivariantCWData:
         iota = [[[0] * m for _ in range(m)] for m in self.cells_M]
         pullback = [[[0] * q for _ in range(m)]
                     for m, q in zip(self.cells_M, self.cells_Q)]
+        # lift[n][q]: the cell over q on which pi* has the factor +1
+        lift = [[0] * q for q in self.cells_Q]
         # one pass over the orbits, which _validate has checked in range
         for (n, image), pre in preimages.items():
+            lift[n][image] = min(pre[0].index, pre[-1].index)
             for e in pre:
                 other = pre[-1] if pre[0] is e else pre[0]
                 # the orientation factor of pi*: +1 on a fixed cell and on
@@ -121,13 +124,16 @@ class EquivariantCWData:
             object.__setattr__(self, name, tuple(
                 IntMatrix(len(g), c, tuple(map(tuple, g)))
                 for g, c in zip(grids, cols)))
+        delta_Q = []
         for n, dm in enumerate(self.delta_M):
             if (dm @ self.iota[n]).data != (self.iota[n + 1] @ dm).data:
                 raise MalformedOrbitMap(
                     f"iota* does not commute with delta_M in degree {n}")
-            if not verify_theta_chain_map(self, n):
-                raise NotChainMap(f"Theta does not commute with the "
-                                  f"coboundaries in degree {n}")
+            # row q of delta_Q is row lift[n + 1][q] of delta_M pi*
+            rows = (dm @ self.pullback[n]).data
+            delta_Q.append(IntMatrix(self.cells_Q[n + 1], self.cells_Q[n],
+                                     tuple(rows[e] for e in lift[n + 1])))
+        object.__setattr__(self, "delta_Q", tuple(delta_Q))
 
     # -- validation ---------------------------------------------------
 
@@ -138,22 +144,15 @@ class EquivariantCWData:
         if len(self.cells_Q) != len(self.cells_M):
             raise MalformedOrbitMap(f"M has dimension {dim}, Q "
                                     f"{len(self.cells_Q) - 1}")
-        if len(self.delta_M) != dim or len(self.delta_Q) != dim:
-            raise ShapeMismatch(
-                f"dimension {dim} needs {dim} coboundaries per space, got "
-                f"{len(self.delta_M)} for M and {len(self.delta_Q)} for Q"
-            )
-        for n in range(dim):
-            dm, dq = self.delta_M[n], self.delta_Q[n]
+        if len(self.delta_M) != dim:
+            raise ShapeMismatch(f"dimension {dim} needs {dim} coboundaries "
+                                f"for M, got {len(self.delta_M)}")
+        for n, dm in enumerate(self.delta_M):
             if (dm.rows, dm.cols) != (self.cells_M[n + 1], self.cells_M[n]):
                 raise ShapeMismatch(f"delta_M[{n}] has wrong shape")
-            if (dq.rows, dq.cols) != (self.cells_Q[n + 1], self.cells_Q[n]):
-                raise ShapeMismatch(f"delta_Q[{n}] has wrong shape")
         for n in range(dim - 1):
             if not (self.delta_M[n + 1] @ self.delta_M[n]).is_zero():
                 raise MalformedOrbitMap(f"delta_M fails d.d=0 at degree {n}")
-            if not (self.delta_Q[n + 1] @ self.delta_Q[n]).is_zero():
-                raise MalformedOrbitMap(f"delta_Q fails d.d=0 at degree {n}")
         seen = set()
         preimages: dict = {}
         for e in self.orbit:
@@ -234,17 +233,30 @@ class EquivariantCWData:
                            sign=input_int(o["sign"]))
                 for o in v)
 
-        return EquivariantCWData(
-            cells_M=input_field(obj, "cells_M", counts),
-            cells_Q=input_field(obj, "cells_Q", counts),
-            delta_M=input_field(obj, "delta_M", matrices),
-            delta_Q=input_field(obj, "delta_Q", matrices),
-            orbit=input_field(obj, "orbit", orbit),
-        )
+        cells_M = input_field(obj, "cells_M", counts)
+        cells_Q = input_field(obj, "cells_Q", counts)
+        delta_M = input_field(obj, "delta_M", matrices)
+        delta_Q = input_field(obj, "delta_Q", matrices)
+        data = EquivariantCWData(cells_M, cells_Q, delta_M,
+                                 input_field(obj, "orbit", orbit))
+        # the body's delta_Q must be the derived one: with the orbit map
+        # checked, that is Theta commuting with the coboundaries, so wrong
+        # entries are NotChainMap
+        if len(delta_Q) != data.dim:
+            raise ShapeMismatch(f"dimension {data.dim} needs {data.dim} "
+                                f"coboundaries for Q, got {len(delta_Q)}")
+        for n, (given, derived) in enumerate(zip(delta_Q, data.delta_Q)):
+            if (given.rows, given.cols) != (derived.rows, derived.cols):
+                raise ShapeMismatch(f"delta_Q[{n}] has wrong shape")
+            if given.data != derived.data:
+                raise NotChainMap(f"Theta does not commute with the "
+                                  f"coboundaries in degree {n}")
+        return data
 
 
 def verify_theta_chain_map(data: EquivariantCWData, degree: int) -> bool:
-    """delta_Q . Theta = Theta . delta_M in the given degree."""
+    """delta_Q . Theta = Theta . delta_M in the given degree: true for all
+    data that constructs, and kept as a check of that."""
     if degree >= data.dim:
         return True
     lhs = data.delta_Q[degree] @ data.theta[degree]

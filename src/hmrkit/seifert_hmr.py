@@ -271,8 +271,8 @@ def assemble_brieskorn_hmr(spec: IrreducibleSpectrum,
     lo, hi = truncation
     gradings = [g for g, _ in spec.counts] + [spec.theta_minus1_grading]
     if not (lo <= min(gradings) and max(gradings) <= hi):
-        raise UnknownFamily(
-            f"truncation {truncation} does not contain the spectrum")
+        raise InvalidInput(f"truncation window {truncation} does not "
+                           f"contain the spectrum")
     g0 = spec.theta_minus1_grading
 
     gens_o = tuple(Generator(f"irr{g}_{i}", "o", g)

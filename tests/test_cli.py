@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from hmrkit import cli
-from hmrkit.cw_fixtures import lens_space
+from hmrkit.cw_fixtures import build_fixture, lens_space
 
 
 def run_cli(capsys, *argv):
@@ -225,8 +225,70 @@ SPINC_LENS_SHA256 = {
 }
 
 
+#: sha256 of the compact, key-sorted ``to_json()`` body of every fixture:
+#: the constructor derives delta_Q, and these pin it with the rest
+TO_JSON_FIXTURE_SHA256 = {
+    "circle_antipodal":
+        "bcb2722d3321ff6b39caea0cf0e1462a0fc023a9c14ae0508631e5b5ad830f1e",
+    "circle_reflection":
+        "52f7a952f90bcf9d331dba4d7b74bbf71b69c9c9fef160a30f7fc38be1923617",
+    "lens_3_1":
+        "0e95eeb69f82b9cdf47d9004f99be946c940f584305862d93f361793145cbeeb",
+    "lens_5_1":
+        "6700ce1958aeab92e39d28792cb7e373f6ba5bfc1656e5c081bbf2133a410dc0",
+    "lens_5_2":
+        "41e4beae41f8a8fc175b51ff3f3cec35d96be2d4b1a1378ebc215a57f3f2492f",
+    "lens_7_1":
+        "516efb859d8892cd0d56c57c4b1564780294e9ce33311b330f07d7e3dd2fb570",
+    "lens_7_2":
+        "c5d258e506cf755578c4ecad863a4c69187f1b5aed307c5e1daf6ba5eafacf50",
+    "point_pair":
+        "dd2785faeb310644cda7bfc6d65eea7226fa974621caa8ce9eb9a13390a40c17",
+    "s1_x_s2_rotation":
+        "015778d2c85f0f660a530b1d02cd4531ff8793e00f9efa537bae9527a933adf9",
+    "s1_x_s2_unlink_cover":
+        "8012228fd8eb657ecdd7b9a154e35645ae18e5962d45922caaa72b8955067bc1",
+    "s3_conjugation":
+        "66e9475237478276921403803266f7277a149076703fc4e9e0639516cd2ffc83",
+    "torus_hyperelliptic":
+        "3c66d9c153ce2fb716af75074c38b44c91ca99aeb049a824783aaa51be9abb3e",
+    "torus_hyperelliptic_fine":
+        "211b30c193dfe8dfdc0d592104d8aaa8d26ba8e3f8884f9e4e28ad9d2e0d0086",
+}
+
+#: the same for L(p, q), by p: the bodies for q = 0..p-1 coprime to p, one
+#: line each
+TO_JSON_LENS_SHA256 = {
+    1: "94a73ec87dbb2099307cd6149fb50cac79a31e886a7c132f76f1c6fba71c8c1e",
+    3: "6439ff94536c4279860fdf971e8a8a44cf42c24cb14793071d2de34c7ccc6a03",
+    5: "33857cd672ab0efc9547be4e5bba759c118eb6ad66069a68aa09dcb96ace4857",
+    7: "ce2b0f5bb003248304122379ff208c4c24815e6954d5b241157d0d781b1238ec",
+    9: "6e7ba63dc350d65b60df2b2ca87bef0fcfa0ad0e5243e49de3f3dba3bc8dfbf1",
+    11: "360e7c56ed4bfd1b1bdc755da7301d2fcf3ca47f92d01fc417300f85999b28a4",
+    13: "8cb4e1253f915ebe60104ba8a234817d9910ebd84f54a30e41836bbf03de00b5",
+    15: "d09ee2ce0fef74a811658ce23d8a45b29e381ca48601a6f452769bceca8aae5d",
+}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def compact_body(data) -> str:
+    return json.dumps(data.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name", sorted(TO_JSON_FIXTURE_SHA256))
+def test_fixture_body_pinned(name):
+    body = compact_body(build_fixture(name))
+    assert sha256(body) == TO_JSON_FIXTURE_SHA256[name]
+
+
+@pytest.mark.parametrize("p", sorted(TO_JSON_LENS_SHA256))
+def test_lens_body_pinned(p):
+    bodies = "".join(compact_body(lens_space(p, q)) + "\n"
+                     for q in range(p) if gcd(p, q) == 1)
+    assert sha256(bodies) == TO_JSON_LENS_SHA256[p]
 
 
 @pytest.mark.parametrize("name", sorted(SPINC_FIXTURE_SHA256))
@@ -262,6 +324,36 @@ def test_missing_file_exits_2(capsys):
     code, report = run_json(capsys, "morse", "--input", "/nonexistent.json")
     assert code == 2
     assert report["error"]["code"] == "file_not_found"
+
+
+def _write(content: bytes):
+    def make(tmp_path):
+        path = tmp_path / "body.json"
+        path.write_bytes(content)
+        return path
+    return make
+
+
+#: (id, how to make the --input path, error code, text of the message):
+#: each once ended in a traceback
+UNREADABLE_INPUTS = (
+    ("huge_int", _write(b'{"data": [[1' + b"0" * 4400 + b']]}'),
+     "malformed_json", "digits"),
+    ("not_utf8", _write(b"\xff\xfe{"), "malformed_json", ""),
+    ("directory", lambda tmp_path: tmp_path, "invalid_input", "--input"),
+)
+
+
+@pytest.mark.parametrize("make, code_name, named",
+                         [t[1:] for t in UNREADABLE_INPUTS],
+                         ids=[t[0] for t in UNREADABLE_INPUTS])
+@pytest.mark.parametrize("command", ["seifert-matrix", "flow"])
+def test_unreadable_input_exits_2(capsys, tmp_path, command, make,
+                                  code_name, named):
+    code, report = run_json(capsys, command, "--input", str(make(tmp_path)))
+    assert code == 2
+    assert report["error"]["code"] == code_name
+    assert named in report["error"]["message"]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -436,16 +528,6 @@ def test_spinc_low_dimension_is_coded_error(capsys, fixture):
     assert "dimension" in report["error"]["message"]
 
 
-def test_spinc_theta_not_chain_map_is_coded_error(capsys, monkeypatch):
-    body = lens_space(3, 1).to_json()
-    body["delta_Q"][1]["data"] = [[-x for x in row]
-                                  for row in body["delta_Q"][1]["data"]]
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(body)))
-    code, report = run_json(capsys, "spinc", "--input", "-")
-    assert code == 1
-    assert report["error"]["code"] == "not_chain_map"
-
-
 def test_module_error_object(capsys):
     code, report = run_json(capsys, "lens", "--p", "4", "--q", "2")
     assert code == 1
@@ -521,13 +603,16 @@ def test_flow_csv_rows_are_the_json_samples(capsys, tmp_path):
 @pytest.mark.parametrize("argv, flag", [
     (["psc", "--b1", "-1", "--torsion"], "b1"),
     (["brieskorn", "--family", "2,3,+1", "--k", "0"], "k"),
+    (["brieskorn", "--family", "2,3,+1", "--window=5:1"], "window"),
+    (["brieskorn", "--family", "2,3,+1", "--window=-3:-2"], "window"),
     (["index", "--c1sq", "0", "--sigma", "0", "--b1", "-5", "--bplus", "0",
       "--b0", "0"], "b1"),
     (["index", "--c1sq", "0", "--sigma", "0", "--b1", "0", "--bplus", "-2",
       "--b0", "0"], "bplus"),
     (["index", "--c1sq", "0", "--sigma", "0", "--b1", "0", "--bplus", "0",
       "--b0", "-1"], "b0"),
-], ids=["psc_b1", "brieskorn_k", "index_b1", "index_bplus", "index_b0"])
+], ids=["psc_b1", "brieskorn_k", "brieskorn_window_reversed",
+        "brieskorn_window_below", "index_b1", "index_bplus", "index_b0"])
 def test_out_of_domain_flag_exits_2(capsys, argv, flag):
     code, report = run_json(capsys, *argv)
     assert code == 2
@@ -611,8 +696,7 @@ CW_REJECTIONS = (
      "delta_Q[2]"),
     ("dd_M", _add_at("delta_M", 1), "malformed_orbit_map",
      "delta_M fails d.d=0 at degree 0"),
-    ("dd_Q", _add_at("delta_Q", 1), "malformed_orbit_map",
-     "delta_Q fails d.d=0 at degree 0"),
+    ("dd_Q", _add_at("delta_Q", 1), "not_chain_map", "degree 1"),
     ("bad_degree", _set(("orbit", 0, "cell", 0), 4), "malformed_orbit_map",
      "(4, 0): bad degree"),
     ("bad_index", _set(("orbit", 0, "cell", 1), 99), "malformed_orbit_map",

@@ -219,7 +219,7 @@ def test_bar_is_single_full_tower():
 def test_truncation_window_validation():
     spec = brieskorn_irreducibles(BrieskornInput("2,7,29"))
     assert default_truncation(spec) == (-2, 17)
-    with pytest.raises(UnknownFamily):
+    with pytest.raises(InvalidInput, match="window"):
         assemble_brieskorn_hmr(spec, truncation=(0, 5))
 
 
