@@ -112,11 +112,23 @@ def _dump(obj, pretty: bool) -> str:
 def _emit(obj, args) -> int:
     text = _dump(obj, args.pretty)
     if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
+        with _open(args.output, "--output", "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _open(path: str, flag: str, mode: str = "r", **kwargs):
+    """``open(path, mode)`` for the path given by ``flag``: a directory or
+    a path without permission is InvalidInput naming the flag, and a
+    missing file or directory stays FileNotFoundError."""
+    try:
+        return open(path, mode, **kwargs)
+    except (IsADirectoryError, PermissionError) as exc:
+        verb = "read" if mode == "r" else "written"
+        raise InvalidInput(f"{flag} {path!r} cannot be {verb}: "
+                           f"{exc.strerror}") from None
 
 
 def _load_input(args) -> dict:
@@ -126,12 +138,9 @@ def _load_input(args) -> dict:
         if args.input == "-":
             raw = sys.stdin.read()
         else:
-            with open(args.input) as fh:
+            with _open(args.input, "--input") as fh:
                 raw = fh.read()
         return json.loads(raw)
-    except (IsADirectoryError, PermissionError) as exc:
-        raise InvalidInput(f"--input {args.input!r} cannot be read: "
-                           f"{exc.strerror}") from None
     except ValueError as exc:
         raise MalformedJson(str(exc)) from None
 
@@ -250,7 +259,7 @@ def _cmd_flow(args) -> int:
     if args.samples:
         report["trajectory"] = traj.to_json(stride=args.stride)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with _open(args.csv, "--csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t"] + [f"phi{i}" for i in range(model.n)]
                             + ["s", "lambda"])

@@ -24,19 +24,26 @@ boundary-obstructed one: it lowers ``bar_gr`` by 1 while raising nothing.
 The maps i: bar -> check, j: check -> hat, p: hat -> bar are chain maps
 (p lowers the grading by one) and induce the long exact sequence relating
 the three homologies; :func:`verify_les_exact` checks exactness per grading
-by plain rank arithmetic.
+by plain rank arithmetic.  Each flavor reduces each of its gradings once,
+to its cycles and an echelon basis of its boundaries, and :func:`homology`
+and the LES check share that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import CompositionNonzero, GradingViolation, ShapeMismatch
-from .f2lin import (F2Matrix, bits, f2_block, f2_kernel_basis, f2_rank,
-                    reduced_echelon, row_masks)
+# f2_rank is unused here, but the benchmark's tracing test reads it as
+# complexes.f2_rank
+from .f2lin import (F2Matrix, bits, f2_block, f2_kernel_basis,  # noqa: F401
+                    f2_rank, reduced_echelon, row_masks)
 
 KINDS = ("o", "s", "u")
+#: the (cycles, boundaries) of a grading with no generators
+_EMPTY_LEVEL: tuple = ((), {})
 
 
 @dataclass(frozen=True)
@@ -81,50 +88,29 @@ class BlockDifferentials:
     bar_uu: F2Matrix
 
     def __post_init__(self):
-        no, ns, nu = len(self.gens_o), len(self.gens_s), len(self.gens_u)
-        expected = {
-            "d_oo": (no, no), "d_os": (ns, no),
-            "d_uo": (no, nu), "d_us": (ns, nu),
-            "bar_ss": (ns, ns), "bar_us": (ns, nu),
-            "bar_su": (nu, ns), "bar_uu": (nu, nu),
-        }
-        for name, (r, c) in expected.items():
+        # every shape first: the grading checks index by the one-positions
+        for name, tgt, src in self._named_blocks():
             m = getattr(self, name)
-            if (m.rows, m.cols) != (r, c):
-                raise ShapeMismatch(
-                    f"{name} has shape {m.rows}x{m.cols}, expected {r}x{c}"
-                )
-        self._check_gradings()
+            if (m.rows, m.cols) != (len(tgt), len(src)):
+                raise ShapeMismatch(f"{name} has shape {m.rows}x{m.cols}, "
+                                    f"expected {len(tgt)}x{len(src)}")
+        # the d blocks lower gr by one, the bar blocks lower bar_gr by one
+        for name, tgt, src in self._named_blocks():
+            grading = "bar_gr" if name.startswith("bar") else "gr"
+            for (r, c) in getattr(self, name).ones:
+                top = getattr(src[c], grading)
+                bottom = getattr(tgt[r], grading)
+                if top - bottom != 1:
+                    raise GradingViolation(
+                        f"{name}[{r},{c}] connects {grading} {top} "
+                        f"to {grading} {bottom}")
 
-    def _check_gradings(self):
-        gr_pairs = [
-            ("d_oo", self.gens_o, self.gens_o),
-            ("d_os", self.gens_s, self.gens_o),
-            ("d_uo", self.gens_o, self.gens_u),
-            ("d_us", self.gens_s, self.gens_u),
-        ]
-        for name, tgt, src in gr_pairs:
-            m = getattr(self, name)
-            for (r, c) in m.ones:
-                if src[c].gr - tgt[r].gr != 1:
-                    raise GradingViolation(
-                        f"{name}[{r},{c}] connects gr {src[c].gr} "
-                        f"to gr {tgt[r].gr}"
-                    )
-        bar_pairs = [
-            ("bar_ss", self.gens_s, self.gens_s),
-            ("bar_us", self.gens_s, self.gens_u),
-            ("bar_su", self.gens_u, self.gens_s),
-            ("bar_uu", self.gens_u, self.gens_u),
-        ]
-        for name, tgt, src in bar_pairs:
-            m = getattr(self, name)
-            for (r, c) in m.ones:
-                if src[c].bar_gr - tgt[r].bar_gr != 1:
-                    raise GradingViolation(
-                        f"{name}[{r},{c}] connects bar_gr {src[c].bar_gr} "
-                        f"to bar_gr {tgt[r].bar_gr}"
-                    )
+    def _named_blocks(self):
+        """(block name, target generators, source generators) per block."""
+        o, s, u = self.gens_o, self.gens_s, self.gens_u
+        return (("d_oo", o, o), ("d_os", s, o), ("d_uo", o, u),
+                ("d_us", s, u), ("bar_ss", s, s), ("bar_us", s, u),
+                ("bar_su", u, s), ("bar_uu", u, u))
 
     @staticmethod
     def zero(gens_o, gens_s, gens_u) -> "BlockDifferentials":
@@ -139,7 +125,12 @@ class BlockDifferentials:
 
 @dataclass(frozen=True)
 class GradedComplex:
-    """One flavor: generators with a grading, plus a degree -1 differential."""
+    """One flavor: generators with a grading, plus a degree -1 differential.
+
+    Chains are bitmasks over all generators.  Each grading is reduced once,
+    on first use of :attr:`levels`, and homology ranks and the LES check
+    read that table.
+    """
 
     name: str
     gens: tuple
@@ -149,20 +140,30 @@ class GradedComplex:
     def indices(self, j: int) -> list[int]:
         return [k for k, g in enumerate(self.gradings) if g == j]
 
-    def d_out(self, j: int) -> F2Matrix:
-        """The differential restricted to grading j (landing in j-1)."""
-        return _submatrix(self.d, self.indices(j - 1), self.indices(j))
-
-    def d_in(self, j: int) -> F2Matrix:
-        """The differential from grading j+1 landing in grading j."""
-        return _submatrix(self.d, self.indices(j), self.indices(j + 1))
-
     def cycle_matrix(self, j: int) -> list[int]:
-        """A basis of the cycles in grading j, as bitmasks over indices(j)."""
-        return f2_kernel_basis(self.d_out(j))
+        """A basis of the cycles in grading j, as bitmasks over all
+        generators."""
+        idx = self.indices(j)
+        pos = {c: k for k, c in enumerate(idx)}
+        d_j = F2Matrix(self.d.rows, len(idx), frozenset(
+            (r, pos[c]) for (r, c) in self.d.ones if c in pos))
+        units = [1 << c for c in idx]
+        return [_xor_of(units, z) for z in f2_kernel_basis(d_j)]
+
+    @cached_property
+    def levels(self) -> dict[int, tuple[list[int], dict[int, int]]]:
+        """Per grading j: the cycles Z_j, and B_j as a reduced echelon
+        basis ``{pivot: row}``.  The columns of d in grading j + 1 span
+        B_j, and they lie in grading j only because d has degree -1, which
+        :func:`assemble` guarantees."""
+        d_cols = row_masks(self.d.transpose())
+        return {j: (self.cycle_matrix(j),
+                    reduced_echelon(d_cols[c] for c in self.indices(j + 1)))
+                for j in sorted(set(self.gradings))}
 
     def homology_rank(self, j: int) -> int:
-        return len(self.cycle_matrix(j)) - f2_rank(self.d_in(j))
+        cycles, boundaries = self.levels.get(j, _EMPTY_LEVEL)
+        return len(cycles) - len(boundaries)
 
 
 @dataclass(frozen=True)
@@ -180,14 +181,6 @@ class ThreeComplexes:
                     "bar": self.bar}[name]
         except KeyError:
             raise ShapeMismatch(f"unknown flavor {name!r}") from None
-
-
-def _submatrix(m: F2Matrix, rows: Sequence[int], cols: Sequence[int]) -> F2Matrix:
-    rmap = {r: i for i, r in enumerate(rows)}
-    cmap = {c: i for i, c in enumerate(cols)}
-    ones = [(rmap[r], cmap[c]) for (r, c) in m.ones
-            if r in rmap and c in cmap]
-    return F2Matrix(len(rows), len(cols), frozenset(ones))
 
 
 def assemble(blocks: BlockDifferentials) -> ThreeComplexes:
@@ -233,7 +226,7 @@ def homology(c: ThreeComplexes, flavor: str) -> dict[int, int]:
     f = c.flavor(flavor)
     if not (f.d @ f.d).is_zero():
         raise CompositionNonzero(f"{flavor} differential does not square to 0")
-    ranks = {j: f.homology_rank(j) for j in sorted(set(f.gradings))}
+    ranks = {j: f.homology_rank(j) for j in f.levels}
     return {j: r for j, r in ranks.items() if r}
 
 
@@ -278,18 +271,23 @@ def les_maps(blocks: BlockDifferentials) -> LesMaps:
     return LesMaps(i=imat, j=jmat, p=pmat)
 
 
-def _induced_map_rank(fmat: F2Matrix, src: GradedComplex, tgt: GradedComplex,
-                      j: int, deg: int) -> int:
-    """Rank of the map H_j(src) -> H_{j+deg}(tgt) induced by fmat.
+def _induced_ranks(fmat: F2Matrix, src: GradedComplex, tgt: GradedComplex,
+                   deg: int) -> dict[int, int]:
+    """Per grading j of src, the rank of H_j(src) -> H_{j+deg}(tgt) induced
+    by fmat: rank(f(Z_j) + B_{j+deg}) - rank(B_{j+deg}).
 
-    That is rank(f(cycles) + boundaries) - rank(boundaries), on bitmasks.
+    f(Z_j) is taken in all of tgt, which is the grading j + deg part only
+    because fmat respects the gradings; :func:`les_maps` builds i, j and p
+    so that they do.
     """
-    f = _submatrix(fmat, tgt.indices(j + deg), src.indices(j))
-    f_cols = row_masks(f.transpose())
-    images = [_xor_of(f_cols, z) for z in src.cycle_matrix(j)]
-    d_in = tgt.d_in(j + deg)
-    boundaries = row_masks(d_in.transpose())
-    return len(reduced_echelon(images + boundaries)) - f2_rank(d_in)
+    f_cols = row_masks(fmat.transpose())
+    ranks = {}
+    for j, (cycles, _) in src.levels.items():
+        boundaries = tgt.levels.get(j + deg, _EMPTY_LEVEL)[1]
+        images = [_xor_of(f_cols, z) for z in cycles]
+        span = reduced_echelon([*boundaries.values(), *images])
+        ranks[j] = len(span) - len(boundaries)
+    return ranks
 
 
 def _xor_of(vectors: Sequence[int], mask: int) -> int:
@@ -300,38 +298,34 @@ def _xor_of(vectors: Sequence[int], mask: int) -> int:
     return out
 
 
-def _exact_at(middle: GradedComplex, j: int,
-              fmat: F2Matrix, src: GradedComplex, deg_f: int,
-              gmat: F2Matrix, tgt: GradedComplex, deg_g: int) -> bool:
-    """Exactness of H(src) -f-> H_j(middle) -g-> H(tgt) at grading j."""
-    rank_f = _induced_map_rank(fmat, src, middle, j - deg_f, deg_f)
-    rank_g = _induced_map_rank(gmat, middle, tgt, j, deg_g)
-    comp = _induced_map_rank(gmat @ fmat, src, tgt,
-                             j - deg_f, deg_f + deg_g)
-    if comp != 0:
-        return False
-    return rank_f + rank_g == middle.homology_rank(j)
-
-
 def verify_les_exact(c: ThreeComplexes, maps: LesMaps,
                      window: Optional[tuple[int, int]] = None) -> bool:
     """Check exactness of ... -> H(bar) -i-> H(check) -j-> H(hat) -p-> H(bar) -> ...
 
-    The two extreme gradings of the window are skipped: truncating an
-    infinite tower breaks exactness there by construction, and that is a
-    truncation artifact, not a failure of the sequence.
+    At H_j of the middle term between f and g, g . f induces zero, and
+    rank f + rank g is the rank of H_j.  The two extreme gradings of the
+    window are skipped: truncating an infinite tower breaks exactness there
+    by construction, and that is a truncation artifact, not a failure of
+    the sequence.
     """
     all_gradings = (c.check.gradings + c.hat.gradings + c.bar.gradings)
     if not all_gradings:
         return True
     lo = min(all_gradings) if window is None else window[0]
     hi = max(all_gradings) if window is None else window[1]
-    for j in range(lo + 1, hi):
-        ok = (
-            _exact_at(c.check, j, maps.i, c.bar, 0, maps.j, c.hat, 0)
-            and _exact_at(c.hat, j, maps.j, c.check, 0, maps.p, c.bar, -1)
-            and _exact_at(c.bar, j, maps.p, c.hat, -1, maps.i, c.check, 0)
-        )
-        if not ok:
-            return False
+    # arrow k runs from spaces[k] to spaces[k + 1]; the sequence has period 3
+    spaces = (c.bar, c.check, c.hat, c.bar, c.check)
+    arrows = ((maps.i, 0), (maps.j, 0), (maps.p, -1))
+    ranks = [_induced_ranks(f, spaces[k], spaces[k + 1], deg)
+             for k, (f, deg) in enumerate(arrows)]
+    for k in range(3):  # exactness at spaces[k + 1]
+        (f, deg_f), (g, deg_g) = arrows[k], arrows[(k + 1) % 3]
+        composite = _induced_ranks(g @ f, spaces[k], spaces[k + 2],
+                                   deg_f + deg_g)
+        for j in range(lo + 1, hi):
+            into = ranks[k].get(j - deg_f, 0)
+            out_of = ranks[(k + 1) % 3].get(j, 0)
+            if composite.get(j - deg_f, 0) or \
+                    into + out_of != spaces[k + 1].homology_rank(j):
+                return False
     return True

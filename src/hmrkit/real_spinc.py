@@ -88,6 +88,9 @@ class EquivariantCWData:
     theta: tuple = field(init=False, compare=False, repr=False)
     iota: tuple = field(init=False, compare=False, repr=False)
     pullback: tuple = field(init=False, compare=False, repr=False)
+    # (space, degree) -> Z^n, filled by cocycle_lattice
+    _cocycles: dict = field(init=False, compare=False, repr=False,
+                            default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "cells_M", tuple(self.cells_M))
@@ -196,6 +199,16 @@ class EquivariantCWData:
     @property
     def dim(self) -> int:
         return len(self.cells_M) - 1
+
+    def cocycle_lattice(self, space: str, n: int) -> IntMatrix:
+        """Z^n of M or Q (``space`` "M" or "Q") by :func:`cocycles`,
+        computed on first use and kept on this object."""
+        key = (space, n)
+        if key not in self._cocycles:
+            cochains = ((self.delta_M, self.cells_M) if space == "M"
+                        else (self.delta_Q, self.cells_Q))
+            self._cocycles[key] = cocycles(*cochains, n)
+        return self._cocycles[key]
 
     def to_json(self) -> dict:
         return {
@@ -377,9 +390,9 @@ def real_structure_classes(data: EquivariantCWData) -> list[int]:
     """Invariants of H^1(Q) / Im Theta: classes on a fixed line bundle,
     Z^1(Q) / (B^1(Q) + Theta Z^1(M))."""
     _require_cells(data, 1, "H^1(Q) / Im Theta")
-    m, q = (data.delta_M, data.cells_M), (data.delta_Q, data.cells_Q)
-    image = data.theta[1] @ cocycles(*m, 1)
-    return subquotient_invariants(cocycles(*q, 1),
+    q = (data.delta_Q, data.cells_Q)
+    image = data.theta[1] @ data.cocycle_lattice("M", 1)
+    return subquotient_invariants(data.cocycle_lattice("Q", 1),
                                   _hstack(coboundaries(*q, 1), image))
 
 
@@ -395,10 +408,10 @@ def real_spinc_torsor(data: EquivariantCWData) -> RealStructureCensus:
     """
     _require_cells(data, 2, "a first Chern class")
     m = (data.delta_M, data.cells_M)
-    kernel = _preimage(data.theta[2], cocycles(*m, 2),
+    kernel = _preimage(data.theta[2], data.cocycle_lattice("M", 2),
                        coboundaries(data.delta_Q, data.cells_Q, 2))
 
-    z1, b1 = cocycles(*m, 1), coboundaries(*m, 1)
+    z1, b1 = data.cocycle_lattice("M", 1), coboundaries(*m, 1)
     iota, one = data.iota[1], IntMatrix.identity(data.cells_M[1])
     invariant = _preimage(iota + one.scale(-1), z1, b1)
     return RealStructureCensus(

@@ -1,8 +1,9 @@
 """The names the benchmark harness reads from hmrkit still exist.
 
-``bench/tracing.py`` wraps the functions listed in its ``TARGETS`` and
-``bench/workloads.py`` imports hmrkit names inside its job runners, so a
-renamed or deleted name would only show when the benchmark runs.  Both
+``bench/tracing.py`` wraps the functions listed in its ``TARGETS``,
+``bench/workloads.py`` imports hmrkit names inside its job runners, and
+the harness's own tests read names such as ``complexes.f2_rank``, so a
+renamed or deleted name would only show when the benchmark runs.  These
 files are read with ``ast``, not imported.
 """
 
@@ -38,11 +39,11 @@ def _tracer_targets() -> list[tuple[str, str]]:
     return out
 
 
-def _workload_names() -> list[tuple[str, str]]:
-    """(module, name) for every ``from hmrkit... import name`` in the
-    workloads, and for every attribute read off an imported hmrkit module
+def _workload_names(name: str = "workloads.py") -> list[tuple[str, str]]:
+    """(module, name) for every ``from hmrkit... import name`` in a harness
+    file, and for every attribute read off an imported hmrkit module
     (``cw_fixtures.lens_space``)."""
-    tree = _tree("workloads.py")
+    tree = _tree(name)
     out, modules = [], {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module and \
@@ -72,6 +73,15 @@ def test_tracer_target_resolves(module, attr):
 
 @pytest.mark.parametrize("module, name", sorted(set(_workload_names())))
 def test_workload_import_exists(module, name):
+    owner = importlib.import_module(module)
+    if not hasattr(owner, name):
+        importlib.import_module(f"{module}.{name}")
+
+
+@pytest.mark.parametrize("module, name", sorted({
+    pair for path in sorted(BENCH.glob("tests/test_*.py"))
+    for pair in _workload_names(path.relative_to(BENCH).as_posix())}))
+def test_harness_test_name_exists(module, name):
     owner = importlib.import_module(module)
     if not hasattr(owner, name):
         importlib.import_module(f"{module}.{name}")

@@ -356,6 +356,40 @@ def test_unreadable_input_exits_2(capsys, tmp_path, command, make,
     assert named in report["error"]["message"]
 
 
+def _flow_body(tmp_path):
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({"L": [[-1.0, 0.0], [0.0, 2.0]],
+                                "phi0": [0.6, 0.8], "t_max": 1.0,
+                                "step": 0.01}))
+    return str(path)
+
+
+PSC_ARGV = ["psc", "--b1", "0", "--torsion"]
+#: (id, argv for a tmp_path, error code, text of the message): each
+#: directory case once ended in a traceback
+UNWRITABLE_OUTPUTS = (
+    ("output_directory", lambda tmp: [*PSC_ARGV, "--output", str(tmp)],
+     "invalid_input", "--output"),
+    ("csv_directory",
+     lambda tmp: ["flow", "--input", _flow_body(tmp), "--csv", str(tmp)],
+     "invalid_input", "--csv"),
+    ("output_missing_parent",
+     lambda tmp: [*PSC_ARGV, "--output", str(tmp / "no" / "report.json")],
+     "file_not_found", "report.json"),
+)
+
+
+@pytest.mark.parametrize("argv, code_name, named",
+                         [t[1:] for t in UNWRITABLE_OUTPUTS],
+                         ids=[t[0] for t in UNWRITABLE_OUTPUTS])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv, code_name,
+                                   named):
+    code, report = run_json(capsys, *argv(tmp_path))
+    assert code == 2
+    assert report["error"]["code"] == code_name
+    assert named in report["error"]["message"]
+
+
 @pytest.mark.parametrize("field, value", [
     ("step", 0), ("step", -0.01), ("step", float("nan")),
     ("t_max", 0), ("t_max", float("inf")),

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmrkit import complexes
 from hmrkit.complexes import (
     BlockDifferentials,
     Generator,
@@ -350,3 +353,177 @@ def test_change_of_basis_keeps_ranks_and_exactness(base, pairs, seed):
     blocks = with_acyclic_pairs(BASES[base](), pairs)
     assert ranks_and_exactness(conjugated(blocks, seed)) == \
         ranks_and_exactness(blocks)
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle for the LES checker: dense mod-2 numpy arrays
+# ---------------------------------------------------------------------------
+
+
+def dense(m):
+    out = np.zeros((m.rows, m.cols), dtype=np.uint8)
+    for r, c in m.ones:
+        out[r, c] = 1
+    return out
+
+
+def rref2(a):
+    """Reduced row echelon form of ``a`` mod 2, and its pivot columns."""
+    a, pivots = a.copy() % 2, []
+    for col in range(a.shape[1]):
+        below = np.flatnonzero(a[len(pivots):, col])
+        if not below.size:
+            continue
+        r = len(pivots)
+        a[[r, r + below[0]]] = a[[r + below[0], r]]
+        for h in np.flatnonzero(a[:, col]):
+            if h != r:
+                a[h] ^= a[r]
+        pivots.append(col)
+    return a[:len(pivots)], pivots
+
+
+def rank2(a):
+    return len(rref2(a)[1])
+
+
+def kernel2(a):
+    """A null space basis of ``a`` mod 2, as columns."""
+    red, pivots = rref2(a)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = np.zeros((a.shape[1], len(free)), dtype=np.uint8)
+    for k, f in enumerate(free):
+        basis[f, k] = 1
+        for row, p in zip(red, pivots):
+            basis[p, k] = row[f]
+    return basis
+
+
+def oracle_les_exact(c, maps, window):
+    """Exactness of the LES by dense rank arithmetic in the coordinates of
+    each grading: no hmrkit linear algebra."""
+    d = {f: (dense(c.flavor(f).d), np.array(c.flavor(f).gradings, dtype=int))
+         for f in ("check", "hat", "bar")}
+
+    def part(flavor, j):
+        return np.flatnonzero(d[flavor][1] == j)
+
+    def cycles(flavor, j):
+        dm = d[flavor][0]
+        return kernel2(dm[np.ix_(part(flavor, j - 1), part(flavor, j))])
+
+    def boundaries(flavor, j):
+        dm = d[flavor][0]
+        return dm[np.ix_(part(flavor, j), part(flavor, j + 1))]
+
+    def h_rank(flavor, j):
+        return cycles(flavor, j).shape[1] - rank2(boundaries(flavor, j))
+
+    def induced(fm, src, tgt, deg, j):
+        f_j = fm[np.ix_(part(tgt, j + deg), part(src, j))]
+        b = boundaries(tgt, j + deg)
+        return rank2(np.hstack([f_j @ cycles(src, j) % 2, b])) - rank2(b)
+
+    seq = ("bar", "check", "hat", "bar", "check")
+    arrows = ((dense(maps.i), 0), (dense(maps.j), 0), (dense(maps.p), -1))
+    for k in range(3):
+        (f, deg_f), (g, deg_g) = arrows[k], arrows[(k + 1) % 3]
+        for j in range(window[0] + 1, window[1]):
+            into = induced(f, seq[k], seq[k + 1], deg_f, j - deg_f)
+            out_of = induced(g, seq[k + 1], seq[k + 2], deg_g, j)
+            composite = induced(g @ f % 2, seq[k], seq[k + 2],
+                                deg_f + deg_g, j - deg_f)
+            if composite or into + out_of != h_rank(seq[k + 1], j):
+                return False
+    return True
+
+
+def graded_map(rng, src, tgt, deg):
+    """A random 0/1 map from src to tgt that shifts the grading by deg."""
+    return F2Matrix(len(tgt.gradings), len(src.gradings), frozenset(
+        (r, col) for r, gr in enumerate(tgt.gradings)
+        for col, gc in enumerate(src.gradings)
+        if gr == gc + deg and rng.random() < 0.5))
+
+
+def swapped_j(rng, c, maps):
+    """j composed with a swap of two check generators of one grading."""
+    gr = c.check.gradings
+    pairs = [(a, b) for a in range(len(gr)) for b in range(a)
+             if gr[a] == gr[b]]
+    if not pairs:
+        return maps.j
+    a, b = rng.choice(pairs)
+    perm = {a: b, b: a}
+    return F2Matrix(maps.j.rows, maps.j.cols, frozenset(
+        (r, perm.get(col, col)) for r, col in maps.j.ones))
+
+
+#: map name -> (source flavor, target flavor, degree)
+ARROWS = {"i": ("bar", "check", 0), "j": ("check", "hat", 0),
+          "p": ("hat", "bar", -1)}
+VARIANTS = ("intact", "zero_i", "zero_j", "zero_p", "swap_j",
+            "random_i", "random_j", "random_p")
+
+
+def broken(variant, rng, c, maps):
+    """``maps`` with one map replaced by zero, by j . swap, or by a random
+    map that respects the gradings."""
+    if variant == "intact":
+        return maps
+    kind, name = variant.split("_")
+    m = getattr(maps, name)
+    if kind == "zero":
+        m = F2Matrix.zero(m.rows, m.cols)
+    elif kind == "swap":
+        m = swapped_j(rng, c, maps)
+    else:
+        src, tgt, deg = ARROWS[name]
+        m = graded_map(rng, c.flavor(src), c.flavor(tgt), deg)
+    return LesMaps(**{"i": maps.i, "j": maps.j, "p": maps.p, name: m})
+
+
+def checker_and_oracle(blocks, variant, seed):
+    c = assemble(blocks)
+    maps = broken(variant, random.Random(seed), c, les_maps(blocks))
+    return (verify_les_exact(c, maps, window=WINDOW),
+            oracle_les_exact(c, maps, WINDOW))
+
+
+def test_les_checker_agrees_with_dense_oracle_on_every_base():
+    bases = {**BASES, "level_pair": level_pair_blocks}
+    verdicts = []
+    for base in sorted(bases):
+        for variant in VARIANTS:
+            for seed in range(3):
+                ours, oracle = checker_and_oracle(bases[base](), variant,
+                                                  seed)
+                assert ours == oracle, (base, variant, seed)
+                verdicts.append(ours)
+    assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BASES)),
+       st.lists(st.tuples(st.sampled_from("osu"), st.integers(-3, 6)),
+                max_size=6),
+       st.sampled_from(VARIANTS), st.integers(0, 2 ** 32 - 1))
+def test_les_checker_agrees_with_dense_oracle(base, pairs, variant, seed):
+    ours, oracle = checker_and_oracle(
+        with_acyclic_pairs(BASES[base](), pairs), variant, seed)
+    assert ours == oracle
+
+
+def test_each_grading_is_reduced_once(monkeypatch):
+    reduced = []
+    kernel_basis = complexes.f2_kernel_basis
+    monkeypatch.setattr(complexes, "f2_kernel_basis",
+                        lambda m: reduced.append(m) or kernel_basis(m))
+    blocks = with_acyclic_pairs(morse_pair_blocks(),
+                                [("o", 0), ("s", 2), ("u", 1), ("u", 4)])
+    c = assemble(blocks)
+    for flavor in ("check", "hat", "bar"):
+        homology(c, flavor)
+    assert verify_les_exact(c, les_maps(blocks))
+    levels = sum(len(set(f.gradings)) for f in (c.check, c.hat, c.bar))
+    assert 0 < len(reduced) <= levels

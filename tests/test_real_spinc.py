@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hmrkit import f2lin, real_spinc
 from hmrkit.cw_fixtures import FIXTURE_BUILDERS, build_fixture, lens_space
 from hmrkit.errors import (
     MalformedOrbitMap,
@@ -232,6 +233,24 @@ def test_lens_census_size(p, name):
     assert census.size() == p
     assert census.kernel_invariants == (p,)
     assert census.h1_invariants == ()
+
+
+def test_spinc_report_reduces_each_matrix_once(monkeypatch):
+    # Z^1(M) serves the torsor and the classes: one Smith form per distinct
+    # matrix in a report
+    seen = []
+    snf = f2lin.smith_normal_form
+
+    def counted(m):
+        seen.append(m.data)
+        return snf(m)
+
+    for module in (f2lin, real_spinc):
+        monkeypatch.setattr(module, "smith_normal_form", counted)
+    data = build_fixture("lens_7_2")
+    real_spinc_torsor(data)
+    real_structure_classes(data)
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_s3_census_trivial():
