@@ -32,7 +32,7 @@ from .complexes import (
 )
 from .errors import (HmrkitError, InvalidInput, MalformedJson, input_field,
                      input_float, input_int)
-from .f2lin import F2Matrix, IntMatrix
+from .f2lin import IntMatrix
 from .index_grading import TopologicalData4, closed4_index, loop_grading_shift
 from .morse_blowup import (
     BaseMorseData,
@@ -42,6 +42,7 @@ from .morse_blowup import (
     closed_form_phi,
     integrate_blowup_flow,
     limiting_eigen_index,
+    read_counts,
 )
 from .real_spinc import (
     EquivariantCWData,
@@ -204,7 +205,8 @@ def _base_points(value) -> list:
 def _cmd_morse(args) -> int:
     raw = _load_input(args)
     points = input_field(raw, "points", _base_points)
-    counts = input_field(raw, "counts", F2Matrix.from_json, None)
+    counts = input_field(raw, "counts",
+                         lambda v: read_counts(v, len(points)), None)
     shift = input_field(raw, "grading_shift", input_int, 0)
     base = BaseMorseData(
         tuple(BasePoint(label, ind_q, LinearFlowModel(fiber))

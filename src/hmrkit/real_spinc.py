@@ -48,7 +48,6 @@ from .f2lin import (
     int_det_sign_unimodular,
     int_kernel_basis,
     int_rank,
-    int_solve,
     smith_normal_form,
 )
 
@@ -371,7 +370,8 @@ def _require_cells(data: EquivariantCWData, degree: int, what: str):
 
 def admits_real_structure(data: EquivariantCWData,
                           c1: Sequence[int]) -> bool:
-    """True iff the class of Theta(c1) vanishes in H^2(Q)."""
+    """True iff the class of Theta(c1) vanishes in H^2(Q): Theta(c1) lies
+    in B^2(Q), the column lattice of delta_Q[1]."""
     _require_cells(data, 2, "a first Chern class")
     if len(c1) != data.cells_M[2]:
         raise ShapeMismatch("c1 has wrong length for the 2-cells of M")
@@ -379,11 +379,8 @@ def admits_real_structure(data: EquivariantCWData,
         if any(x != 0 for x in data.delta_M[2].mul_vec(list(c1))):
             raise NotCocycle("c1 is not closed")
     image = data.theta[2].mul_vec(list(c1))
-    if all(x == 0 for x in image):
-        return True
-    if data.cells_Q[1] == 0:
-        return False
-    return int_solve(data.delta_Q[1], image) is not None
+    rhs = IntMatrix.from_columns(len(image), [image])
+    return _diagonal_solve(smith_normal_form(data.delta_Q[1]), rhs) is not None
 
 
 def real_structure_classes(data: EquivariantCWData) -> list[int]:

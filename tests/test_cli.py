@@ -17,6 +17,8 @@ import pytest
 from hmrkit import cli
 from hmrkit.cw_fixtures import build_fixture, lens_space
 
+from test_real_spinc import time_limit
+
 
 def run_cli(capsys, *argv):
     code = cli.run(list(argv))
@@ -484,6 +486,46 @@ def test_non_integer_field_exits_2(capsys, monkeypatch, command, field,
                                    body, path, value):
     assert_edit_exits_2(capsys, monkeypatch, command, field, body, path,
                         value)
+
+
+def morse_with_counts(capsys, monkeypatch, counts):
+    """(exit code, report) of ``morse`` on MORSE_BODY with ``counts``."""
+    body = dict(MORSE_BODY, counts=counts)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(body)))
+    return run_json(capsys, "morse", "--input", "-")
+
+
+def test_morse_repeated_count_is_one_count(capsys, monkeypatch):
+    def report(ones):
+        return morse_with_counts(capsys, monkeypatch,
+                                 {"rows": 2, "cols": 2, "ones": ones})
+
+    once = report([[0, 1]])
+    assert once[0] == 0 and once != report([])
+    assert report([[0, 1], [0, 1]]) == once
+
+
+def test_morse_count_outside_its_shape(capsys, monkeypatch):
+    code, report = morse_with_counts(capsys, monkeypatch,
+                                     {"rows": 2, "cols": 2, "ones": [[2, 0]]})
+    assert code == 1
+    assert report["error"] == {"code": "shape_mismatch",
+                               "message": "entry (2,0) outside 2x2"}
+
+
+@pytest.mark.parametrize("size, ones", [(10 ** 12, []), (10 ** 12, [[0, 1]]),
+                                        (-3, [])])
+def test_morse_counts_shape_checked_before_any_allocation(
+        capsys, monkeypatch, size, ones):
+    # a declared shape sizes nothing: it is checked against the point
+    # count before any row of the matrix is built
+    with time_limit(2.0):
+        code, report = morse_with_counts(
+            capsys, monkeypatch, {"rows": size, "cols": size, "ones": ones})
+    assert code == 1
+    assert report["error"] == {
+        "code": "shape_mismatch",
+        "message": "counts shape must match point count"}
 
 
 FLOW_BODY = {"L": [[-1.0, 0.0], [0.0, 2.0]], "phi0": [0.6, 0.8],

@@ -17,6 +17,7 @@ from hmrkit.complexes import GradedComplex
 from hmrkit.f2lin import (
     F2Matrix,
     IntMatrix,
+    _diagonal_solve,
     cokernel_invariants,
     f2_block,
     f2_kernel_basis,
@@ -24,8 +25,6 @@ from hmrkit.f2lin import (
     int_det_sign_unimodular,
     int_kernel_basis,
     int_rank,
-    int_solve,
-    int_solve_many,
     smith_normal_form,
 )
 
@@ -70,7 +69,9 @@ def from_grid(grid, cols=None) -> F2Matrix:
 
 
 def to_grid(m: F2Matrix) -> list:
-    return [[m[r, c] for c in range(m.cols)] for r in range(m.rows)]
+    assert len(m.masks) == m.rows
+    assert all(0 <= mask < 1 << m.cols for mask in m.masks)
+    return [vector(mask, m.cols) for mask in m.masks]
 
 
 def vector(mask: int, n: int) -> list:
@@ -195,6 +196,21 @@ def test_bitmask_algebra_against_oracles(case):
     assert len(basis) == k - oracle_f2_rank(a)
     assert all(in_kernel(a, v, k) for v in basis)
     assert oracle_f2_rank([vector(v, k) for v in basis]) == len(basis)
+    # transpose, sum, blocks of mixed shapes and JSON, on the same grids
+    bt = [[row[j] for row in b] for j in range(c)]
+    assert to_grid(mb.transpose()) == bt
+    shifted = [row[1:] + row[:1] for row in a]
+    assert to_grid(ma + from_grid(shifted, k)) == \
+        [[(x + y) % 2 for x, y in zip(p, q)] for p, q in zip(a, shifted)]
+    btb = oracle_f2_product(bt, b, k, c)
+    block = f2_block([[ma, prod], [mb.transpose(), from_grid(btb, c)]])
+    grid = [p + q for p, q in zip(a + bt,
+                                  oracle_f2_product(a, b, k, c) + btb)]
+    assert (block.rows, block.cols) == (r + c, k + c)
+    assert to_grid(block) == grid
+    assert block.to_json()["ones"] == [[i, j] for i, row in enumerate(grid)
+                                       for j, x in enumerate(row) if x]
+    assert F2Matrix.from_json(block.to_json()) == block
 
 
 def two_step_complex(d_in: F2Matrix, d_out: F2Matrix) -> GradedComplex:
@@ -361,6 +377,28 @@ def oracle_solvable(a, b, cols: int) -> bool:
         b = [x - q * y for x, y in zip(b, pivot)]
         vecs = [v for v in vecs if v is not pivot]
     return True
+
+
+def int_solve_many(a: IntMatrix, rhs: IntMatrix):
+    """Integer solutions X of a X = rhs, or None if a column has none.
+
+    With U a V = D, X = V Y where D Y = U rhs: two products around one
+    Smith form.  The census asks only whether Y exists; the tests also
+    read X, as coordinates in a presented group.
+    """
+    assert rhs.rows == a.rows
+    snf = smith_normal_form(a)
+    y = _diagonal_solve(snf, rhs)
+    if y is None:
+        return None
+    y = tuple(y[:a.cols]) + ((0,) * rhs.cols,) * (a.cols - a.rows)
+    return snf.V @ IntMatrix(a.cols, rhs.cols, y)
+
+
+def int_solve(a: IntMatrix, b):
+    """One integer solution x of a x = b, or None when unsolvable over Z."""
+    x = int_solve_many(a, IntMatrix.from_columns(len(b), [b]))
+    return None if x is None else x.column(0)
 
 
 def oracle_rank_det(grid, cols: int) -> tuple:

@@ -22,8 +22,7 @@ from hmrkit.errors import (
     NotCoprime,
     ShapeMismatch,
 )
-from hmrkit.f2lin import (IntMatrix, cokernel_invariants, int_kernel_basis,
-                          int_solve_many)
+from hmrkit.f2lin import IntMatrix, cokernel_invariants, int_kernel_basis
 from hmrkit.real_spinc import (
     EquivariantCWData,
     OrbitEntry,
@@ -38,6 +37,9 @@ from hmrkit.real_spinc import (
     verify_naturality,
     verify_theta_chain_map,
 )
+
+# the Smith-form solve is a test oracle, kept beside its lattice-oracle test
+from test_f2lin import int_solve_many, oracle_solvable
 
 
 def complex_of(data, space="M"):
@@ -210,6 +212,21 @@ def test_s1xs2_rotation_only_trivial_admits():
     # some generator cocycles represent the nontrivial class and fail
     assert not all(admitted)
     assert admits_real_structure(data, [0] * data.cells_M[2])
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(FIXTURE_BUILDERS)
+                                  if build_fixture(n).dim >= 2])
+def test_admits_real_structure_against_lattice_oracle(name):
+    # Theta(c1) must lie in the column lattice of delta_Q[1]; Euclid on
+    # the columns decides that without a Smith form
+    data = build_fixture(name)
+    z2 = cocycles(*complex_of(data), 2)
+    grid = [list(row) for row in data.delta_Q[1].data]
+    for c1 in [z2.column(j) for j in range(z2.cols)] + \
+            [[sum(x) for x in zip(*(z2.column(j) for j in range(z2.cols)))]]:
+        image = data.theta[2].mul_vec(c1)
+        assert admits_real_structure(data, c1) == \
+            oracle_solvable(grid, image, data.cells_Q[1])
 
 
 def test_real_structure_classes():
