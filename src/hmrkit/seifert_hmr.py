@@ -12,8 +12,8 @@ Supported inputs:
 * manifolds with positive scalar curvature metrics (:func:`psc_hmr`),
   where everything is reducible and the answer is H^*(T^b1) tensored
   with a tower;
-* lens spaces (:func:`lens_hmr`), one three-sphere answer per real
-  spin-c structure;
+* lens spaces (:func:`lens_hmr`), the same three-sphere answer for
+  each of the p real spin-c structures;
 * five families of Brieskorn spheres with their branched-double-cover
   involutions, where the irreducible critical points are tabulated
   (:func:`brieskorn_irreducibles`) and cross-checked against a
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .complexes import BlockDifferentials, Generator, ThreeComplexes, assemble
@@ -118,12 +119,13 @@ def psc_hmr(b1_inv: int, torsion: bool):
 
 
 def lens_hmr(p: int, q: int):
-    """One three-sphere flavor triple per real spin-c structure of L(p, q)."""
+    """(count, triple) for L(p, q): its p real spin-c structures each carry
+    the three-sphere flavor triple."""
     if p < 1 or q < 0 or (p, q) != (1, 0) and not 0 < q < p:
         raise NotCoprime(f"invalid lens parameters ({p}, {q})")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"lens parameters ({p}, {q}) are not coprime")
-    return [psc_hmr(0, True) for _ in range(max(p, 1))]
+    return p, psc_hmr(0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +252,30 @@ class BrieskornResult:
     hat: TowerModule
     check: TowerModule
     bar: TowerModule
-    complexes: ThreeComplexes
+    spectrum: IrreducibleSpectrum
     truncation: tuple
+
+    @cached_property
+    def complexes(self) -> ThreeComplexes:
+        """The model on the truncation window, built on first read: the
+        irreducibles and the two reducible towers, every differential zero.
+        """
+        lo, hi = self.truncation
+        g0 = self.spectrum.theta_minus1_grading
+        gens_o = tuple(Generator(f"irr{g}_{i}", "o", g)
+                       for g, c in self.spectrum.counts for i in range(c))
+        gens_s = tuple(Generator(f"th{i}", "s", g0 + i)
+                       for i in range(hi - g0 + 1) if lo <= g0 + i <= hi)
+        gens_u = tuple(Generator(f"th-{j}", "u", g0 - j + 1)
+                       for j in range(1, g0 - lo + 2)
+                       if lo <= g0 - j + 1 <= hi)
+        return assemble(BlockDifferentials.zero(gens_o, gens_s, gens_u))
 
 
 def assemble_brieskorn_hmr(spec: IrreducibleSpectrum,
                            truncation: tuple | None = None
                            ) -> BrieskornResult:
-    """Build the flavor triple and a truncated explicit complex.
+    """Build the flavor triple; its truncated explicit complex is lazy.
 
     The reducible tower sits at gradings g, g+1, ... (boundary-stable
     side, g the grading shared by theta_0 and theta_-1) and g, g-1, ...
@@ -275,14 +293,6 @@ def assemble_brieskorn_hmr(spec: IrreducibleSpectrum,
                            f"contain the spectrum")
     g0 = spec.theta_minus1_grading
 
-    gens_o = tuple(Generator(f"irr{g}_{i}", "o", g)
-                   for g, c in spec.counts for i in range(c))
-    gens_s = tuple(Generator(f"th{i}", "s", g0 + i)
-                   for i in range(hi - g0 + 1) if lo <= g0 + i <= hi)
-    gens_u = tuple(Generator(f"th-{j}", "u", g0 - j + 1)
-                   for j in range(1, g0 - lo + 2) if lo <= g0 - j + 1 <= hi)
-    cx = assemble(BlockDifferentials.zero(gens_o, gens_s, gens_u))
-
     finite = dict(spec.counts)
     check = TowerModule.from_parts(finite, (Tower("up", g0 - 1),))
     bar = TowerModule.from_parts({}, (Tower("full", g0),))
@@ -290,7 +300,7 @@ def assemble_brieskorn_hmr(spec: IrreducibleSpectrum,
         hat = TowerModule(undetermined=True)
     else:
         hat = TowerModule.from_parts(finite, (Tower("down", g0),))
-    return BrieskornResult(hat, check, bar, cx, (lo, hi))
+    return BrieskornResult(hat, check, bar, spec, (lo, hi))
 
 
 def brieskorn_hmr(inp: BrieskornInput) -> BrieskornResult:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -55,6 +56,16 @@ def test_brieskorn_window_flag(capsys):
     assert report["hat"]["towers"] == [{"type": "down", "anchor": -1}]
 
 
+def test_brieskorn_wide_window_answers_at_once(capsys):
+    # the report once built the zero complex on the whole window: 5 s
+    with time_limit(2.0):
+        code, report = run_json(capsys, "brieskorn", "--family", "2,3,+1",
+                                "--window=-5:1000000")
+    assert code == 0
+    assert report["truncation"] == [-5, 1000000]
+    assert report["d_squared"] is True
+
+
 def test_brieskorn_undetermined_flag(capsys):
     code, report = run_json(capsys, "brieskorn", "--family", "2,3,-1",
                             "--k", "2")
@@ -85,6 +96,15 @@ def test_lens(capsys):
     assert report["count"] == 5
     assert report["summand"]["bar"]["towers"] == \
         [{"type": "full", "anchor": 0}]
+
+
+def test_lens_large_p_answers_at_once(capsys):
+    # the report once listed one triple per real spin-c structure, and
+    # p = 1000003 gave no answer in 20 s
+    with time_limit(2.0):
+        code, report = run_json(capsys, "lens", "--p", "1000003",
+                                "--q", "2")
+    assert code == 0 and report["count"] == 1000003
 
 
 def test_index(capsys):
@@ -581,18 +601,101 @@ def test_closed_pipe_ends_quietly():
     # stdout is a pipe whose read end is closed before the report is written
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "hmrkit.cli", "spinc", "--fixture",
-             "lens_3_1"], stdout=write_end, stderr=subprocess.PIPE, env=env,
-            timeout=60)
+             "lens_3_1"], stdout=write_end, stderr=subprocess.PIPE,
+            env=_child_env(), timeout=60)
     finally:
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 1
+
+
+def _child_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+#: (argv, stdin, exit code): an answer and a coded error of each
+#: subcommand that needs no numpy
+NUMPY_FREE_REQUESTS = [
+    (["lens", "--p", "5", "--q", "2"], "", 0),
+    (["lens", "--p", "4", "--q", "2"], "", 1),
+    (["psc", "--b1", "2", "--torsion"], "", 0),
+    (["psc", "--b1", "-1", "--torsion"], "", 2),
+    (["index", "--c1sq", "8", "--sigma", "0", "--b1", "1", "--bplus", "1",
+      "--b0", "0"], "", 0),
+    (["index", "--c1sq", "1", "--sigma", "0", "--b1", "0", "--bplus", "0",
+      "--b0", "0"], "", 1),
+    (["brieskorn", "--family", "2,5,-1", "--k", "3"], "", 0),
+    (["brieskorn", "--family", "3,4,5"], "", 1),
+    (["spinc", "--fixture", "lens_5_2"], "", 0),
+    (["spinc", "--fixture", "point_pair"], "", 1),
+    (["spinc", "--input", "-"], json.dumps(lens_space(7, 2).to_json()), 0),
+    (["spinc", "--input", "-"], "{not json", 2),
+    (["seifert-matrix", "--input", "-"], '{"data": [[-1, 1], [0, -1]]}', 0),
+    (["seifert-matrix", "--input", "-"], "{}", 2),
+]
+
+_NUMPY_FREE_CHILD = """
+import contextlib, io, json, sys
+requests = json.load(sys.stdin)
+from hmrkit import cli
+imported = sorted(m for m in sys.modules if m.startswith("hmrkit"))
+codes = []
+for argv, body in requests:
+    sys.stdin = io.StringIO(body)
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run(argv))
+print(json.dumps({"imported": imported, "codes": codes, "loaded": [
+    m for m in ("numpy", "hmrkit.morse_blowup") if m in sys.modules]}))
+"""
+
+
+def test_numpy_free_subcommands_load_no_numpy():
+    # a fresh interpreter: importing the CLI loads only what its parser
+    # needs, and only morse, flow and fixtures-selftest load numpy
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_CHILD], env=_child_env(),
+        input=json.dumps([[argv, body]
+                          for argv, body, _ in NUMPY_FREE_REQUESTS]),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["imported"] == ["hmrkit", "hmrkit.cli",
+                                  "hmrkit.cw_fixtures", "hmrkit.errors",
+                                  "hmrkit.f2lin", "hmrkit.real_spinc"]
+    assert result["codes"] == [code for *_, code in NUMPY_FREE_REQUESTS]
+    assert result["loaded"] == []
+
+
+def test_handlers_look_library_names_up_at_call_time(capsys, monkeypatch,
+                                                     tmp_path):
+    # a name rebound on its defining module (a tracer, a test double)
+    # must reach the CLI's call
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("morse_blowup.integrate_blowup_flow",
+                 "real_spinc.real_spinc_torsor", "seifert_hmr.psc_hmr"):
+        module, attr = name.split(".")
+        monkeypatch.setattr(f"hmrkit.{name}", counting(getattr(
+            importlib.import_module(f"hmrkit.{module}"), attr)))
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({"L": [[-1.0, 0.0], [0.0, 2.0]],
+                                "phi0": [0.6, 0.8], "t_max": 1.0,
+                                "step": 0.01}))
+    assert run_cli(capsys, "flow", "--input", str(path))[0] == 0
+    assert run_cli(capsys, "spinc", "--fixture", "lens_3_1")[0] == 0
+    assert run_cli(capsys, "psc", "--b1", "1", "--torsion")[0] == 0
+    assert calls == ["integrate_blowup_flow", "real_spinc_torsor", "psc_hmr"]
 
 
 @pytest.mark.parametrize("fixture", ["point_pair", "circle_antipodal",

@@ -85,11 +85,18 @@ def test_psc_rank_is_binomial_convolution(b1):
         assert bar.rank_at(g) == 2 ** b1
 
 
+def lens_triples(p: int, q: int) -> list:
+    """The list form of ``lens_hmr``: one flavor triple per real spin-c
+    structure of L(p, q)."""
+    count, triple = lens_hmr(p, q)
+    return [triple] * count
+
+
 def test_lens_copies():
-    assert len(lens_hmr(3, 1)) == 3
-    assert len(lens_hmr(5, 2)) == 5
-    assert len(lens_hmr(1, 0)) == 1
-    assert lens_hmr(3, 1)[0] == psc_hmr(0, True)
+    assert len(lens_triples(3, 1)) == 3
+    assert len(lens_triples(5, 2)) == 5
+    assert len(lens_triples(1, 0)) == 1
+    assert lens_triples(3, 1)[0] == psc_hmr(0, True)
 
 
 def test_lens_rejects_bad_input():
@@ -156,6 +163,14 @@ def test_spectrum_rejects_odd_counts():
 def test_assembled_complex_is_valid(fam, k):
     res = brieskorn_hmr(BrieskornInput(fam, k))
     assert verify_d_squared(res.complexes)
+
+
+def test_brieskorn_complexes_built_on_first_read():
+    res = brieskorn_hmr(BrieskornInput("2,3,+1", 4, (-5, 10**6)))
+    assert "complexes" not in vars(res)
+    small = brieskorn_hmr(BrieskornInput("2,3,+1", 4))
+    assert small.complexes is small.complexes
+    assert "complexes" in vars(small)
 
 
 def test_assembled_les_exact_away_from_edges():
