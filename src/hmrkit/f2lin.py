@@ -10,14 +10,18 @@ precision is mandatory); its products skip zero entries, since
 coboundaries have a few nonzeros per row.  Rank and determinant come from
 fraction-free Bareiss elimination, whose entries stay minors of the
 input; every other lattice question (kernels, cokernels, membership in a
-column lattice and subquotients) reads one Smith normal form.  Homology
-ranks, the LES check and the real spin-c census all reduce to the
-operations in this module.
+column lattice and subquotients) reads one Smith normal form.  That form
+builds its transforms U and V only for the callers that read them, and a
+unit pivot, the common case on coboundaries, clears its column with row
+operations that walk the nonzeros of its row, after which its column
+operations act on V alone.  Homology ranks, the LES check and the real
+spin-c census all reduce to the operations in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import xor
 from typing import Iterable, Sequence
 
@@ -237,9 +241,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0
-                                           for j in range(n))
-                                     for i in range(n)))
+        return IntMatrix(n, n, tuple(map(tuple, _identity_rows(n))))
 
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
@@ -304,32 +306,43 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Smith normal form U A V = D with unimodular U, V."""
+    """Smith normal form U A V = D with unimodular U, V; a transform the
+    caller did not ask for is None."""
 
-    U: IntMatrix
+    U: IntMatrix | None
     D: IntMatrix
-    V: IntMatrix
+    V: IntMatrix | None
 
     def diagonal(self) -> list[int]:
         n = min(self.D.rows, self.D.cols)
         return [self.D[i, i] for i in range(n)]
 
 
-def _smallest_entry(d: list, t: int):
+def _smallest_entry(d: list, t: int, zero: list):
     """Position of the smallest |nonzero| in the block d[t:][t:], or None.
 
-    Ties go to the first in row-major order.  The scan stops at the first
-    unit, since no later entry can be smaller.
+    Ties go to the first in row-major order, so the first unit wins.  The
+    rows from t on are zero before column t, so whole rows are searched.
+    ``zero[i]`` marks row i as found zero; a zero row stays zero under the
+    elimination, so it is not searched again.
     """
-    best, pivot = 0, None
+    rows = []
     for i in range(t, len(d)):
+        if zero[i]:
+            continue
         row = d[i]
-        for j in range(t, len(row)):
-            x = abs(row[j])
-            if x and (not best or x < best):
-                if x == 1:
-                    return (i, j)
-                best, pivot = x, (i, j)
+        if 1 in row or -1 in row:
+            return i, min(row.index(x) for x in (1, -1) if x in row)
+        if any(row):
+            rows.append(i)
+        else:
+            zero[i] = True
+    best, pivot = 0, None
+    for i in rows:
+        row = d[i]
+        x = min(abs(y) for y in row if y)
+        if not best or x < best:
+            best, pivot = x, (i, [abs(y) for y in row].index(x))
     return pivot
 
 
@@ -343,56 +356,92 @@ def _indivisible_row(d: list, t: int):
                  if any(x % p for x in d[i][t + 1:])), None)
 
 
-def smith_normal_form(a: IntMatrix) -> SNFResult:
-    """Smith normal form over Z with transform tracking.
+def _nonzeros(row: list) -> list:
+    """The (column, value) pairs of the nonzero entries of ``row``."""
+    return list(compress(enumerate(row), row))
+
+
+def _add_multiple(dst: list, src: list, k: int) -> None:
+    """dst += k * src, where src is listed by its nonzeros."""
+    for j, x in src:
+        dst[j] += k * x
+
+
+def _identity_rows(n: int) -> list:
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
+def smith_normal_form(a: IntMatrix, *, want_u: bool = True,
+                      want_v: bool = True) -> SNFResult:
+    """Smith normal form over Z, with U and V built only when wanted.
 
     The pivot at each stage is the nonzero entry of smallest absolute
     value (ties broken by lowest row, then column index), which keeps the
     reduction deterministic across runs.  Diagonal entries are normalized
-    nonnegative with d_i | d_{i+1}.
+    nonnegative with d_i | d_{i+1}.  A unit pivot clears its column with
+    row operations that walk the nonzeros of its row; the column is then
+    zero below it, so its column operations clear row t of D and act on
+    V alone.  Other pivots take Euclid steps, with a divisibility fix-up
+    of the trailing block.  V is kept transposed, so that a column
+    operation on it walks one row.  ``want_u`` / ``want_v`` false returns
+    None for that transform; D and the other transform are unchanged.
     """
     m, n = a.rows, a.cols
     d = [list(row) for row in a.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = _identity_rows(m) if want_u else None
+    vt = _identity_rows(n) if want_v else None  # row j: column j of V
+    zero = [False] * m  # rows found zero by _smallest_entry
+    t = 0
 
+    # the rows before t are zero from column t on, so the column
+    # operations below skip them
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+        zero[i], zero[j] = zero[j], zero[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in d:
+        for row in d[t:]:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if vt is not None:
+            vt[i], vt[j] = vt[j], vt[i]
 
     def add_row(src, dst, k):  # row[dst] += k * row[src]
-        for rows in (d, u):
-            row = rows[dst]
-            for j, x in enumerate(rows[src]):
-                if x:
-                    row[j] += k * x
+        _add_multiple(d[dst], _nonzeros(d[src]), k)
+        if u is not None:
+            _add_multiple(u[dst], _nonzeros(u[src]), k)
 
     def add_col(src, dst, k):  # col[dst] += k * col[src]
-        for row in d:
+        for row in d[t:]:
             if row[src]:
                 row[dst] += k * row[src]
-        for row in v:
-            if row[src]:
-                row[dst] += k * row[src]
+        if vt is not None:
+            _add_multiple(vt[dst], _nonzeros(vt[src]), k)
 
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+    def unit_pivot(p):
+        # row operations clear column t, walking the nonzeros of row t
+        row_d = _nonzeros(d[t])
+        row_u = _nonzeros(u[t]) if u is not None else ()
+        for i in range(t + 1, m):
+            k = -d[i][t] * p
+            if k:
+                _add_multiple(d[i], row_d, k)
+                if u is not None:
+                    _add_multiple(u[i], row_u, k)
+        # the column operations now change only row t of D
+        if vt is not None:
+            row_v = _nonzeros(vt[t])
+            for j, x in row_d:
+                if j != t:
+                    _add_multiple(vt[j], row_v, -x * p)
+        d[t] = [0] * n
+        d[t][t] = p
 
-    t = 0
-    while t < min(m, n):
-        pivot = _smallest_entry(d, t)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        swap_rows(t, pi)
-        swap_cols(t, pj)
+    def euclid():
         # clear the pivot row and column; restart whenever a remainder
         # appears since it may be a smaller pivot
         while True:
@@ -412,19 +461,34 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
                         swap_cols(t, j)
                         dirty = True
             if not dirty:
-                break
-        # force divisibility of the trailing block by the pivot
-        i = _indivisible_row(d, t)
-        if i is not None:
-            add_row(i, t, 1)
-            continue
+                return
+
+    while t < min(m, n):
+        pivot = _smallest_entry(d, t, zero)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        if d[t][t] in (1, -1):
+            unit_pivot(d[t][t])
+        else:
+            euclid()
+            # force divisibility of the trailing block by the pivot
+            i = _indivisible_row(d, t)
+            if i is not None:
+                add_row(i, t, 1)
+                continue
         if d[t][t] < 0:
-            negate_row(t)
+            d[t][t] = -d[t][t]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
         t += 1
 
-    return SNFResult(IntMatrix(m, m, tuple(map(tuple, u))),
-                     IntMatrix(m, n, tuple(map(tuple, d))),
-                     IntMatrix(n, n, tuple(map(tuple, v))))
+    return SNFResult(
+        None if u is None else IntMatrix(m, m, tuple(map(tuple, u))),
+        IntMatrix(m, n, tuple(map(tuple, d))),
+        None if vt is None else IntMatrix(n, n, tuple(zip(*vt))))
 
 
 def _bareiss(a: IntMatrix) -> tuple[int, int]:
@@ -476,7 +540,7 @@ def cokernel_invariants(a: IntMatrix) -> list[int]:
     Returns the d_i > 1 from the Smith form followed by one 0 per free
     factor.  Trivial factors (d_i = 1) are dropped.
     """
-    diag = smith_normal_form(a).diagonal()
+    diag = smith_normal_form(a, want_u=False, want_v=False).diagonal()
     r = sum(1 for x in diag if x != 0)
     torsion = [x for x in diag if x > 1]
     free = a.rows - r
@@ -489,7 +553,7 @@ def int_kernel_basis(a: IntMatrix) -> list[list[int]]:
     The columns of V beyond the rank of D span the kernel over Z (they do
     so saturatedly because V is unimodular).
     """
-    snf = smith_normal_form(a)
+    snf = smith_normal_form(a, want_u=False)
     diag = snf.diagonal()
     r = sum(1 for x in diag if x != 0)
     return [snf.V.column(j) for j in range(r, a.cols)]

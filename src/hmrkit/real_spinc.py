@@ -325,7 +325,7 @@ def subquotient_invariants(gens: IntMatrix, rels: IntMatrix) -> list[int]:
     of gens onto Z^r, so the answer is the cokernel of the first r rows of
     D^-1 U rels.  The relation columns must lie in the generator span.
     """
-    snf = smith_normal_form(gens)
+    snf = smith_normal_form(gens, want_v=False)
     y = _diagonal_solve(snf, rels)
     if y is None:
         raise ShapeMismatch("relations do not lie in the generator span")
@@ -380,7 +380,8 @@ def admits_real_structure(data: EquivariantCWData,
             raise NotCocycle("c1 is not closed")
     image = data.theta[2].mul_vec(list(c1))
     rhs = IntMatrix.from_columns(len(image), [image])
-    return _diagonal_solve(smith_normal_form(data.delta_Q[1]), rhs) is not None
+    snf = smith_normal_form(data.delta_Q[1], want_v=False)
+    return _diagonal_solve(snf, rhs) is not None
 
 
 def real_structure_classes(data: EquivariantCWData) -> list[int]:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .complexes import BlockDifferentials, Generator, ThreeComplexes, assemble
 from .errors import InvalidInput, NotCoprime, UnknownFamily
 
 TOWER_KINDS = ("down", "up", "full")
@@ -256,10 +255,15 @@ class BrieskornResult:
     truncation: tuple
 
     @cached_property
-    def complexes(self) -> ThreeComplexes:
-        """The model on the truncation window, built on first read: the
+    def complexes(self):
+        """The model on the truncation window, a
+        :class:`hmrkit.complexes.ThreeComplexes` built on first read: the
         irreducibles and the two reducible towers, every differential zero.
+        ``hmrkit.complexes`` is imported here, so that the other answers
+        of this module do not load it.
         """
+        from .complexes import BlockDifferentials, Generator, assemble
+
         lo, hi = self.truncation
         g0 = self.spectrum.theta_minus1_grading
         gens_o = tuple(Generator(f"irr{g}_{i}", "o", g)

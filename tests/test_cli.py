@@ -650,13 +650,15 @@ for argv, body in requests:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.run(argv))
 print(json.dumps({"imported": imported, "codes": codes, "loaded": [
-    m for m in ("numpy", "hmrkit.morse_blowup") if m in sys.modules]}))
+    m for m in ("numpy", "hmrkit.morse_blowup", "hmrkit.complexes")
+    if m in sys.modules]}))
 """
 
 
 def test_numpy_free_subcommands_load_no_numpy():
     # a fresh interpreter: importing the CLI loads only what its parser
-    # needs, and only morse, flow and fixtures-selftest load numpy
+    # needs, only morse, flow and fixtures-selftest load numpy, and no
+    # answer here (lens and psc included) loads hmrkit.complexes
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_FREE_CHILD], env=_child_env(),
         input=json.dumps([[argv, body]

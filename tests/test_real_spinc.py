@@ -39,7 +39,8 @@ from hmrkit.real_spinc import (
 )
 
 # the Smith-form solve is a test oracle, kept beside its lattice-oracle test
-from test_f2lin import int_solve_many, oracle_solvable
+from test_f2lin import (int_solve_many, oracle_smith_normal_form,
+                         oracle_solvable)
 
 
 def complex_of(data, space="M"):
@@ -258,9 +259,9 @@ def test_spinc_report_reduces_each_matrix_once(monkeypatch):
     seen = []
     snf = f2lin.smith_normal_form
 
-    def counted(m):
+    def counted(m, **kwargs):
         seen.append(m.data)
-        return snf(m)
+        return snf(m, **kwargs)
 
     for module in (f2lin, real_spinc):
         monkeypatch.setattr(module, "smith_normal_form", counted)
@@ -268,6 +269,41 @@ def test_spinc_report_reduces_each_matrix_once(monkeypatch):
     real_spinc_torsor(data)
     real_structure_classes(data)
     assert seen and len(seen) == len(set(seen))
+
+
+#: a spinc report's spaces whose Smith forms are checked against the
+#: oracle: a fixture and L(p, q) for every odd p <= 13
+ORACLE_SPACES = ["lens_7_2"] + [(p, q) for p in range(3, 14, 2)
+                                for q in range(1, p) if gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=str)
+def test_snf_matches_oracle_on_census_inputs(monkeypatch, space):
+    # every Smith form of a spinc report, plus the existence check, gives
+    # the oracle's U, D and V, and each call site gets the same D and the
+    # transforms it asked for
+    calls = []
+    snf = f2lin.smith_normal_form
+
+    def recorded(m, **kwargs):
+        calls.append((m, kwargs))
+        return snf(m, **kwargs)
+
+    for module in (f2lin, real_spinc):
+        monkeypatch.setattr(module, "smith_normal_form", recorded)
+    data = build_fixture(space) if isinstance(space, str) \
+        else lens_space(*space)
+    real_spinc_torsor(data)
+    real_structure_classes(data)
+    assert admits_real_structure(data, [0] * data.cells_M[2])
+    assert calls
+    for m, kwargs in calls:
+        old = oracle_smith_normal_form(m)
+        assert snf(m) == old
+        res = snf(m, **kwargs)
+        assert res.D == old.D
+        assert res.U == (old.U if kwargs.get("want_u", True) else None)
+        assert res.V == (old.V if kwargs.get("want_v", True) else None)
 
 
 def test_s3_census_trivial():
