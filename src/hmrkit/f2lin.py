@@ -272,16 +272,14 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch("multiplication shape mismatch")
-        right = [[(j, x) for j, x in enumerate(row) if x]
-                 for row in other.data]
+        right = [_nonzeros(row) for row in other.data]
         n = other.cols
         out = []
         for row in self.data:
             acc = [0] * n
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in right[k]:
-                        acc[j] += a * b
+            for k, a in compress(enumerate(row), row):
+                for j, b in right[k]:
+                    acc[j] += a * b
             out.append(tuple(acc))
         return IntMatrix(self.rows, n, tuple(out))
 
@@ -566,7 +564,10 @@ def _diagonal_solve(snf: SNFResult, rhs: IntMatrix):
     y = []
     for i, row in enumerate((snf.U @ rhs).data):
         di = diag[i] if i < len(diag) else 0
-        if any(x % di for x in row) if di else any(row):
+        if di == 1:
+            y.append(row)
+        elif any(x % di for x in row) if di else any(row):
             return None
-        y.append(tuple(x // di for x in row) if di else row)
+        else:
+            y.append(tuple(x // di for x in row) if di else row)
     return y

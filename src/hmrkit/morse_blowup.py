@@ -20,9 +20,13 @@ the supplied base trajectory counts.
 The flow is integrated on its linear lift psi' = -L psi: phi = psi / |psi|,
 and s = s0 |psi(t)| / |psi(0)| because d/dt log|psi| = -Lambda(phi).  One
 classical RK4 step of the lift is the fixed matrix P(h) = sum_{k<=4}
-(-hL)^k / k!, so a step is one matrix-vector product and a
-renormalization.  The step h must satisfy h max|lambda| <= 1.5, inside the
-range h lambda < 1.596 where P keeps the eigenmodes in order.
+(-hL)^k / k!.  The integrator advances in blocks of BLOCK_STEPS = 8: one
+product with the stacked powers [P - I; P^2 - I; ...; P^8 - I] gives the
+next eight lifts P^j phi, each renormalized to phi_j, with
+s_j = s |P^j phi| since phi is a unit vector.  The convergence rule still reads every step, and the
+trajectory ends at the step where it fires.  The step h must satisfy
+h max|lambda| <= 1.5, inside the range h lambda < 1.596 where P keeps the
+eigenmodes in order.
 ``closed_form_phi`` uses the eigendata and serves as the independent
 oracle; the integrator builds P from L alone.
 """
@@ -51,6 +55,8 @@ MAX_STEP_SPECTRAL = 1.5
 #: eigenvalues within 10 * SPECTRAL_TOLERANCE * max(1, max|eigenvalue|)
 #: of zero or of each other make the spectrum degenerate
 SPECTRAL_TOLERANCE = 1e-10
+#: steps advanced by one product with the stacked powers of the RK4 step
+BLOCK_STEPS = 8
 #: sample rows allocated up front; the buffer doubles as steps are taken
 _INITIAL_ROWS = 1024
 
@@ -258,11 +264,15 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
     The lift psi' = -L psi projects to the flow of phi = psi / |psi|, and
     d/dt log|psi| = -Lambda(phi), so s(t) = s0 |psi(t)| / |psi(0)| needs no
     ODE of its own.  One RK4 step of the lift is the fixed matrix
-    P(h) = sum_{k<=4} (-hL)^k / k!, built once from L alone.  Each step
-    maps phi to P phi, renormalizes it to the unit sphere and multiplies s
-    by the norm it removed.  Integration stops early once
+    P(h) = sum_{k<=4} (-hL)^k / k!, built once from L alone together with
+    its stacked powers [P - I; P^2 - I; ...; P^B - I], B = BLOCK_STEPS.  A
+    block of up to B steps is one product with that stack: step j of the
+    block is phi_j = P^j phi / |P^j phi| and s_j = s |P^j phi|, with phi
+    the unit vector the block starts from.  Integration stops early once
     ||phi'|| = ||L phi - Lambda(phi) phi|| stays below the convergence
-    threshold for 100 consecutive steps.
+    threshold for 100 consecutive steps; every step of a block is checked,
+    and the trajectory ends at the step where the rule fires, not at the
+    end of its block.
 
     ``t_max`` and ``step`` must be finite and positive (InvalidInput).
     ``step`` times the largest |eigenvalue| must not exceed
@@ -296,6 +306,14 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
     prop = eye + a / 4.0
     for j in (3.0, 2.0, 1.0):  # Horner form of the degree-4 Taylor sum
         prop = eye + (a / j) @ prop
+    # [P - I; P^2 - I; ...; P^B - I], (B n) x n.  The offsets round
+    # relative to their own small size, not to I: stacked P^j drifted up
+    # to 1e-11 from stepping by P on flows that settle slowly.
+    offset = prop - eye
+    powers = [offset]
+    for _ in range(BLOCK_STEPS - 1):
+        powers.append(offset + powers[-1] + offset @ powers[-1])
+    stacked = np.concatenate(powers)
     # one row per sample: phi, then s, then Lambda(phi)
     rows = min(nsteps, _INITIAL_ROWS) + 1
     samples = np.empty((rows, n + 2))
@@ -306,29 +324,37 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
     quiet = 0
     converged = False
     k = 0
-    for k in range(1, nsteps + 1):
-        psi = prop @ phi
-        norm = math.sqrt(psi @ psi)
-        phi = psi / norm
-        s *= norm
-        lphi = L @ phi
-        lam = phi @ lphi
-        if k == rows:
+    while k < nsteps and not converged:
+        b = min(BLOCK_STEPS, nsteps - k)
+        if k + b >= rows:
             rows = min(2 * rows, nsteps + 1)
             grown = np.empty((rows, n + 2))
-            grown[:k] = samples
+            grown[:k + 1] = samples[:k + 1]
             samples = grown
-        samples[k, :n] = phi
-        samples[k, n] = s
-        samples[k, n + 1] = lam
-        residual = lphi - lam * phi
-        if math.sqrt(residual @ residual) < CONVERGENCE_SPEED:
-            quiet += 1
+        # phi is a unit vector, so |P^j phi| is the whole growth of |psi|
+        # over the first j steps of the block
+        psi = (stacked[:b * n] @ phi).reshape(b, n)
+        psi += phi  # P^j phi = phi + (P^j - I) phi
+        norms = np.sqrt(np.einsum("ij,ij->i", psi, psi))
+        phis = psi / norms[:, None]
+        lphis = phis @ L.T  # row j is L phi_j
+        lams = np.einsum("ij,ij->i", phis, lphis)
+        residual = lphis - lams[:, None] * phis
+        quiet_flags = np.einsum("ij,ij->i", residual, residual) \
+            < CONVERGENCE_SPEED ** 2
+        block = samples[k + 1:k + b + 1]
+        block[:, :n] = phis
+        block[:, n] = s * norms
+        block[:, n + 1] = lams
+        for j, flag in enumerate(quiet_flags.tolist(), start=1):
+            quiet = quiet + 1 if flag else 0
             if quiet >= CONVERGENCE_STEPS:
                 converged = True
+                b = j
                 break
-        else:
-            quiet = 0
+        k += b
+        phi = phis[b - 1]
+        s = float(block[b - 1, n])
     samples = samples[:k + 1]
     return FlowTrajectory(np.arange(k + 1) * step, samples[:, :n],
                           samples[:, n], samples[:, n + 1], converged)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -12,11 +13,14 @@ from hmrkit.errors import (DegenerateSpectrum, InvalidInput, ShapeMismatch,
                            StepTooLarge)
 from hmrkit.f2lin import F2Matrix
 from hmrkit.morse_blowup import (
+    _INITIAL_ROWS,
+    BLOCK_STEPS,
     CONVERGENCE_SPEED,
     CONVERGENCE_STEPS,
     MAX_STEP_SPECTRAL,
     BaseMorseData,
     BasePoint,
+    FlowTrajectory,
     LinearFlowModel,
     blowup_critical_points,
     build_model_complexes,
@@ -329,3 +333,165 @@ def test_linear_lift_matches_reference_leaving_a_saddle():
     assert_matches_reference(LinearFlowModel(np.diag([-1.0, 2.0])),
                              np.array([eps, np.sqrt(1.0 - eps * eps)]),
                              0.5, t_max=20.0, step=1e-3)
+
+
+# -- oracle: the integrator one RK4 step per iteration -----------------------
+# integrate_blowup_flow as it stood before block stepping, kept verbatim
+# apart from its name.  Block stepping forms P^j phi in one product instead
+# of j renormalized steps, so samples may differ in the last digits but
+# step counts and convergence must not.
+
+
+def oracle_integrate_stepwise(model: LinearFlowModel, phi0, s0: float,
+                              t_max: float, step: float) -> FlowTrajectory:
+    """Integrate the blown-up flow by classical RK4 on its linear lift.
+
+    The lift psi' = -L psi projects to the flow of phi = psi / |psi|, and
+    d/dt log|psi| = -Lambda(phi), so s(t) = s0 |psi(t)| / |psi(0)| needs no
+    ODE of its own.  One RK4 step of the lift is the fixed matrix
+    P(h) = sum_{k<=4} (-hL)^k / k!, built once from L alone.  Each step
+    maps phi to P phi, renormalizes it to the unit sphere and multiplies s
+    by the norm it removed.  Integration stops early once
+    ||phi'|| = ||L phi - Lambda(phi) phi|| stays below the convergence
+    threshold for 100 consecutive steps.
+
+    ``t_max`` and ``step`` must be finite and positive (InvalidInput).
+    ``step`` times the largest |eigenvalue| must not exceed
+    MAX_STEP_SPECTRAL (StepTooLarge).  Sample storage grows with the steps
+    actually taken, not with t_max / step.
+    """
+    phi = np.asarray(phi0, dtype=float)
+    if phi.shape != (model.n,):
+        raise ShapeMismatch("phi0 has wrong dimension")
+    if abs(np.linalg.norm(phi) - 1.0) > 1e-9:
+        raise ShapeMismatch("phi0 must be a unit vector")
+    if s0 < 0:
+        raise ShapeMismatch("s0 must be nonnegative")
+    for name, value in (("t_max", t_max), ("step", step)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidInput(f"{name} must be finite and positive, "
+                               f"got {value!r}")
+    if not math.isfinite(t_max / step):
+        raise InvalidInput("t_max / step overflows")
+    spectral = step * float(np.max(np.abs(model.eigenvalues)))
+    if spectral > MAX_STEP_SPECTRAL:
+        raise StepTooLarge(
+            f"step * max|eigenvalue| = {spectral:.4g} exceeds "
+            f"{MAX_STEP_SPECTRAL}; reduce the step size"
+        )
+    L = model.L
+    n = model.n
+    nsteps = int(round(t_max / step))
+    eye = np.eye(n)
+    a = -step * L
+    prop = eye + a / 4.0
+    for j in (3.0, 2.0, 1.0):  # Horner form of the degree-4 Taylor sum
+        prop = eye + (a / j) @ prop
+    # one row per sample: phi, then s, then Lambda(phi)
+    rows = min(nsteps, _INITIAL_ROWS) + 1
+    samples = np.empty((rows, n + 2))
+    s = float(s0)
+    samples[0, :n] = phi
+    samples[0, n] = s
+    samples[0, n + 1] = phi @ L @ phi
+    quiet = 0
+    converged = False
+    k = 0
+    for k in range(1, nsteps + 1):
+        psi = prop @ phi
+        norm = math.sqrt(psi @ psi)
+        phi = psi / norm
+        s *= norm
+        lphi = L @ phi
+        lam = phi @ lphi
+        if k == rows:
+            rows = min(2 * rows, nsteps + 1)
+            grown = np.empty((rows, n + 2))
+            grown[:k] = samples
+            samples = grown
+        samples[k, :n] = phi
+        samples[k, n] = s
+        samples[k, n + 1] = lam
+        residual = lphi - lam * phi
+        if math.sqrt(residual @ residual) < CONVERGENCE_SPEED:
+            quiet += 1
+            if quiet >= CONVERGENCE_STEPS:
+                converged = True
+                break
+        else:
+            quiet = 0
+    samples = samples[:k + 1]
+    return FlowTrajectory(np.arange(k + 1) * step, samples[:, :n],
+                          samples[:, n], samples[:, n + 1], converged)
+
+
+def assert_matches_stepwise(model, phi0, s0, t_max, step, tol=1e-12):
+    want = oracle_integrate_stepwise(model, phi0, s0, t_max, step)
+    got = integrate_blowup_flow(model, phi0, s0, t_max, step)
+    assert len(got.times) == len(want.times)
+    assert got.converged == want.converged
+    assert np.array_equal(got.times, want.times)
+    assert np.max(np.abs(got.phis - want.phis)) <= tol
+    assert np.max(np.abs(got.lambdas - want.lambdas)) <= tol
+    scale = np.where(want.ss > 0, want.ss, 1.0)
+    assert np.max(np.abs(got.ss - want.ss) / scale) <= tol
+    return got
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20261017])
+def test_block_stepping_matches_stepwise_oracle(seed):
+    # the bench flow distribution: criterion-3 spectra for n = 2..6 and a
+    # wide spectrum for n = 8..16, t_max 40 at step 2e-3
+    rng = np.random.default_rng(seed)
+    sizes = [2, 3, 4, 5, 6] + [int(rng.integers(8, 17)) for _ in range(2)]
+    for n in sizes:
+        model = criterion3_model(rng, n) if n <= 6 else wide_model(rng, n)
+        phi0 = rng.standard_normal(n)
+        phi0 /= np.linalg.norm(phi0)
+        traj = assert_matches_stepwise(model, phi0,
+                                       float(rng.uniform(0.0, 1.0)),
+                                       t_max=40.0, step=2e-3)
+        assert traj.converged
+
+
+@pytest.mark.parametrize("nsteps", [0, 3, BLOCK_STEPS, 1025, 1029, 2053])
+def test_block_boundaries_match_stepwise_oracle(nsteps):
+    # no step, fewer steps than one block, an exact block, and step counts
+    # that are not multiples of the block and reach past the buffer's
+    # 1025 rows (one step past, exactly) and its 2050 rows (a block spans
+    # the doubling); none of them converges, so every step is taken
+    m = LinearFlowModel(np.diag([-1.0, 0.5, 2.0]))
+    phi0 = np.array([0.6, 0.0, 0.8])
+    traj = assert_matches_stepwise(m, phi0, 0.5, t_max=nsteps * 1e-3 + 1e-4,
+                                   step=1e-3)
+    assert not traj.converged
+    assert len(traj.times) == nsteps + 1
+
+
+def test_convergence_mid_block_ends_at_the_quiet_step():
+    # at an eigenvector every step is quiet, so the rule fires at step 100,
+    # halfway through the block of steps 97..104
+    assert CONVERGENCE_STEPS % BLOCK_STEPS
+    m = LinearFlowModel(np.diag([-1.0, 2.0, 3.0]))
+    w2 = m.eigenvectors[:, 1]
+    traj = assert_matches_stepwise(m, w2, 0.5, t_max=2.0, step=1e-3)
+    assert traj.converged
+    assert len(traj.times) == CONVERGENCE_STEPS + 1
+    # a generic start: the quiet run begins mid-flow and ends mid-block
+    traj = assert_matches_stepwise(m, np.array([0.6, 0.0, 0.8]), 1.0,
+                                   t_max=20.0, step=1e-3)
+    assert traj.converged
+    assert (len(traj.times) - 1) % BLOCK_STEPS
+
+
+@pytest.mark.parametrize("stride", [1, 7, 10, 100, 1000])
+def test_to_json_stride_ends_on_last_sample(stride):
+    m = LinearFlowModel(np.diag([-1.0, 2.0, 3.0]))
+    traj = integrate_blowup_flow(m, m.eigenvectors[:, 1], 0.5,
+                                 t_max=2.0, step=1e-3)
+    samples = traj.to_json(stride)["samples"]
+    assert samples[-1]["t"] == float(traj.times[-1])
+    assert samples[-1]["phi"] == traj.terminal_phi.tolist()
+    assert samples[-1]["lambda"] == traj.terminal_lambda
+    assert [x["t"] for x in samples[:-1]] == \
+        traj.times[::stride][:len(samples) - 1].tolist()
