@@ -125,7 +125,8 @@ class BlockDifferentials:
 
 @dataclass(frozen=True)
 class GradedComplex:
-    """One flavor: generators with a grading, plus a degree -1 differential.
+    """One flavor: the grading of each generator, plus a degree -1
+    differential.
 
     Chains are bitmasks over all generators.  The columns of d are read
     once, on first use of :attr:`columns`, and each grading is reduced
@@ -133,8 +134,6 @@ class GradedComplex:
     read those two tables.
     """
 
-    name: str
-    gens: tuple
     gradings: tuple  # integer grading per generator (gr or bar_gr)
     d: F2Matrix
 
@@ -207,17 +206,13 @@ def assemble(blocks: BlockDifferentials) -> ThreeComplexes:
         [b.bar_ss, b.bar_us],
         [b.bar_su, b.bar_uu],
     ])
-    check_gens = b.gens_o + b.gens_s
-    hat_gens = b.gens_o + b.gens_u
-    bar_gens = b.gens_s + b.gens_u
     return ThreeComplexes(
         blocks=b,
-        check=GradedComplex("check", check_gens,
-                            tuple(g.gr for g in check_gens), check_d),
-        hat=GradedComplex("hat", hat_gens,
-                          tuple(g.gr for g in hat_gens), hat_d),
-        bar=GradedComplex("bar", bar_gens,
-                          tuple(g.bar_gr for g in bar_gens), bar_d),
+        check=GradedComplex(tuple(g.gr for g in b.gens_o + b.gens_s),
+                            check_d),
+        hat=GradedComplex(tuple(g.gr for g in b.gens_o + b.gens_u), hat_d),
+        bar=GradedComplex(tuple(g.bar_gr for g in b.gens_s + b.gens_u),
+                          bar_d),
     )
 
 

@@ -11,11 +11,12 @@ coboundaries have a few nonzeros per row.  Rank and determinant come from
 fraction-free Bareiss elimination, whose entries stay minors of the
 input; every other lattice question (kernels, cokernels, membership in a
 column lattice and subquotients) reads one Smith normal form.  That form
-builds its transforms U and V only for the callers that read them, and a
-unit pivot, the common case on coboundaries, clears its column with row
-operations that walk the nonzeros of its row, after which its column
-operations act on V alone.  Homology ranks, the LES check and the real
-spin-c census all reduce to the operations in this module.
+builds D and, when asked, the column transform V; the row transform U of
+A that a solve needs is read as the transposed V of the Smith form of
+A^T.  A unit pivot, the common case on coboundaries, clears its column
+with row operations that walk the nonzeros of its row, after which its
+column operations act on V alone.  Homology ranks, the LES check and the
+real spin-c census all reduce to the operations in this module.
 """
 
 from __future__ import annotations
@@ -258,9 +259,8 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.data[r][c]
-                                     for r in range(self.rows))
-                               for c in range(self.cols)))
+                         tuple(zip(*self.data)) if self.rows
+                         else ((),) * self.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -304,10 +304,10 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Smith normal form U A V = D with unimodular U, V; a transform the
-    caller did not ask for is None."""
+    """Smith normal form U A V = D with unimodular U, V: D, and V or None
+    when the caller did not ask for it.  U is not kept; the transposed V
+    of the Smith form of A^T is a U for A with the same diagonal."""
 
-    U: IntMatrix | None
     D: IntMatrix
     V: IntMatrix | None
 
@@ -372,9 +372,8 @@ def _identity_rows(n: int) -> list:
     return rows
 
 
-def smith_normal_form(a: IntMatrix, *, want_u: bool = True,
-                      want_v: bool = True) -> SNFResult:
-    """Smith normal form over Z, with U and V built only when wanted.
+def smith_normal_form(a: IntMatrix, *, want_v: bool = True) -> SNFResult:
+    """Smith normal form over Z: D, and V only when wanted.
 
     The pivot at each stage is the nonzero entry of smallest absolute
     value (ties broken by lowest row, then column index), which keeps the
@@ -384,12 +383,12 @@ def smith_normal_form(a: IntMatrix, *, want_u: bool = True,
     zero below it, so its column operations clear row t of D and act on
     V alone.  Other pivots take Euclid steps, with a divisibility fix-up
     of the trailing block.  V is kept transposed, so that a column
-    operation on it walks one row.  ``want_u`` / ``want_v`` false returns
-    None for that transform; D and the other transform are unchanged.
+    operation on it walks one row.  ``want_v`` false returns None for V
+    and the same D.  No U is built: the transposed V of the Smith form of
+    A^T is one, since U A V = D iff V^T A^T U^T = D^T.
     """
     m, n = a.rows, a.cols
     d = [list(row) for row in a.data]
-    u = _identity_rows(m) if want_u else None
     vt = _identity_rows(n) if want_v else None  # row j: column j of V
     zero = [False] * m  # rows found zero by _smallest_entry
     t = 0
@@ -399,8 +398,6 @@ def smith_normal_form(a: IntMatrix, *, want_u: bool = True,
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
         zero[i], zero[j] = zero[j], zero[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in d[t:]:
@@ -410,8 +407,6 @@ def smith_normal_form(a: IntMatrix, *, want_u: bool = True,
 
     def add_row(src, dst, k):  # row[dst] += k * row[src]
         _add_multiple(d[dst], _nonzeros(d[src]), k)
-        if u is not None:
-            _add_multiple(u[dst], _nonzeros(u[src]), k)
 
     def add_col(src, dst, k):  # col[dst] += k * col[src]
         for row in d[t:]:
@@ -423,13 +418,10 @@ def smith_normal_form(a: IntMatrix, *, want_u: bool = True,
     def unit_pivot(p):
         # row operations clear column t, walking the nonzeros of row t
         row_d = _nonzeros(d[t])
-        row_u = _nonzeros(u[t]) if u is not None else ()
         for i in range(t + 1, m):
             k = -d[i][t] * p
             if k:
                 _add_multiple(d[i], row_d, k)
-                if u is not None:
-                    _add_multiple(u[i], row_u, k)
         # the column operations now change only row t of D
         if vt is not None:
             row_v = _nonzeros(vt[t])
@@ -477,14 +469,10 @@ def smith_normal_form(a: IntMatrix, *, want_u: bool = True,
             if i is not None:
                 add_row(i, t, 1)
                 continue
-        if d[t][t] < 0:
-            d[t][t] = -d[t][t]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
+        d[t][t] = abs(d[t][t])
         t += 1
 
     return SNFResult(
-        None if u is None else IntMatrix(m, m, tuple(map(tuple, u))),
         IntMatrix(m, n, tuple(map(tuple, d))),
         None if vt is None else IntMatrix(n, n, tuple(zip(*vt))))
 
@@ -538,7 +526,7 @@ def cokernel_invariants(a: IntMatrix) -> list[int]:
     Returns the d_i > 1 from the Smith form followed by one 0 per free
     factor.  Trivial factors (d_i = 1) are dropped.
     """
-    diag = smith_normal_form(a, want_u=False, want_v=False).diagonal()
+    diag = smith_normal_form(a, want_v=False).diagonal()
     r = sum(1 for x in diag if x != 0)
     torsion = [x for x in diag if x > 1]
     free = a.rows - r
@@ -551,18 +539,20 @@ def int_kernel_basis(a: IntMatrix) -> list[list[int]]:
     The columns of V beyond the rank of D span the kernel over Z (they do
     so saturatedly because V is unimodular).
     """
-    snf = smith_normal_form(a, want_u=False)
+    snf = smith_normal_form(a)
     diag = snf.diagonal()
     r = sum(1 for x in diag if x != 0)
     return [snf.V.column(j) for j in range(r, a.cols)]
 
 
 def _diagonal_solve(snf: SNFResult, rhs: IntMatrix):
-    """The rows of Y with D Y = U rhs, or None if no integer Y exists:
-    row i of U rhs divided by d_i, and zero past the rank of D."""
+    """The rows of Y with D Y = U rhs, or None if no integer Y exists,
+    where U A V = D and ``snf`` is the Smith form of A^T: its V^T is such
+    a U, with the same diagonal.  Row i of U rhs is divided by d_i, and
+    must be zero past the rank of D."""
     diag = snf.diagonal()
     y = []
-    for i, row in enumerate((snf.U @ rhs).data):
+    for i, row in enumerate((snf.V.transpose() @ rhs).data):
         di = diag[i] if i < len(diag) else 0
         if di == 1:
             y.append(row)

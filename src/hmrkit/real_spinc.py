@@ -310,11 +310,11 @@ def _hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                      tuple(ra + rb for ra, rb in zip(a.data, b.data)))
 
 
-def _preimage(t: IntMatrix, z: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Columns spanning the combinations of the columns of z that t maps
-    into span(b): the first z.cols coordinates of ker [t z | b], so the
-    sign of b does not matter."""
-    kern = int_kernel_basis(_hstack(t @ z, b))
+def _preimage(image: IntMatrix, z: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Columns spanning the combinations of the columns of z whose images,
+    the columns of ``image``, lie in span(b): the first z.cols coordinates
+    of ker [image | b], so the sign of b does not matter."""
+    kern = int_kernel_basis(_hstack(image, b))
     return z @ IntMatrix.from_columns(z.cols, [v[:z.cols] for v in kern])
 
 
@@ -323,9 +323,10 @@ def subquotient_invariants(gens: IntMatrix, rels: IntMatrix) -> list[int]:
 
     With U gens V = D of rank r, x -> ((U x)_i / d_i)_{i<r} maps the span
     of gens onto Z^r, so the answer is the cokernel of the first r rows of
-    D^-1 U rels.  The relation columns must lie in the generator span.
+    D^-1 U rels; U is read off the Smith form of gens^T.  The relation
+    columns must lie in the generator span.
     """
-    snf = smith_normal_form(gens, want_v=False)
+    snf = smith_normal_form(gens.transpose())
     y = _diagonal_solve(snf, rels)
     if y is None:
         raise ShapeMismatch("relations do not lie in the generator span")
@@ -380,7 +381,7 @@ def admits_real_structure(data: EquivariantCWData,
             raise NotCocycle("c1 is not closed")
     image = data.theta[2].mul_vec(list(c1))
     rhs = IntMatrix.from_columns(len(image), [image])
-    snf = smith_normal_form(data.delta_Q[1], want_v=False)
+    snf = smith_normal_form(data.delta_Q[1].transpose())
     return _diagonal_solve(snf, rhs) is not None
 
 
@@ -406,18 +407,19 @@ def real_spinc_torsor(data: EquivariantCWData) -> RealStructureCensus:
     """
     _require_cells(data, 2, "a first Chern class")
     m = (data.delta_M, data.cells_M)
-    kernel = _preimage(data.theta[2], data.cocycle_lattice("M", 2),
+    z2 = data.cocycle_lattice("M", 2)
+    kernel = _preimage(data.theta[2] @ z2, z2,
                        coboundaries(data.delta_Q, data.cells_Q, 2))
 
     z1, b1 = data.cocycle_lattice("M", 1), coboundaries(*m, 1)
-    iota, one = data.iota[1], IntMatrix.identity(data.cells_M[1])
-    invariant = _preimage(iota + one.scale(-1), z1, b1)
+    iz = data.iota[1] @ z1
+    invariant = _preimage(iz + z1.scale(-1), z1, b1)
     return RealStructureCensus(
         exists=True,
         kernel_invariants=tuple(
             subquotient_invariants(kernel, coboundaries(*m, 2))),
         h1_invariants=tuple(subquotient_invariants(
-            invariant, _hstack(b1, (iota + one) @ z1))),
+            invariant, _hstack(b1, iz + z1))),
     )
 
 
@@ -447,5 +449,7 @@ def branched_cover_invariants(a: SeifertMatrix) -> tuple[int, int]:
     if sym.rows == 0:
         return (1, 0)
     det = int_det_sign_unimodular(sym)
-    b1 = sym.rows - int_rank(sym)
+    # a nonsingular form has full rank, so only a singular one is
+    # eliminated again; for a knot det = Delta(-1) is odd
+    b1 = sym.rows - int_rank(sym) if det == 0 else 0
     return (abs(det), b1)

@@ -7,6 +7,7 @@ form, and direct group-order arithmetic for cokernels.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from hmrkit.complexes import GradedComplex
 from hmrkit.f2lin import (
     F2Matrix,
     IntMatrix,
-    SNFResult,
     _diagonal_solve,
     cokernel_invariants,
     f2_block,
@@ -87,10 +87,14 @@ def in_kernel(grid, mask: int, n: int) -> bool:
 
 
 def oracle_snf_check(a: IntMatrix, result) -> None:
-    """Assert the structural SNF contract: U A V = D, divisibility, det ±1."""
-    prod = result.U @ a @ result.V
-    assert prod.data == result.D.data
+    """Assert the structural SNF contract: D diagonal with divisibility,
+    det V = ±1, and A V = U^-1 D, so column j of A V is divisible by d_j
+    and zero past the rank."""
     diag = result.diagonal()
+    av = a @ result.V
+    for j in range(a.cols):
+        dj = diag[j] if j < len(diag) else 0
+        assert all(x % dj == 0 if dj else x == 0 for x in av.column(j))
     for i in range(len(diag)):
         assert diag[i] >= 0
         for j in range(result.D.cols):
@@ -99,9 +103,6 @@ def oracle_snf_check(a: IntMatrix, result) -> None:
     nonzero = [x for x in diag if x != 0]
     for x, y in zip(nonzero, nonzero[1:]):
         assert y % x == 0
-    from hmrkit.f2lin import int_det_sign_unimodular
-
-    assert abs(int_det_sign_unimodular(result.U)) == 1
     assert abs(int_det_sign_unimodular(result.V)) == 1
 
 
@@ -222,8 +223,7 @@ def two_step_complex(d_in: F2Matrix, d_out: F2Matrix) -> GradedComplex:
                   [z(d_in.cols, d_out.rows), z(d_in.cols, d_in.rows),
                    z(d_in.cols, d_in.cols)]])
     gradings = (0,) * d_out.rows + (1,) * d_in.rows + (2,) * d_in.cols
-    cells = tuple(f"c{k}" for k in range(len(gradings)))
-    return GradedComplex("two_step", cells, gradings, d)
+    return GradedComplex(gradings, d)
 
 
 def test_homology_zero_maps():
@@ -383,15 +383,20 @@ def oracle_solvable(a, b, cols: int) -> bool:
 def int_solve_many(a: IntMatrix, rhs: IntMatrix):
     """Integer solutions X of a X = rhs, or None if a column has none.
 
-    With U a V = D, X = V Y where D Y = U rhs: two products around one
-    Smith form.  The census asks only whether Y exists; the tests also
-    read X, as coordinates in a presented group.
+    With U a V = D from the oracle Smith form, X = V Y where D Y = U rhs:
+    row i of U rhs divided by d_i, and zero past the rank.  The census
+    asks only whether Y exists; the tests also read X, as coordinates in
+    a presented group.
     """
     assert rhs.rows == a.rows
-    snf = smith_normal_form(a)
-    y = _diagonal_solve(snf, rhs)
-    if y is None:
-        return None
+    snf = oracle_smith_normal_form(a)
+    diag = snf.diagonal()
+    y = []
+    for i, row in enumerate((snf.U @ rhs).data):
+        di = diag[i] if i < len(diag) else 0
+        if any(x % di for x in row) if di else any(row):
+            return None
+        y.append(tuple(x // di for x in row) if di else row)
     y = tuple(y[:a.cols]) + ((0,) * rhs.cols,) * (a.cols - a.rows)
     return snf.V @ IntMatrix(a.cols, rhs.cols, y)
 
@@ -404,7 +409,20 @@ def int_solve(a: IntMatrix, b):
 
 # The dense smallest-pivot Smith form as it stood before unit pivots took
 # the nonzero-walking path and the transforms became optional, copied
-# verbatim: the library routine must return the same U, D and V.
+# verbatim: the library routine must return the same D and V.  It keeps
+# its own U, which the library no longer builds, in its own record.
+
+
+@dataclass(frozen=True)
+class OracleSNF:
+    """U A V = D with unimodular U and V."""
+
+    U: IntMatrix
+    D: IntMatrix
+    V: IntMatrix
+
+    def diagonal(self) -> list[int]:
+        return [self.D[i, i] for i in range(min(self.D.rows, self.D.cols))]
 
 
 def _smallest_entry(d: list, t: int):
@@ -435,7 +453,7 @@ def _indivisible_row(d: list, t: int):
                  if any(x % p for x in d[i][t + 1:])), None)
 
 
-def oracle_smith_normal_form(a: IntMatrix) -> SNFResult:
+def oracle_smith_normal_form(a: IntMatrix) -> OracleSNF:
     """Smith normal form over Z with transform tracking.
 
     The pivot at each stage is the nonzero entry of smallest absolute
@@ -514,7 +532,7 @@ def oracle_smith_normal_form(a: IntMatrix) -> SNFResult:
             negate_row(t)
         t += 1
 
-    return SNFResult(IntMatrix(m, m, tuple(map(tuple, u))),
+    return OracleSNF(IntMatrix(m, m, tuple(map(tuple, u))),
                      IntMatrix(m, n, tuple(map(tuple, d))),
                      IntMatrix(n, n, tuple(map(tuple, v))))
 
@@ -618,34 +636,67 @@ def census_grids(draw):
 def test_snf_properties(case):
     r, c, a = case
     res = smith_normal_form(int_matrix(a, c))
-    u = [list(row) for row in res.U.data]
     v = [list(row) for row in res.V.data]
     d = [list(row) for row in res.D.data]
-    assert (res.U.rows, res.U.cols, res.V.rows, res.V.cols) == (r, r, c, c)
-    assert naive_int_product(naive_int_product(u, a, r, c), v, c, c) == d
+    assert (res.D.rows, res.D.cols, res.V.rows, res.V.cols) == (r, c, c, c)
     assert all(d[i][j] == 0 for i in range(r) for j in range(c) if i != j)
     diag = res.diagonal()
     assert all(x >= 0 for x in diag)
     for x, y in zip(diag, diag[1:]):
         assert y == 0 if x == 0 else y % x == 0
-    assert abs(oracle_rank_det(u, r)[1]) == 1
     assert abs(oracle_rank_det(v, c)[1]) == 1
+    # A V = U^-1 D: column j of A V is divisible by d_j, zero past the rank
+    av = naive_int_product(a, v, c, c)
+    for j in range(c):
+        dj = diag[j] if j < len(diag) else 0
+        assert all(row[j] % dj == 0 if dj else row[j] == 0 for row in av)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(solve_cases())
+@example((0, 3, 2, [], []))
+@example((3, 0, 1, [[]] * 3, [[0], [1], [0]]))
+@example((2, 2, 1, [[2, 4], [6, 8]], [[2], [6]]))
+@example((3, 2, 2, [[2, 0], [0, 4], [2, 4]], [[2, 1], [4, 0], [6, 1]]))
+def test_row_transform_is_v_of_the_transpose(case):
+    # U = V^T of the Smith form of A^T is a row transform of A: unimodular,
+    # U A zero past the rank r and row i < r divisible by d_i, and the
+    # quotient rows D^-1 U A span Z^r, so U A V' = D for some V'
+    r, c, k, a, rhs = case
+    ma = int_matrix(a, c)
+    snf = smith_normal_form(ma.transpose())
+    u = snf.V.transpose()
+    diag = snf.diagonal()
+    rank = oracle_rank_det(a, c)[0]
+    assert (u.rows, u.cols) == (r, r)
+    assert abs(oracle_rank_det([list(row) for row in u.data], r)[1]) == 1
+    ua = [list(row) for row in (u @ ma).data]
+    assert all(not any(row) for row in ua[rank:])
+    assert all(x % diag[i] == 0 for i in range(rank) for x in ua[i])
+    quotient = [[x // diag[i] for x in ua[i]] for i in range(rank)]
+    for i in range(rank):
+        unit = [int(j == i) for j in range(rank)]
+        assert oracle_solvable(quotient, unit, c)
+    # the solve returns None exactly when a column of rhs lies outside
+    # the column lattice of A
+    columns = [[row[j] for row in rhs] for j in range(k)]
+    solvable = all(oracle_solvable(a, b, c) for b in columns)
+    assert (_diagonal_solve(snf, int_matrix(rhs, k)) is not None) == solvable
 
 
 def test_snf_transforms_pinned():
-    # the pivot is the first smallest |entry| in row-major order, so U and
-    # V are determined, and kernel bases and solutions are read off them
+    # the pivot is the first smallest |entry| in row-major order, so V is
+    # determined, and kernel bases are read off it
     cases = [
-        ([[2, 1], [4, 3]], ((1, 0), (3, -1)), ((1, 0), (0, 2)),
-         ((0, 1), (1, -2))),
-        ([[6, 4, 3], [2, 5, 1]], ((0, 1), (-1, 3)), ((1, 0, 0), (0, 11, 0)),
+        ([[2, 1], [4, 3]], ((1, 0), (0, 2)), ((0, 1), (1, -2))),
+        ([[6, 4, 3], [2, 5, 1]], ((1, 0, 0), (0, 11, 0)),
          ((0, 0, 1), (0, 1, 0), (1, -5, -2))),
-        ([[4, 6], [6, 4], [2, 8]], ((0, 0, 1), (-1, 0, 2), (-2, 1, 1)),
-         ((2, 0), (0, 10), (0, 0)), ((1, -4), (0, 1))),
+        ([[4, 6], [6, 4], [2, 8]], ((2, 0), (0, 10), (0, 0)),
+         ((1, -4), (0, 1))),
     ]
-    for grid, u, d, v in cases:
+    for grid, d, v in cases:
         res = smith_normal_form(IntMatrix.from_rows(grid))
-        assert (res.U.data, res.D.data, res.V.data) == (u, d, v)
+        assert (res.D.data, res.V.data) == (d, v)
 
 
 @st.composite
@@ -672,16 +723,16 @@ def sparse_int_matrices(draw):
 @example(IntMatrix.from_rows([[0, -1, 2], [-1, 3, 0], [2, 0, -1]]))
 @example(IntMatrix.from_rows([[2, 3, 0], [0, 2, 3], [3, 0, 2]]))
 def test_snf_matches_oracle(a):
-    assert smith_normal_form(a) == oracle_smith_normal_form(a)
+    res, old = smith_normal_form(a), oracle_smith_normal_form(a)
+    assert (res.D, res.V) == (old.D, old.V)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(sparse_int_matrices(), st.booleans(), st.booleans())
-def test_snf_builds_only_the_wanted_transforms(a, want_u, want_v):
+@given(sparse_int_matrices(), st.booleans())
+def test_snf_builds_only_the_wanted_transforms(a, want_v):
     full = smith_normal_form(a)
-    res = smith_normal_form(a, want_u=want_u, want_v=want_v)
+    res = smith_normal_form(a, want_v=want_v)
     assert res.D == full.D
-    assert res.U == (full.U if want_u else None)
     assert res.V == (full.V if want_v else None)
 
 
