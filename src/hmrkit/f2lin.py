@@ -11,12 +11,14 @@ coboundaries have a few nonzeros per row.  Rank and determinant come from
 fraction-free Bareiss elimination, whose entries stay minors of the
 input; every other lattice question (kernels, cokernels, membership in a
 column lattice and subquotients) reads one Smith normal form.  That form
-builds D and, when asked, the column transform V; the row transform U of
-A that a solve needs is read as the transposed V of the Smith form of
-A^T.  A unit pivot, the common case on coboundaries, clears its column
-with row operations that walk the nonzeros of its row, after which its
-column operations act on V alone.  Homology ranks, the LES check and the
-real spin-c census all reduce to the operations in this module.
+takes one Euclid step per pivot, repeated until it makes no swap, and
+returns the diagonal of D and, when asked, V^T for the column transform
+V; the row transform U of A that a solve needs is read as the V^T of the
+Smith form of A^T.  A unit pivot, the common case on coboundaries, takes
+one step whose row operations walk the nonzeros of its row and whose
+column operations then change one entry of D each.  Homology ranks, the
+LES check and the real spin-c census all reduce to the operations in this
+module.
 """
 
 from __future__ import annotations
@@ -221,11 +223,13 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(grid: Sequence[Sequence[int]]) -> "IntMatrix":
-        """Build from outside input, reading every entry with ``input_int``."""
-        rows = len(grid)
-        cols = len(grid[0]) if rows else 0
-        return IntMatrix(rows, cols, tuple(tuple(input_int(x) for x in r)
-                                           for r in grid))
+        """Build from outside input, reading every entry with ``input_int``;
+        a ragged grid raises ValueError."""
+        data = tuple(tuple(input_int(x) for x in r) for r in grid)
+        cols = len(data[0]) if data else 0
+        if any(len(r) != cols for r in data):
+            raise ValueError("rows of unequal length")
+        return IntMatrix(len(data), cols, data)
 
     @staticmethod
     def from_columns(rows: int, columns: Sequence[Sequence[int]]
@@ -251,6 +255,8 @@ class IntMatrix:
     @staticmethod
     def from_json(obj: dict) -> "IntMatrix":
         shape = (input_int(obj["rows"]), input_int(obj["cols"]))
+        if min(shape) < 0:
+            raise ValueError(f"negative shape {shape[0]}x{shape[1]}")
         m = IntMatrix.from_rows(obj["data"]) if obj["data"] else \
             IntMatrix.zero(*shape)
         if (m.rows, m.cols) != shape:
@@ -287,9 +293,6 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols,
                          tuple(tuple(k * x for x in r) for r in self.data))
 
-    def column(self, j: int) -> list[int]:
-        return [self.data[i][j] for i in range(self.rows)]
-
     def mul_vec(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.cols:
             raise ShapeMismatch("vector length mismatch")
@@ -298,22 +301,17 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
 
-    def __getitem__(self, rc) -> int:
-        return self.data[rc[0]][rc[1]]
-
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Smith normal form U A V = D with unimodular U, V: D, and V or None
-    when the caller did not ask for it.  U is not kept; the transposed V
-    of the Smith form of A^T is a U for A with the same diagonal."""
+    """Smith normal form U A V = D with unimodular U, V, as its callers
+    read it: the min(rows, cols) diagonal entries of D, and V^T (row j is
+    column j of V) or None when the caller did not ask for it.  U is not
+    kept; the V^T of the Smith form of A^T is a U for A with the same
+    diagonal."""
 
-    D: IntMatrix
-    V: IntMatrix | None
-
-    def diagonal(self) -> list[int]:
-        n = min(self.D.rows, self.D.cols)
-        return [self.D[i, i] for i in range(n)]
+    diagonal: tuple
+    VT: IntMatrix | None
 
 
 def _smallest_entry(d: list, t: int, zero: list):
@@ -373,108 +371,86 @@ def _identity_rows(n: int) -> list:
 
 
 def smith_normal_form(a: IntMatrix, *, want_v: bool = True) -> SNFResult:
-    """Smith normal form over Z: D, and V only when wanted.
+    """Smith normal form over Z: the diagonal of D, and V^T when wanted.
 
     The pivot at each stage is the nonzero entry of smallest absolute
     value (ties broken by lowest row, then column index), which keeps the
     reduction deterministic across runs.  Diagonal entries are normalized
-    nonnegative with d_i | d_{i+1}.  A unit pivot clears its column with
-    row operations that walk the nonzeros of its row; the column is then
-    zero below it, so its column operations clear row t of D and act on
-    V alone.  Other pivots take Euclid steps, with a divisibility fix-up
-    of the trailing block.  V is kept transposed, so that a column
-    operation on it walks one row.  ``want_v`` false returns None for V
-    and the same D.  No U is built: the transposed V of the Smith form of
+    nonnegative with d_i | d_{i+1}.  Each pivot takes Euclid steps until
+    one makes no swap.  A step reduces the rows below the pivot by its
+    row, listed by its nonzeros, then the columns after it by its column,
+    walking the same nonzeros; a remainder is swapped in as the pivot.
+    Unless a swap brought a nonzero below the pivot, a column operation
+    changes one entry of D and one row of V^T.  A unit pivot is done
+    after one step; others get a divisibility fix-up of the trailing
+    block.  ``want_v`` false returns None for V^T
+    and the same diagonal.  No U is built: the V^T of the Smith form of
     A^T is one, since U A V = D iff V^T A^T U^T = D^T.
     """
     m, n = a.rows, a.cols
     d = [list(row) for row in a.data]
     vt = _identity_rows(n) if want_v else None  # row j: column j of V
     zero = [False] * m  # rows found zero by _smallest_entry
+    diagonal = []
     t = 0
 
-    # the rows before t are zero from column t on, so the column
-    # operations below skip them
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        zero[i], zero[j] = zero[j], zero[i]
+    def swap_rows(i):
+        d[t], d[i] = d[i], d[t]
+        zero[t], zero[i] = zero[i], zero[t]
 
-    def swap_cols(i, j):
+    # the rows before t are zero from column t on, so a column swap
+    # skips them
+    def swap_cols(j):
         for row in d[t:]:
-            row[i], row[j] = row[j], row[i]
+            row[t], row[j] = row[j], row[t]
         if vt is not None:
-            vt[i], vt[j] = vt[j], vt[i]
-
-    def add_row(src, dst, k):  # row[dst] += k * row[src]
-        _add_multiple(d[dst], _nonzeros(d[src]), k)
-
-    def add_col(src, dst, k):  # col[dst] += k * col[src]
-        for row in d[t:]:
-            if row[src]:
-                row[dst] += k * row[src]
-        if vt is not None:
-            _add_multiple(vt[dst], _nonzeros(vt[src]), k)
-
-    def unit_pivot(p):
-        # row operations clear column t, walking the nonzeros of row t
-        row_d = _nonzeros(d[t])
-        for i in range(t + 1, m):
-            k = -d[i][t] * p
-            if k:
-                _add_multiple(d[i], row_d, k)
-        # the column operations now change only row t of D
-        if vt is not None:
-            row_v = _nonzeros(vt[t])
-            for j, x in row_d:
-                if j != t:
-                    _add_multiple(vt[j], row_v, -x * p)
-        d[t] = [0] * n
-        d[t][t] = p
-
-    def euclid():
-        # clear the pivot row and column; restart whenever a remainder
-        # appears since it may be a smaller pivot
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    add_row(t, i, -q)
-                    if d[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(t, j, -q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                return
+            vt[t], vt[j] = vt[j], vt[t]
 
     while t < min(m, n):
         pivot = _smallest_entry(d, t, zero)
         if pivot is None:
             break
-        pi, pj = pivot
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        if d[t][t] in (1, -1):
-            unit_pivot(d[t][t])
-        else:
-            euclid()
-            # force divisibility of the trailing block by the pivot
-            i = _indivisible_row(d, t)
-            if i is not None:
-                add_row(i, t, 1)
-                continue
-        d[t][t] = abs(d[t][t])
+        swap_rows(pivot[0])
+        swap_cols(pivot[1])
+        swapped = True
+        while swapped:
+            swapped = False
+            row_t = _nonzeros(d[t])
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    _add_multiple(d[i], row_t, -(d[i][t] // d[t][t]))
+                    if d[i][t]:
+                        swap_rows(i)
+                        row_t = _nonzeros(d[t])
+                        swapped = True
+            # the rows that column t reaches: row t alone unless a swap
+            # brought a nonzero below it
+            reach = [row for row in d[t:] if row[t]] if swapped else [d[t]]
+            row_v = None if vt is None else _nonzeros(vt[t])
+            for j, _ in row_t:
+                if j == t or not d[t][j]:
+                    continue
+                q = d[t][j] // d[t][t]
+                for row in reach:
+                    row[j] -= q * row[t]
+                if vt is not None:
+                    _add_multiple(vt[j], row_v, -q)
+                if d[t][j]:
+                    swap_cols(j)
+                    reach = [row for row in d[t:] if row[t]]
+                    row_v = None if vt is None else _nonzeros(vt[t])
+                    swapped = True
+        # force divisibility of the trailing block by the pivot
+        i = _indivisible_row(d, t)
+        if i is not None:
+            _add_multiple(d[t], _nonzeros(d[i]), 1)
+            continue
+        diagonal.append(abs(d[t][t]))
         t += 1
 
-    return SNFResult(
-        IntMatrix(m, n, tuple(map(tuple, d))),
-        None if vt is None else IntMatrix(n, n, tuple(zip(*vt))))
+    diagonal += [0] * (min(m, n) - t)
+    return SNFResult(tuple(diagonal), None if vt is None
+                     else IntMatrix(n, n, tuple(map(tuple, vt))))
 
 
 def _bareiss(a: IntMatrix) -> tuple[int, int]:
@@ -526,23 +502,22 @@ def cokernel_invariants(a: IntMatrix) -> list[int]:
     Returns the d_i > 1 from the Smith form followed by one 0 per free
     factor.  Trivial factors (d_i = 1) are dropped.
     """
-    diag = smith_normal_form(a, want_v=False).diagonal()
+    diag = smith_normal_form(a, want_v=False).diagonal
     r = sum(1 for x in diag if x != 0)
     torsion = [x for x in diag if x > 1]
     free = a.rows - r
     return torsion + [0] * free
 
 
-def int_kernel_basis(a: IntMatrix) -> list[list[int]]:
+def int_kernel_basis(a: IntMatrix) -> tuple:
     """Basis of the integer null space {x : a x = 0} as column vectors.
 
-    The columns of V beyond the rank of D span the kernel over Z (they do
-    so saturatedly because V is unimodular).
+    The columns of V beyond the rank of D, the rows of V^T, span the
+    kernel over Z (they do so saturatedly because V is unimodular).
     """
     snf = smith_normal_form(a)
-    diag = snf.diagonal()
-    r = sum(1 for x in diag if x != 0)
-    return [snf.V.column(j) for j in range(r, a.cols)]
+    r = sum(1 for x in snf.diagonal if x != 0)
+    return snf.VT.data[r:]
 
 
 def _diagonal_solve(snf: SNFResult, rhs: IntMatrix):
@@ -550,9 +525,9 @@ def _diagonal_solve(snf: SNFResult, rhs: IntMatrix):
     where U A V = D and ``snf`` is the Smith form of A^T: its V^T is such
     a U, with the same diagonal.  Row i of U rhs is divided by d_i, and
     must be zero past the rank of D."""
-    diag = snf.diagonal()
+    diag = snf.diagonal
     y = []
-    for i, row in enumerate((snf.V.transpose() @ rhs).data):
+    for i, row in enumerate((snf.VT @ rhs).data):
         di = diag[i] if i < len(diag) else 0
         if di == 1:
             y.append(row)

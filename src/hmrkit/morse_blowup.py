@@ -23,10 +23,10 @@ classical RK4 step of the lift is the fixed matrix P(h) = sum_{k<=4}
 (-hL)^k / k!.  The integrator advances in blocks of BLOCK_STEPS = 8: one
 product with the stacked powers [P - I; P^2 - I; ...; P^8 - I] gives the
 next eight lifts P^j phi, each renormalized to phi_j, with
-s_j = s |P^j phi| since phi is a unit vector.  The convergence rule still reads every step, and the
-trajectory ends at the step where it fires.  The step h must satisfy
-h max|lambda| <= 1.5, inside the range h lambda < 1.596 where P keeps the
-eigenmodes in order.
+s_j = s |P^j phi| since phi is a unit vector.  The convergence rule still
+reads every step, and the trajectory ends at the step where it fires.
+The step h must satisfy h max|lambda| <= 1.5, inside the range
+h lambda < 1.596 where P keeps the eigenmodes in order.
 ``closed_form_phi`` uses the eigendata and serves as the independent
 oracle; the integrator builds P from L alone.
 """

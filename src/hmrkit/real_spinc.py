@@ -227,7 +227,10 @@ class EquivariantCWData:
         """Parse :meth:`to_json` output; a malformed field is InvalidInput."""
 
         def counts(v):
-            return tuple(input_int(n) for n in v)
+            out = tuple(input_int(n) for n in v)
+            if any(n < 0 for n in out):
+                raise ValueError(f"negative cell count in {list(out)}")
+            return out
 
         def matrices(v):
             return tuple(IntMatrix.from_json(m) for m in v)
@@ -330,7 +333,7 @@ def subquotient_invariants(gens: IntMatrix, rels: IntMatrix) -> list[int]:
     y = _diagonal_solve(snf, rels)
     if y is None:
         raise ShapeMismatch("relations do not lie in the generator span")
-    r = sum(1 for x in snf.diagonal() if x)
+    r = sum(1 for x in snf.diagonal if x)
     return cokernel_invariants(IntMatrix(r, rels.cols, tuple(y[:r])))
 
 

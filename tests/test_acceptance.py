@@ -139,7 +139,8 @@ def oracle_alexander_at_minus_one(a: IntMatrix) -> int:
     n = a.rows
     if n == 0:
         return 1
-    sym = [[Fraction(a[i, j] + a[j, i]) for j in range(n)] for i in range(n)]
+    d = a.data
+    sym = [[Fraction(d[i][j] + d[j][i]) for j in range(n)] for i in range(n)]
     det = Fraction(1)
     for k in range(n):
         piv = next((i for i in range(k, n) if sym[i][k] != 0), None)

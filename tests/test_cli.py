@@ -244,6 +244,9 @@ SPINC_LENS_SHA256 = {
     11: "fd5a4b29d1a9b5a078cf016658ec871bc88b6b4254aebf41927ed3235c579f83",
     13: "ab44f46881e9211badc7d5acfaefa11df479db2f6b65e77adfb70ec7c2b0b0eb",
     15: "cad5d4132a9b1ed36e6511ebbb50a33219e32966f04e639f5b66c40c79286cc0",
+    17: "a8a0a5d945e35e001ce7182ab990cfffd443ac8669eacc6d1011a38ed2627225",
+    19: "be9ccae5322135db9c30adbf1296771684502684a4a6f15592e0a950517fad84",
+    21: "844f773652c3e6a35f9f730c5b5747ec2e67ccabf8bb79bcee816c1d833a5c4e",
 }
 
 
@@ -462,7 +465,9 @@ MORSE_BODY = {"points": [{"label": "a", "ind_q": 0, "fiber": [[1.0]]},
               "grading_shift": 0}
 
 #: (id, command, field named by the error, valid body, path to one integer
-#: or boolean entry, a value that is neither and was once truncated)
+#: or boolean entry, a value that is neither and was once truncated, or a
+#: negative count or shape, or a short row, that once ended as
+#: shape_mismatch with no field named)
 NON_INTEGER_FIELDS = (
     ("seifert_float", "seifert-matrix", "data", {"data": [[1]]},
      ("data", 0, 0), 1.5),
@@ -478,6 +483,18 @@ NON_INTEGER_FIELDS = (
      ("orbit", 0, "sign"), 1.4),
     ("spinc_fixed", "spinc", "orbit", lens_space(3, 1).to_json(),
      ("orbit", 0, "fixed"), "no"),
+    ("spinc_cells_M", "spinc", "cells_M", lens_space(3, 1).to_json(),
+     ("cells_M", 1), -1),
+    ("spinc_cells_Q", "spinc", "cells_Q", lens_space(3, 1).to_json(),
+     ("cells_Q", 1), -1),
+    ("spinc_delta_M_rows", "spinc", "delta_M", lens_space(3, 1).to_json(),
+     ("delta_M", 0, "rows"), -1),
+    ("spinc_delta_Q_cols", "spinc", "delta_Q", lens_space(3, 1).to_json(),
+     ("delta_Q", 0, "cols"), -1),
+    ("spinc_delta_M_ragged", "spinc", "delta_M", lens_space(3, 1).to_json(),
+     ("delta_M", 0, "data", 1), [1]),
+    ("seifert_ragged", "seifert-matrix", "data", {"data": [[1, 2], [3, 4]]},
+     ("data", 1), [3]),
 )
 
 

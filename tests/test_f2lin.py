@@ -87,23 +87,22 @@ def in_kernel(grid, mask: int, n: int) -> bool:
 
 
 def oracle_snf_check(a: IntMatrix, result) -> None:
-    """Assert the structural SNF contract: D diagonal with divisibility,
-    det V = ±1, and A V = U^-1 D, so column j of A V is divisible by d_j
-    and zero past the rank."""
-    diag = result.diagonal()
-    av = a @ result.V
+    """Assert the structural SNF contract: one nonnegative diagonal entry
+    per row or column, whichever are fewer, with divisibility, det V =
+    ±1, and A V = U^-1 D, so column j of A V is divisible by d_j and zero
+    past the rank."""
+    diag = result.diagonal
+    assert len(diag) == min(a.rows, a.cols)
+    av = a @ result.VT.transpose()
     for j in range(a.cols):
         dj = diag[j] if j < len(diag) else 0
-        assert all(x % dj == 0 if dj else x == 0 for x in av.column(j))
-    for i in range(len(diag)):
-        assert diag[i] >= 0
-        for j in range(result.D.cols):
-            if j != i and i < result.D.rows:
-                assert result.D[i, j] == 0 or i == j
+        assert all(row[j] % dj == 0 if dj else row[j] == 0
+                   for row in av.data)
+    assert all(x >= 0 for x in diag)
     nonzero = [x for x in diag if x != 0]
     for x, y in zip(nonzero, nonzero[1:]):
         assert y % x == 0
-    assert abs(int_det_sign_unimodular(result.V)) == 1
+    assert abs(int_det_sign_unimodular(result.VT)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +264,21 @@ def test_snf_diag_2_3():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
     res = smith_normal_form(a)
     oracle_snf_check(a, res)
-    assert res.diagonal() == [1, 6]
+    assert res.diagonal == (1, 6)
 
 
 def test_snf_identity():
     a = IntMatrix.identity(4)
     res = smith_normal_form(a)
     oracle_snf_check(a, res)
-    assert res.diagonal() == [1, 1, 1, 1]
+    assert res.diagonal == (1, 1, 1, 1)
 
 
 def test_snf_2468():
     a = IntMatrix.from_rows([[2, 4], [6, 8]])
     res = smith_normal_form(a)
     oracle_snf_check(a, res)
-    assert res.diagonal() == [2, 4]
+    assert res.diagonal == (2, 4)
 
 
 @settings(max_examples=50, deadline=None)
@@ -404,7 +403,7 @@ def int_solve_many(a: IntMatrix, rhs: IntMatrix):
 def int_solve(a: IntMatrix, b):
     """One integer solution x of a x = b, or None when unsolvable over Z."""
     x = int_solve_many(a, IntMatrix.from_columns(len(b), [b]))
-    return None if x is None else x.column(0)
+    return None if x is None else [row[0] for row in x.data]
 
 
 # The dense smallest-pivot Smith form as it stood before unit pivots took
@@ -421,8 +420,18 @@ class OracleSNF:
     D: IntMatrix
     V: IntMatrix
 
-    def diagonal(self) -> list[int]:
-        return [self.D[i, i] for i in range(min(self.D.rows, self.D.cols))]
+    def diagonal(self) -> tuple:
+        return tuple(self.D.data[i][i]
+                     for i in range(min(self.D.rows, self.D.cols)))
+
+
+def oracle_diagonal_and_vt(a: IntMatrix) -> tuple:
+    """The diagonal of the oracle's D and the transpose of its V, after
+    checking that its D is zero off the diagonal."""
+    old = oracle_smith_normal_form(a)
+    assert all(x == 0 for i, row in enumerate(old.D.data)
+               for j, x in enumerate(row) if i != j)
+    return old.diagonal(), old.V.transpose()
 
 
 def _smallest_entry(d: list, t: int):
@@ -636,15 +645,14 @@ def census_grids(draw):
 def test_snf_properties(case):
     r, c, a = case
     res = smith_normal_form(int_matrix(a, c))
-    v = [list(row) for row in res.V.data]
-    d = [list(row) for row in res.D.data]
-    assert (res.D.rows, res.D.cols, res.V.rows, res.V.cols) == (r, c, c, c)
-    assert all(d[i][j] == 0 for i in range(r) for j in range(c) if i != j)
-    diag = res.diagonal()
+    vt = [list(row) for row in res.VT.data]
+    v = [list(col) for col in zip(*vt)]
+    assert (len(res.diagonal), res.VT.rows, res.VT.cols) == (min(r, c), c, c)
+    diag = res.diagonal
     assert all(x >= 0 for x in diag)
     for x, y in zip(diag, diag[1:]):
         assert y == 0 if x == 0 else y % x == 0
-    assert abs(oracle_rank_det(v, c)[1]) == 1
+    assert abs(oracle_rank_det(vt, c)[1]) == 1
     # A V = U^-1 D: column j of A V is divisible by d_j, zero past the rank
     av = naive_int_product(a, v, c, c)
     for j in range(c):
@@ -665,8 +673,8 @@ def test_row_transform_is_v_of_the_transpose(case):
     r, c, k, a, rhs = case
     ma = int_matrix(a, c)
     snf = smith_normal_form(ma.transpose())
-    u = snf.V.transpose()
-    diag = snf.diagonal()
+    u = snf.VT
+    diag = snf.diagonal
     rank = oracle_rank_det(a, c)[0]
     assert (u.rows, u.cols) == (r, r)
     assert abs(oracle_rank_det([list(row) for row in u.data], r)[1]) == 1
@@ -686,17 +694,16 @@ def test_row_transform_is_v_of_the_transpose(case):
 
 def test_snf_transforms_pinned():
     # the pivot is the first smallest |entry| in row-major order, so V is
-    # determined, and kernel bases are read off it
+    # determined, and kernel bases are read off its transpose
     cases = [
-        ([[2, 1], [4, 3]], ((1, 0), (0, 2)), ((0, 1), (1, -2))),
-        ([[6, 4, 3], [2, 5, 1]], ((1, 0, 0), (0, 11, 0)),
-         ((0, 0, 1), (0, 1, 0), (1, -5, -2))),
-        ([[4, 6], [6, 4], [2, 8]], ((2, 0), (0, 10), (0, 0)),
-         ((1, -4), (0, 1))),
+        ([[2, 1], [4, 3]], (1, 2), ((0, 1), (1, -2))),
+        ([[6, 4, 3], [2, 5, 1]], (1, 11),
+         ((0, 0, 1), (0, 1, -5), (1, 0, -2))),
+        ([[4, 6], [6, 4], [2, 8]], (2, 10), ((1, 0), (-4, 1))),
     ]
-    for grid, d, v in cases:
+    for grid, diag, vt in cases:
         res = smith_normal_form(IntMatrix.from_rows(grid))
-        assert (res.D.data, res.V.data) == (d, v)
+        assert (res.diagonal, res.VT.data) == (diag, vt)
 
 
 @st.composite
@@ -712,19 +719,33 @@ def sparse_int_matrices(draw):
     return int_matrix(grid.tolist(), c)
 
 
+@st.composite
+def unit_free_int_matrices(draw):
+    """r x c integer matrices, r, c <= 5, each entry nonzero with
+    probability at most 0.7 and then in +-{2, 3, 4, 6}: no pivot is a
+    unit at first, so the row and column passes leave remainders."""
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    density = draw(st.floats(0, 0.7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = (rng.choice((2, 3, 4, 6), size=(r, c))
+            * rng.choice((-1, 1), size=(r, c))
+            * (rng.random((r, c)) < density))
+    return int_matrix(grid.tolist(), c)
+
+
 # Even this range has rare inputs on which the smallest-pivot form grows
 # for seconds (a 9x9 at density 0.47 ran past 2 s), so the draws below
 # come from a fixed sequence.
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(sparse_int_matrices())
+@given(st.one_of(sparse_int_matrices(), unit_free_int_matrices()))
 @example(IntMatrix.zero(0, 4))
 @example(IntMatrix.zero(3, 0))
 @example(IntMatrix.from_rows([[2, 4], [6, 8]]))            # no unit pivot
 @example(IntMatrix.from_rows([[0, -1, 2], [-1, 3, 0], [2, 0, -1]]))
 @example(IntMatrix.from_rows([[2, 3, 0], [0, 2, 3], [3, 0, 2]]))
 def test_snf_matches_oracle(a):
-    res, old = smith_normal_form(a), oracle_smith_normal_form(a)
-    assert (res.D, res.V) == (old.D, old.V)
+    res = smith_normal_form(a)
+    assert (res.diagonal, res.VT) == oracle_diagonal_and_vt(a)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -732,8 +753,8 @@ def test_snf_matches_oracle(a):
 def test_snf_builds_only_the_wanted_transforms(a, want_v):
     full = smith_normal_form(a)
     res = smith_normal_form(a, want_v=want_v)
-    assert res.D == full.D
-    assert res.V == (full.V if want_v else None)
+    assert res.diagonal == full.diagonal
+    assert res.VT == (full.VT if want_v else None)
 
 
 @settings(max_examples=150, deadline=None)

@@ -39,7 +39,7 @@ from hmrkit.real_spinc import (
 )
 
 # the Smith-form solve is a test oracle, kept beside its lattice-oracle test
-from test_f2lin import (int_solve_many, oracle_smith_normal_form,
+from test_f2lin import (int_solve_many, oracle_diagonal_and_vt,
                          oracle_solvable)
 
 
@@ -208,8 +208,8 @@ def test_s1xs2_rotation_only_trivial_admits():
     data = build_fixture("s1_x_s2_rotation")
     assert cohomology_invariants(data, 2) == [0]
     z2 = cocycles(*complex_of(data), 2)
-    admitted = [admits_real_structure(data, z2.column(j))
-                for j in range(z2.cols)]
+    admitted = [admits_real_structure(data, c1)
+                for c1 in z2.transpose().data]
     # some generator cocycles represent the nontrivial class and fail
     assert not all(admitted)
     assert admits_real_structure(data, [0] * data.cells_M[2])
@@ -223,8 +223,7 @@ def test_admits_real_structure_against_lattice_oracle(name):
     data = build_fixture(name)
     z2 = cocycles(*complex_of(data), 2)
     grid = [list(row) for row in data.delta_Q[1].data]
-    for c1 in [z2.column(j) for j in range(z2.cols)] + \
-            [[sum(x) for x in zip(*(z2.column(j) for j in range(z2.cols)))]]:
+    for c1 in list(z2.transpose().data) + [[sum(row) for row in z2.data]]:
         image = data.theta[2].mul_vec(c1)
         assert admits_real_structure(data, c1) == \
             oracle_solvable(grid, image, data.cells_Q[1])
@@ -280,8 +279,8 @@ ORACLE_SPACES = ["lens_7_2"] + [(p, q) for p in range(3, 14, 2)
 @pytest.mark.parametrize("space", ORACLE_SPACES, ids=str)
 def test_snf_matches_oracle_on_census_inputs(monkeypatch, space):
     # every Smith form of a spinc report, plus the existence check, gives
-    # the oracle's D and V, and each call site gets the same D and the
-    # transform it asked for
+    # the oracle's D diagonal and V^T, and each call site gets the same
+    # diagonal and the transform it asked for
     calls = []
     snf = f2lin.smith_normal_form
 
@@ -298,12 +297,12 @@ def test_snf_matches_oracle_on_census_inputs(monkeypatch, space):
     assert admits_real_structure(data, [0] * data.cells_M[2])
     assert calls
     for m, kwargs in calls:
-        old = oracle_smith_normal_form(m)
+        diagonal, vt = oracle_diagonal_and_vt(m)
         full = snf(m)
-        assert (full.D, full.V) == (old.D, old.V)
+        assert (full.diagonal, full.VT) == (diagonal, vt)
         res = snf(m, **kwargs)
-        assert res.D == old.D
-        assert res.V == (old.V if kwargs.get("want_v", True) else None)
+        assert res.diagonal == diagonal
+        assert res.VT == (vt if kwargs.get("want_v", True) else None)
 
 
 def test_s3_census_trivial():
@@ -364,7 +363,7 @@ def relabel(data: EquivariantCWData, rng: random.Random
         for r in range(m.rows):
             for c in range(m.cols):
                 grid[perm[n + 1][r]][perm[n][c]] = \
-                    eps[n + 1][r] * eps[n][c] * m[r, c]
+                    eps[n + 1][r] * eps[n][c] * m.data[r][c]
         return IntMatrix(m.rows, m.cols, tuple(map(tuple, grid)))
 
     moved = EquivariantCWData(
@@ -432,9 +431,8 @@ def test_projection_identities_on_lens_spaces(p, q):
 
 
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return IntMatrix.from_columns(
-        a.rows, [a.column(j) for j in range(a.cols)]
-        + [b.column(j) for j in range(b.cols)])
+    return IntMatrix.from_columns(a.rows,
+                                  a.transpose().data + b.transpose().data)
 
 
 def presented(cx, degree):
@@ -559,7 +557,7 @@ def column_span_basis(a: IntMatrix) -> IntMatrix:
     the span is preserved exactly; the surviving nonzero columns are
     independent and form a basis of the spanned lattice.
     """
-    cols = [list(a.column(j)) for j in range(a.cols)]
+    cols = [list(c) for c in a.transpose().data]
     basis = []
     row = 0
     while row < a.rows and cols:
@@ -652,7 +650,8 @@ def oracle_alexander_at_minus_one(a: IntMatrix) -> int:
     n = a.rows
     if n == 0:
         return 1
-    sym = [[Fraction(a[i, j] + a[j, i]) for j in range(n)] for i in range(n)]
+    d = a.data
+    sym = [[Fraction(d[i][j] + d[j][i]) for j in range(n)] for i in range(n)]
     det = Fraction(1)
     for k in range(n):
         piv = next((i for i in range(k, n) if sym[i][k] != 0), None)
