@@ -286,19 +286,17 @@ def _cmd_spinc(args) -> int:
 
 
 def _cmd_brieskorn(args) -> int:
-    from .seifert_hmr import (BrieskornInput, assemble_brieskorn_hmr,
-                              brieskorn_irreducibles, divisor_count)
+    from .seifert_hmr import BrieskornInput, brieskorn_hmr, divisor_count
 
     window = _parse_window(args.window) if args.window else None
     inp = BrieskornInput(args.family, args.k, window)
-    spec = brieskorn_irreducibles(inp)
-    res = assemble_brieskorn_hmr(spec, inp.truncation)
+    res = brieskorn_hmr(inp)
     report = {
         "family": args.family,
         "k": args.k,
         "pqr": list(inp.pqr),
-        "spectrum": [[g, c] for g, c in spec.counts],
-        "theta_minus1_grading": spec.theta_minus1_grading,
+        "spectrum": [[g, c] for g, c in res.spectrum.counts],
+        "theta_minus1_grading": res.spectrum.theta_minus1_grading,
         "divisor_pairs": divisor_count(*inp.pqr),
         "truncation": list(res.truncation),
         # every differential block of the model is zero, so d.d = 0 holds

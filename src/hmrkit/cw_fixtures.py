@@ -191,7 +191,7 @@ def _slope_circles(p: int, q: int):
 
 
 def _add_solid_torus(b: _Builder, label: str, circles, band_faces,
-                     band_sign: int, p: int):
+                     band_sign: int):
     """Attach diameters, half-disks and two slabs over a meridian family.
 
     ``circles`` are the two meridian circles as (edges, vertices) walks
@@ -234,7 +234,7 @@ def _add_solid_torus(b: _Builder, label: str, circles, band_faces,
     b.set_iota(slab_b, slab_a, 1)
 
 
-def _psi_half(p: int, q: int, cell) -> int:
+def _psi_half(q: int, cell) -> int:
     """0/1 flag: which slope band a torus face lies in (psi = px - qy)."""
     fam, m = cell
     # interior psi of fa[m] lies in (m, m+1)/2; of fb[m] in (m-q, m-q+1)/2
@@ -259,16 +259,15 @@ def lens_space(p: int, q: int) -> EquivariantCWData:
     _add_solid_torus(
         b, "h", _horizontal_circles(p),
         [[("fa", m) for m in range(n)], [("fb", m) for m in range(n)]],
-        band_sign=1, p=p,
-    )
+        band_sign=1)
     # second handlebody: meridians are the slope circles
     all_faces = [("fa", m) for m in range(n)] + [("fb", m) for m in range(n)]
-    band0 = [f for f in all_faces if _psi_half(p, q, f) == 0]
-    band1 = [f for f in all_faces if _psi_half(p, q, f) == 1]
+    band0 = [f for f in all_faces if _psi_half(q, f) == 0]
+    band1 = [f for f in all_faces if _psi_half(q, f) == 1]
     slope = _slope_circles(p, q)
     # band0 borders the psi = 0 circle (slope[0], through V[0]); the slab
     # over band0 runs from psi = 0 to psi = 1/2
-    _add_solid_torus(b, "s", slope, [band0, band1], band_sign=-1, p=p)
+    _add_solid_torus(b, "s", slope, [band0, band1], band_sign=-1)
     return b.finish()
 
 
@@ -284,8 +283,8 @@ def s1_x_s2_unlink_cover() -> EquivariantCWData:
     _add_torus(b, 1, 0)
     n = 2
     bands = [[("fa", m) for m in range(n)], [("fb", m) for m in range(n)]]
-    _add_solid_torus(b, "h", _horizontal_circles(1), bands, band_sign=1, p=1)
-    _add_solid_torus(b, "h2", _horizontal_circles(1), bands, band_sign=1, p=1)
+    _add_solid_torus(b, "h", _horizontal_circles(1), bands, band_sign=1)
+    _add_solid_torus(b, "h2", _horizontal_circles(1), bands, band_sign=1)
     return b.finish()
 
 

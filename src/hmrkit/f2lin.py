@@ -260,7 +260,8 @@ class IntMatrix:
         m = IntMatrix.from_rows(obj["data"]) if obj["data"] else \
             IntMatrix.zero(*shape)
         if (m.rows, m.cols) != shape:
-            raise ShapeMismatch("declared shape disagrees with data grid")
+            raise ValueError(f"declared shape {shape[0]}x{shape[1]} "
+                             f"disagrees with data grid {m.rows}x{m.cols}")
         return m
 
     def transpose(self) -> "IntMatrix":

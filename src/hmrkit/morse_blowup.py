@@ -63,7 +63,8 @@ _INITIAL_ROWS = 1024
 
 @dataclass(frozen=True)
 class LinearFlowModel:
-    """Symmetric matrix with simple nonzero spectrum, plus its eigendata."""
+    """Symmetric matrix with simple nonzero spectrum, plus its eigendata as
+    ``np.linalg.eigh`` returns it; no reader depends on a column's sign."""
 
     L: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False)
@@ -77,21 +78,12 @@ class LinearFlowModel:
             raise ShapeMismatch("L must be symmetric")
         object.__setattr__(self, "L", a)
         vals, vecs = np.linalg.eigh(a)
-        # re-orthogonalize defensively; eigh is already orthogonal but the
-        # index classification must not depend on solver internals
-        vecs, _ = np.linalg.qr(vecs)
         scale = max(1.0, float(np.max(np.abs(vals))))
         gap_tol = 10.0 * SPECTRAL_TOLERANCE * scale
         if np.any(np.abs(vals) <= gap_tol):
             raise DegenerateSpectrum("spectrum contains (near-)zero")
         if vals.size > 1 and np.min(np.diff(vals)) <= gap_tol:
             raise DegenerateSpectrum("spectrum is not simple")
-        # deterministic sign: first coordinate of significant size positive
-        for k in range(vecs.shape[1]):
-            col = vecs[:, k]
-            lead = col[np.argmax(np.abs(col) > 1e-8)]
-            if lead < 0:
-                vecs[:, k] = -col
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
 

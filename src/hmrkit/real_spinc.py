@@ -31,6 +31,7 @@ Branched double covers of links enter through their Seifert matrices:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .errors import (
@@ -87,9 +88,6 @@ class EquivariantCWData:
     theta: tuple = field(init=False, compare=False, repr=False)
     iota: tuple = field(init=False, compare=False, repr=False)
     pullback: tuple = field(init=False, compare=False, repr=False)
-    # (space, degree) -> Z^n, filled by cocycle_lattice
-    _cocycles: dict = field(init=False, compare=False, repr=False,
-                            default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "cells_M", tuple(self.cells_M))
@@ -199,15 +197,11 @@ class EquivariantCWData:
     def dim(self) -> int:
         return len(self.cells_M) - 1
 
-    def cocycle_lattice(self, space: str, n: int) -> IntMatrix:
-        """Z^n of M or Q (``space`` "M" or "Q") by :func:`cocycles`,
-        computed on first use and kept on this object."""
-        key = (space, n)
-        if key not in self._cocycles:
-            cochains = ((self.delta_M, self.cells_M) if space == "M"
-                        else (self.delta_Q, self.cells_Q))
-            self._cocycles[key] = cocycles(*cochains, n)
-        return self._cocycles[key]
+    @cached_property
+    def z1_M(self) -> IntMatrix:
+        """Z^1(M) by :func:`cocycles`, computed on first read: both census
+        answers read it."""
+        return cocycles(self.delta_M, self.cells_M, 1)
 
     def to_json(self) -> dict:
         return {
@@ -393,8 +387,8 @@ def real_structure_classes(data: EquivariantCWData) -> list[int]:
     Z^1(Q) / (B^1(Q) + Theta Z^1(M))."""
     _require_cells(data, 1, "H^1(Q) / Im Theta")
     q = (data.delta_Q, data.cells_Q)
-    image = data.theta[1] @ data.cocycle_lattice("M", 1)
-    return subquotient_invariants(data.cocycle_lattice("Q", 1),
+    image = data.theta[1] @ data.z1_M
+    return subquotient_invariants(cocycles(*q, 1),
                                   _hstack(coboundaries(*q, 1), image))
 
 
@@ -410,11 +404,11 @@ def real_spinc_torsor(data: EquivariantCWData) -> RealStructureCensus:
     """
     _require_cells(data, 2, "a first Chern class")
     m = (data.delta_M, data.cells_M)
-    z2 = data.cocycle_lattice("M", 2)
+    z2 = cocycles(*m, 2)
     kernel = _preimage(data.theta[2] @ z2, z2,
                        coboundaries(data.delta_Q, data.cells_Q, 2))
 
-    z1, b1 = data.cocycle_lattice("M", 1), coboundaries(*m, 1)
+    z1, b1 = data.z1_M, coboundaries(*m, 1)
     iz = data.iota[1] @ z1
     invariant = _preimage(iz + z1.scale(-1), z1, b1)
     return RealStructureCensus(

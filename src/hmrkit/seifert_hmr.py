@@ -239,11 +239,6 @@ def divisor_count(p: int, q: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def default_truncation(spec: IrreducibleSpectrum) -> tuple:
-    gradings = [g for g, _ in spec.counts] + [spec.theta_minus1_grading]
-    return min(gradings) - 2, max(gradings) + 10
-
-
 @dataclass(frozen=True)
 class BrieskornResult:
     """Flavor triple plus the explicit truncated chain-level model."""
@@ -276,22 +271,23 @@ class BrieskornResult:
         return assemble(BlockDifferentials.zero(gens_o, gens_s, gens_u))
 
 
-def assemble_brieskorn_hmr(spec: IrreducibleSpectrum,
-                           truncation: tuple | None = None
-                           ) -> BrieskornResult:
-    """Build the flavor triple; its truncated explicit complex is lazy.
+def brieskorn_hmr(inp: BrieskornInput) -> BrieskornResult:
+    """Tabulate the spectrum and build the flavor triple; its truncated
+    explicit complex is lazy.
 
     The reducible tower sits at gradings g, g+1, ... (boundary-stable
     side, g the grading shared by theta_0 and theta_-1) and g, g-1, ...
     (boundary-unstable side).  The trajectory-exclusion arguments behind
     the tabulated families force every differential to vanish, except
     possibly the unstable-to-irreducible piece flagged on the spectrum;
-    in that case the hat flavor is reported undetermined.
+    in that case the hat flavor is reported undetermined.  Without a
+    window in ``inp`` the truncation runs from 2 below the lowest grading
+    of the spectrum to 10 above the highest.
     """
-    if truncation is None:
-        truncation = default_truncation(spec)
-    lo, hi = truncation
+    spec = brieskorn_irreducibles(inp)
     gradings = [g for g, _ in spec.counts] + [spec.theta_minus1_grading]
+    truncation = inp.truncation or (min(gradings) - 2, max(gradings) + 10)
+    lo, hi = truncation
     if not (lo <= min(gradings) and max(gradings) <= hi):
         raise InvalidInput(f"truncation window {truncation} does not "
                            f"contain the spectrum")
@@ -305,9 +301,3 @@ def assemble_brieskorn_hmr(spec: IrreducibleSpectrum,
     else:
         hat = TowerModule.from_parts(finite, (Tower("down", g0),))
     return BrieskornResult(hat, check, bar, spec, (lo, hi))
-
-
-def brieskorn_hmr(inp: BrieskornInput) -> BrieskornResult:
-    """Convenience wrapper: tabulate the spectrum, then assemble."""
-    return assemble_brieskorn_hmr(brieskorn_irreducibles(inp),
-                                  inp.truncation)

@@ -466,8 +466,8 @@ MORSE_BODY = {"points": [{"label": "a", "ind_q": 0, "fiber": [[1.0]]},
 
 #: (id, command, field named by the error, valid body, path to one integer
 #: or boolean entry, a value that is neither and was once truncated, or a
-#: negative count or shape, or a short row, that once ended as
-#: shape_mismatch with no field named)
+#: negative count or shape, a short row, or a declared shape past the data
+#: grid, that once ended as shape_mismatch with no field named)
 NON_INTEGER_FIELDS = (
     ("seifert_float", "seifert-matrix", "data", {"data": [[1]]},
      ("data", 0, 0), 1.5),
@@ -493,6 +493,12 @@ NON_INTEGER_FIELDS = (
      ("delta_Q", 0, "cols"), -1),
     ("spinc_delta_M_ragged", "spinc", "delta_M", lens_space(3, 1).to_json(),
      ("delta_M", 0, "data", 1), [1]),
+    ("spinc_delta_M_rows_over_grid", "spinc", "delta_M",
+     lens_space(3, 1).to_json(), ("delta_M", 0, "rows"),
+     lens_space(3, 1).cells_M[1] + 1),
+    ("spinc_delta_Q_cols_over_grid", "spinc", "delta_Q",
+     lens_space(3, 1).to_json(), ("delta_Q", 0, "cols"),
+     lens_space(3, 1).cells_Q[0] + 1),
     ("seifert_ragged", "seifert-matrix", "data", {"data": [[1, 2], [3, 4]]},
      ("data", 1), [3]),
 )

@@ -1,0 +1,198 @@
+"""The golden corpus: CLI requests whose answers are pinned by digest.
+
+``tests/golden/answers.json`` holds, per request, the argv (subcommand and
+flags), the sha256 of the body sent on stdin (of "" when there is none),
+the exit code and the sha256 of stdout.  One test runs ``cli.run``
+in-process on every request and compares.  ``tests/golden/write.py``
+rewrites the table from the current code; a change that alters a digest
+names the request and the reason in CHANGES.md.
+
+The ``morse`` and ``flow`` bodies come from a seeded generator below.  Its
+matrices have dyadic entries and its unit vectors are normalized in
+Python, so the bodies do not depend on the BLAS build.  The ``flow``
+answers still do: the integrator and the closed form multiply floats, and
+a BLAS may round or order those sums differently.  So a ``flow`` digest
+hashes the report with every float rounded to 9 significant digits.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import sys
+from math import gcd
+from pathlib import Path
+
+import numpy as np
+
+from hmrkit import cli
+from hmrkit.cw_fixtures import FIXTURE_BUILDERS, lens_space
+from hmrkit.seifert_hmr import FAMILIES
+
+from test_real_spinc import CASES
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "answers.json"
+
+#: odd p of the ``spinc --input`` lens spaces L(p, q), every coprime q
+LENS_P = range(1, 22, 2)
+#: (p, q) of the ``lens`` requests, errors included
+LENS_TABLE = ((1, 0), (3, 1), (5, 2), (7, 3), (9, 2), (4, 2), (3, 5),
+              (1000003, 2))
+#: (c1sq, sigma, b1, bplus, b0) of the ``index`` requests, errors included
+INDEX_TABLE = ((8, 0, 1, 1, 0), (0, 0, 0, 0, 0), (16, 0, 2, 1, 0),
+               (1, 0, 0, 0, 0), (0, 0, -5, 0, 0), (0, 0, 0, -2, 0))
+#: generated ``morse`` and ``flow`` bodies
+MORSE_BODIES = 48
+FLOW_BODIES = 48
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _round9(value):
+    """``value`` with every float rounded to 9 significant digits, and
+    -0.0 read as 0.0."""
+    if isinstance(value, float):
+        return float(f"{value:.9g}") + 0.0
+    if isinstance(value, list):
+        return [_round9(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _round9(v) for k, v in value.items()}
+    return value
+
+
+# ---------------------------------------------------------------------------
+# the seeded generator of morse and flow bodies
+# ---------------------------------------------------------------------------
+
+
+def _fiber(rng, n: int, n_neg: int) -> list:
+    """A symmetric n x n matrix, n <= 3, with n_neg negative eigenvalues:
+    distinct integer diagonal entries at least 1 apart, off the diagonal
+    multiples of 1/16 of size at most 1/16, so by Gershgorin each
+    eigenvalue lies within 1/8 of a diagonal entry."""
+    neg = sorted(rng.choice(np.arange(1, 6), n_neg, replace=False))
+    pos = sorted(rng.choice(np.arange(1, 6), n - n_neg, replace=False))
+    diag = [-float(x) for x in reversed(neg)] + [float(x) for x in pos]
+    m = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = diag[i]
+        for j in range(i):
+            m[i][j] = m[j][i] = int(rng.integers(-1, 2)) / 16
+    return m
+
+
+def _morse_body(rng) -> dict:
+    """Base points in cancelling pairs and free points, with one fiber
+    sign pattern, so that every base count joins equal patterns."""
+    n = int(rng.integers(1, 4))
+    n_neg = int(rng.integers(0, n + 1))
+    size = int(rng.integers(3, 9))
+    inds, ones = [], []
+    while len(inds) < size:
+        i = int(rng.integers(0, 3))
+        if rng.random() < 0.5:
+            ones.append([len(inds) + 1, len(inds)])
+            inds += [i + 1, i]
+        else:
+            inds.append(i)
+    points = [{"label": f"q{k}", "ind_q": ind, "fiber": _fiber(rng, n, n_neg)}
+              for k, ind in enumerate(inds)]
+    return {"points": points,
+            "counts": {"rows": len(inds), "cols": len(inds), "ones": ones},
+            "grading_shift": int(rng.integers(-2, 3))}
+
+
+def _unit(rng, n: int) -> list:
+    v = [float(x) for x in rng.integers(-4, 5, n)]
+    if not any(v):
+        v[0] = 1.0
+    norm = math.sqrt(sum(x * x for x in v))
+    return [x / norm for x in v]
+
+
+def _flow_body(rng) -> dict:
+    n = int(rng.integers(2, 4))
+    return {"L": _fiber(rng, n, int(rng.integers(0, n + 1))),
+            "phi0": _unit(rng, n), "s0": int(rng.integers(0, 5)) / 4,
+            "t_max": 30.0, "step": 1e-2}
+
+
+# ---------------------------------------------------------------------------
+# the requests
+# ---------------------------------------------------------------------------
+
+
+def requests() -> list[tuple[list[str], str]]:
+    """(argv, stdin body) of every request of the corpus, in table order."""
+    out = [(["spinc", "--fixture", name], "")
+           for name in sorted(FIXTURE_BUILDERS)]
+    for p in LENS_P:
+        out += [(["spinc", "--input", "-"],
+                 json.dumps(lens_space(p, q).to_json()))
+                for q in range(p) if gcd(p, q) == 1]
+    # a declared shape that disagrees with the data grid
+    body = lens_space(3, 1).to_json()
+    body["delta_M"][0]["rows"] += 1
+    out.append((["spinc", "--input", "-"], json.dumps(body)))
+
+    for family in FAMILIES:
+        out += [(["brieskorn", "--family", family, "--k", str(k)], "")
+                for k in (1, 2, 7)]
+    out += [(["brieskorn", "--family", "2,3,+1", "--k", "4",
+              "--window=-2:14"], ""),
+            (["brieskorn", "--family", "2,3,+1", "--window=abc"], ""),
+            (["brieskorn", "--family", "2,7,29", "--window=0:5"], "")]
+    out += [(["psc", "--b1", str(b1), flag], "")
+            for b1 in range(6) for flag in ("--torsion", "--no-torsion")]
+    out += [(["lens", "--p", str(p), "--q", str(q)], "")
+            for p, q in LENS_TABLE]
+    out += [(["index", "--c1sq", str(c1sq), "--sigma", str(sigma),
+              "--b1", str(b1), "--bplus", str(bplus), "--b0", str(b0)], "")
+            for c1sq, sigma, b1, bplus, b0 in INDEX_TABLE]
+    out += [(["seifert-matrix", "--input", "-"],
+             json.dumps({"data": [list(r) for r in CASES[name][0].data]}))
+            for name in sorted(CASES)]
+
+    rng = np.random.default_rng(2026)
+    out += [(["morse", "--input", "-"], json.dumps(_morse_body(rng)))
+            for _ in range(MORSE_BODIES)]
+    out += [(["flow", "--input", "-"], json.dumps(_flow_body(rng)))
+            for _ in range(FLOW_BODIES)]
+    no_phi0 = {"L": [[-1.0, 0.25], [0.25, 2.0]], "t_max": 20.0, "step": 1e-2}
+    out += [(["flow", "--input", "-", "--seed", "3"], json.dumps(no_phi0)),
+            (["flow", "--input", "-", "--samples", "--stride", "400"],
+             json.dumps(_flow_body(rng))),
+            (["flow", "--input", "-"], json.dumps(dict(no_phi0, step=1.0))),
+            (["morse", "--input", "-"], "{}")]
+    out.append((["fixtures-selftest"], ""))
+    return out
+
+
+def answer(argv: list[str], body: str) -> dict:
+    """The table entry of one request, run through ``cli.run``."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(body)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.run(argv)
+    finally:
+        sys.stdin = stdin
+    text = out.getvalue()
+    if argv[0] == "flow":
+        text = json.dumps(_round9(json.loads(text)), sort_keys=True)
+    return {"argv": argv, "body_sha256": _sha(body), "exit": code,
+            "stdout_sha256": _sha(text)}
+
+
+def test_golden_answers():
+    want = json.loads(GOLDEN.read_text())
+    got = [answer(argv, body) for argv, body in requests()]
+    assert [(w["argv"], w["body_sha256"]) for w in want] == \
+        [(g["argv"], g["body_sha256"]) for g in got]
+    changed = [(g["argv"], g["body_sha256"][:12])
+               for g, w in zip(got, want) if g != w]
+    assert not changed

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmrkit.complexes import assemble, homology, les_maps, verify_d_squared, verify_les_exact
 from hmrkit.errors import (DegenerateSpectrum, InvalidInput, ShapeMismatch,
@@ -227,6 +230,27 @@ def test_limiting_eigen_index():
     m = LinearFlowModel(np.diag([-1.0, 2.0, 3.0]))
     assert limiting_eigen_index(m, m.eigenvectors[:, 1]) == 2
     assert limiting_eigen_index(m, np.array([0.1, 0.2, 0.9])) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 20.0))
+def test_eigenvector_signs_are_not_read(n, seed, t):
+    # eigh fixes each eigenvector only up to sign, so no answer may depend
+    # on the signs it returns
+    rng = np.random.default_rng(seed)
+    try:
+        m = LinearFlowModel(random_symmetric(n, rng))
+    except DegenerateSpectrum:
+        return
+    phi0 = rng.normal(size=n)
+    phi0 /= np.linalg.norm(phi0)
+    flipped = copy.copy(m)
+    object.__setattr__(flipped, "eigenvectors",
+                       m.eigenvectors * rng.choice([-1.0, 1.0], n))
+    assert np.array_equal(closed_form_phi(flipped, phi0, t),
+                          closed_form_phi(m, phi0, t))
+    assert limiting_eigen_index(flipped, phi0) == limiting_eigen_index(m, phi0)
 
 
 def test_bad_inputs_rejected():

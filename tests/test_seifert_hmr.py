@@ -14,10 +14,8 @@ from hmrkit.seifert_hmr import (
     IrreducibleSpectrum,
     Tower,
     TowerModule,
-    assemble_brieskorn_hmr,
     brieskorn_hmr,
     brieskorn_irreducibles,
-    default_truncation,
     divisor_count,
     lens_hmr,
     psc_hmr,
@@ -232,10 +230,9 @@ def test_bar_is_single_full_tower():
 
 
 def test_truncation_window_validation():
-    spec = brieskorn_irreducibles(BrieskornInput("2,7,29"))
-    assert default_truncation(spec) == (-2, 17)
+    assert brieskorn_hmr(BrieskornInput("2,7,29")).truncation == (-2, 17)
     with pytest.raises(InvalidInput, match="window"):
-        assemble_brieskorn_hmr(spec, truncation=(0, 5))
+        brieskorn_hmr(BrieskornInput("2,7,29", 1, (0, 5)))
 
 
 def test_to_json_is_sorted_and_plain():
