@@ -9,13 +9,13 @@ out-of-domain input values (``InvalidInput``, naming the field) exit with
 code 2.  ``--pretty`` switches to an indented rendering of the
 same report.
 
-Each process runs one subcommand, so the module imports at load time only
-what the argument parser needs (``errors``, and ``cw_fixtures`` for the
-``--fixture`` choices), and each handler imports the library names it
-calls.  Only ``morse``, ``flow`` and ``fixtures-selftest`` load numpy;
-``spinc``, ``seifert-matrix``, ``brieskorn``, ``lens``, ``psc`` and
-``index`` never do.  A name imported inside a handler is looked up on its
-defining module at each call, so rebinding it there reaches the CLI.
+Each process runs one subcommand, so the module imports only ``errors``
+at load time, and each handler imports the library names it calls; the
+parser lists no ``--fixture`` names, ``build_fixture`` checks them.  Only
+``morse``, ``flow`` and ``fixtures-selftest`` load numpy; ``spinc``,
+``seifert-matrix``, ``brieskorn``, ``lens``, ``psc`` and ``index`` never
+do.  A name imported inside a handler is looked up on its defining
+module at each call, so rebinding it there reaches the CLI.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import sys
 import time
 from functools import partial
 
-from . import cw_fixtures
 from .errors import (HmrkitError, InvalidInput, MalformedJson, input_field,
                      input_float, input_int)
 
@@ -257,11 +256,12 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_spinc(args) -> int:
+    from .cw_fixtures import build_fixture
     from .real_spinc import (EquivariantCWData, real_spinc_torsor,
                              real_structure_classes)
 
     if args.fixture:
-        data = cw_fixtures.build_fixture(args.fixture)
+        data = build_fixture(args.fixture)
     else:
         data = EquivariantCWData.from_json(_load_input(args))
     census = real_spinc_torsor(data)
@@ -359,6 +359,7 @@ def _selftest_checks():
     import numpy as np
 
     from .complexes import assemble, homology
+    from .cw_fixtures import build_fixture
     from .f2lin import IntMatrix
     from .index_grading import (TopologicalData4, closed4_index,
                                 loop_grading_shift)
@@ -383,11 +384,10 @@ def _selftest_checks():
         return all(homology(cx, f) == r for f, r in ranks.items())
 
     def census_size(name, size):
-        data = cw_fixtures.build_fixture(name)
-        return real_spinc_torsor(data).size() == size
+        return real_spinc_torsor(build_fixture(name)).size() == size
 
     def rotation_census():
-        data = cw_fixtures.build_fixture("s1_x_s2_rotation")
+        data = build_fixture("s1_x_s2_rotation")
         return (real_spinc_torsor(data).size(),
                 real_structure_classes(data)) == ROTATION_CENSUS
 
@@ -488,9 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", help="CW JSON path ('-' for stdin)")
-    group.add_argument("--fixture",
-                       choices=sorted(cw_fixtures.FIXTURE_BUILDERS),
-                       help="built-in equivariant CW fixture")
+    group.add_argument("--fixture", help="built-in equivariant CW fixture")
     p.set_defaults(func=_cmd_spinc)
 
     p = sub.add_parser("brieskorn", help="Brieskorn-family tower modules")

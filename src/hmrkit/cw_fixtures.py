@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import MalformedOrbitMap, NotCoprime, ShapeMismatch
+from .errors import InvalidInput, MalformedOrbitMap, NotCoprime, ShapeMismatch
 from .f2lin import IntMatrix
 from .real_spinc import EquivariantCWData, OrbitEntry
 
@@ -390,7 +390,8 @@ FIXTURE_BUILDERS = {
 
 
 def build_fixture(name: str) -> EquivariantCWData:
-    try:
-        return FIXTURE_BUILDERS[name]()
-    except KeyError:
-        raise MalformedOrbitMap(f"unknown fixture {name!r}") from None
+    """The fixture ``name``; an unknown name is InvalidInput."""
+    if name not in FIXTURE_BUILDERS:
+        raise InvalidInput(f"unknown fixture {name!r}; known fixtures: "
+                           f"{', '.join(sorted(FIXTURE_BUILDERS))}")
+    return FIXTURE_BUILDERS[name]()

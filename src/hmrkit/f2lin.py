@@ -257,8 +257,9 @@ class IntMatrix:
         shape = (input_int(obj["rows"]), input_int(obj["cols"]))
         if min(shape) < 0:
             raise ValueError(f"negative shape {shape[0]}x{shape[1]}")
-        m = IntMatrix.from_rows(obj["data"]) if obj["data"] else \
-            IntMatrix.zero(*shape)
+        grid = IntMatrix.from_rows(obj["data"])
+        # an empty grid has no row to show a width: it keeps the declared one
+        m = grid if grid.rows else IntMatrix.zero(0, shape[1])
         if (m.rows, m.cols) != shape:
             raise ValueError(f"declared shape {shape[0]}x{shape[1]} "
                              f"disagrees with data grid {m.rows}x{m.cols}")

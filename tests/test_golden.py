@@ -130,7 +130,7 @@ def _flow_body(rng) -> dict:
 def requests() -> list[tuple[list[str], str]]:
     """(argv, stdin body) of every request of the corpus, in table order."""
     out = [(["spinc", "--fixture", name], "")
-           for name in sorted(FIXTURE_BUILDERS)]
+           for name in [*sorted(FIXTURE_BUILDERS), "no_such_fixture"]]
     for p in LENS_P:
         out += [(["spinc", "--input", "-"],
                  json.dumps(lens_space(p, q).to_json()))
@@ -138,6 +138,11 @@ def requests() -> list[tuple[list[str], str]]:
     # a declared shape that disagrees with the data grid
     body = lens_space(3, 1).to_json()
     body["delta_M"][0]["rows"] += 1
+    out.append((["spinc", "--input", "-"], json.dumps(body)))
+    # an empty grid under a shape too large to allocate
+    body = {"cells_M": [1, 1], "cells_Q": [1, 1], "delta_M": [
+        {"rows": 2 ** 62, "cols": 2 ** 62, "data": []}], "delta_Q": [],
+        "orbit": []}
     out.append((["spinc", "--input", "-"], json.dumps(body)))
 
     for family in FAMILIES:
