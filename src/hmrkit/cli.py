@@ -12,7 +12,8 @@ same report.
 Each process runs one subcommand, so the module imports only ``errors``
 at load time, and each handler imports the library names it calls; the
 parser lists no ``--fixture`` names, ``build_fixture`` checks them.  Only
-``morse``, ``flow`` and ``fixtures-selftest`` load numpy; ``spinc``,
+``morse``, ``flow`` and ``fixtures-selftest`` load numpy, and ``morse``
+and ``flow`` only once the body's fields are read and checked; ``spinc``,
 ``seifert-matrix``, ``brieskorn``, ``lens``, ``psc`` and ``index`` never
 do.  A name imported inside a handler is looked up on its defining
 module at each call, so rebinding it there reaches the CLI.
@@ -148,12 +149,24 @@ def _floats(value):
     return input_float(value)
 
 
-def _float_array(value):
-    """A float ndarray of nested input numbers, each finite."""
-    import numpy as np
+def _entries(value) -> tuple:
+    """(shape, entries) of nested lists as numpy reads them; a ragged
+    nesting raises ValueError."""
+    if not isinstance(value, list):
+        return (), [value]
+    parts = [_entries(v) for v in value]
+    if len({shape for shape, _ in parts}) > 1:
+        raise ValueError("nested lists of unequal length or depth")
+    return ((len(value), *(parts[0][0] if parts else ())),
+            [x for _, entries in parts for x in entries])
 
-    out = np.array(_floats(value), dtype=float)
-    if not np.isfinite(out).all():
+
+def _finite_floats(value):
+    """Nested lists of input numbers, read with ``input_float``, of one
+    shape and each finite, checked in that order and without numpy: a
+    malformed body is refused before numpy loads."""
+    out = _floats(value)
+    if not all(map(math.isfinite, _entries(out)[1])):
         raise ValueError("entries must be finite, not NaN or infinite")
     return out
 
@@ -173,16 +186,17 @@ def _label(value) -> str:
 
 def _base_points(value) -> list:
     return [(_label(p["label"]), input_int(p["ind_q"]),
-             _float_array(p["fiber"])) for p in value]
+             _finite_floats(p["fiber"])) for p in value]
 
 
 def _cmd_morse(args) -> int:
+    raw = _load_input(args)
+    points = input_field(raw, "points", _base_points)
+    # the counts are read by the model module, which loads numpy
     from .complexes import assemble, homology, les_maps, verify_les_exact
     from .morse_blowup import (BaseMorseData, BasePoint, LinearFlowModel,
                                build_model_complexes, read_counts)
 
-    raw = _load_input(args)
-    points = input_field(raw, "points", _base_points)
     counts = input_field(raw, "counts",
                          lambda v: read_counts(v, len(points)), None)
     shift = input_field(raw, "grading_shift", input_int, 0)
@@ -208,22 +222,24 @@ def _cmd_morse(args) -> int:
 
 
 def _cmd_flow(args) -> int:
+    if (args.samples or args.csv) and args.stride < 1:
+        raise InvalidInput(f"--stride must be a positive integer, "
+                           f"got {args.stride}")
+    raw = _load_input(args)
+    matrix = input_field(raw, "L", _finite_floats)
+    phi0 = input_field(raw, "phi0", _finite_floats, None)
+    s0 = input_field(raw, "s0", _finite_float, 0.0)
+    t_max = input_field(raw, "t_max", input_float)
+    step = input_field(raw, "step", input_float)
     import numpy as np
 
     from .morse_blowup import (LinearFlowModel, closed_form_phi,
                                integrate_blowup_flow, limiting_eigen_index)
 
-    if (args.samples or args.csv) and args.stride < 1:
-        raise InvalidInput(f"--stride must be a positive integer, "
-                           f"got {args.stride}")
-    raw = _load_input(args)
-    matrix = input_field(raw, "L", _float_array)
-    phi0 = input_field(raw, "phi0", _float_array, None)
-    s0 = input_field(raw, "s0", _finite_float, 0.0)
-    t_max = input_field(raw, "t_max", input_float)
-    step = input_field(raw, "step", input_float)
     model = LinearFlowModel(matrix)
-    if phi0 is None:
+    if phi0 is not None:
+        phi0 = np.array(phi0, dtype=float)
+    else:
         rng = np.random.default_rng(args.seed)
         phi0 = rng.standard_normal(model.n)
         phi0 /= np.linalg.norm(phi0)

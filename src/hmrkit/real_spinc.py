@@ -17,6 +17,22 @@ trivial bundle, which always admits one, form a torsor over
 ker(Theta on H^2) x H^1(M)^inv / Im(1 + iota*).  No cohomology group is
 presented in generator coordinates.
 
+Each answer depends only on the maps that Theta and iota* induce on
+cohomology, so the census may run on any complexes homotopy-equivalent to
+those of M and Q.  For chain maps f: C -> C' and g: C' -> C with f g = 1
+and g f homotopic to 1, Theta' = f_Q Theta g_M and iota' = f_M iota* g_M
+are chain maps inducing [f_Q][Theta][f_M]^-1 and [f_M][iota*][f_M]^-1,
+since [g] = [f]^-1; the subquotients above keep their invariants.
+Gaussian elimination of a unit entry phi = delta^n[b][a] is such a pair
+(Bar-Natan, J. Knot Theory Ramifications 16, 2007; Kaczynski, Mrozek and
+Slusarek, Comput. Math. Appl. 35, 1998): cells a and b go, delta^n
+becomes the Schur complement eps - gamma phi^-1 delta_b, delta^(n-1) loses
+row a and delta^(n+1) column b.  f adds -phi gamma_e (row b) to each row
+e, and g adds -phi delta[b][c] (column a) to each column c, so the maps
+out of M take column operations and the maps into M or Q row operations.
+:attr:`EquivariantCWData.reduced` eliminates unit entries by least
+Markowitz cost until none is left, and the census reads what remains.
+
 Constructing :class:`EquivariantCWData` is the one validation.  It builds
 the matrices of Theta, iota* and pi* once per degree from the validated
 orbit map, and derives delta_Q from them, 2 delta_Q = Theta delta_M pi*:
@@ -30,8 +46,10 @@ Branched double covers of links enter through their Seifert matrices:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Sequence
 
 from .errors import (
@@ -198,10 +216,20 @@ class EquivariantCWData:
         return len(self.cells_M) - 1
 
     @cached_property
-    def z1_M(self) -> IntMatrix:
-        """Z^1(M) by :func:`cocycles`, computed on first read: both census
-        answers read it."""
-        return cocycles(self.delta_M, self.cells_M, 1)
+    def reduced(self) -> "CochainPair":
+        """M and Q with every unit entry of their coboundaries eliminated,
+        Theta and iota* carried along; computed on first read, since both
+        census answers read it."""
+        delta_M, delta_Q, theta, iota = (
+            [_Sparse.of(m) for m in ms]
+            for ms in (self.delta_M, self.delta_Q, self.theta, self.iota))
+        _reduce(delta_M, into=[[i] for i in iota],
+                outof=[[i, t] for i, t in zip(iota, theta)])
+        _reduce(delta_Q, into=[[t] for t in theta], outof=[[]] * len(theta))
+        return CochainPair(
+            tuple(len(i.row) for i in iota), tuple(len(t.row) for t in theta),
+            *(tuple(m.dense() for m in ms)
+              for ms in (delta_M, delta_Q, theta, iota)))
 
     def to_json(self) -> dict:
         return {
@@ -278,6 +306,113 @@ def verify_naturality(data: EquivariantCWData, degree: int) -> bool:
     lhs = data.pullback[degree] @ data.theta[degree]
     rhs = IntMatrix.identity(data.cells_M[degree]) + data.iota[degree]
     return lhs.data == rhs.data
+
+
+@dataclass(frozen=True)
+class CochainPair:
+    """The complexes of M and Q, and Theta and iota* per degree, that the
+    census reads: :attr:`EquivariantCWData.reduced`."""
+
+    cells_M: tuple
+    cells_Q: tuple
+    delta_M: tuple
+    delta_Q: tuple
+    theta: tuple
+    iota: tuple
+
+    @cached_property
+    def z1_M(self) -> IntMatrix:
+        """Z^1(M), computed on first read: both census answers read it."""
+        return cocycles(self.delta_M, self.cells_M, 1)
+
+
+class _Sparse:
+    """A mutable integer matrix as row dicts and column dicts, keyed by
+    the original indices, so that a row is added or dropped in time linear
+    in its nonzeros; ``T`` is the transpose, on the same dicts."""
+
+    def __init__(self, row: dict, col: dict):
+        self.row, self.col = row, col
+
+    @staticmethod
+    def of(m: IntMatrix) -> "_Sparse":
+        out = _Sparse({i: {} for i in range(m.rows)},
+                      {j: {} for j in range(m.cols)})
+        for i, r in enumerate(m.data):
+            for j in compress(range(m.cols), r):
+                out.row[i][j] = out.col[j][i] = r[j]
+        return out
+
+    @property
+    def T(self) -> "_Sparse":
+        return _Sparse(self.col, self.row)
+
+    def add_row(self, dst, src, k: int) -> None:
+        out, col = self.row[dst], self.col
+        for j, x in self.row[src].items():
+            v = out.get(j, 0) + k * x
+            if v:
+                out[j] = col[j][dst] = v
+            else:
+                del out[j], col[j][dst]
+
+    def drop_row(self, i) -> None:
+        for j in self.row.pop(i):
+            del self.col[j][i]
+
+    def dense(self) -> IntMatrix:
+        cols = sorted(self.col)
+        return IntMatrix(len(self.row), len(cols), tuple(
+            tuple(r.get(j, 0) for j in cols)
+            for _, r in sorted(self.row.items())))
+
+
+def _reduce(deltas: list, into: list, outof: list) -> None:
+    """Eliminate unit entries of the complex ``deltas`` in place, turning
+    each matrix X of ``into[n]`` (rows indexed by C^n) into f X, and each
+    of ``outof[n]`` (columns indexed by C^n) into X g.  Pivots go by least
+    Markowitz cost (|row| - 1)(|column| - 1), rechecked when an entry is
+    taken and queued again if it has grown."""
+    into = [list(x) for x in into]
+    outof = [[m.T for m in x] for x in outof]  # columns as rows
+    for n, d in enumerate(deltas):
+        into[n + 1].append(d)
+        outof[n].append(d.T)
+
+    def cost(d, b, a):
+        return (len(d.row[b]) - 1) * (len(d.col[a]) - 1)
+
+    heap = [(cost(d, b, a), n, b, a) for n, d in enumerate(deltas)
+            for b, r in d.row.items() for a, x in r.items() if x in (1, -1)]
+    heapq.heapify(heap)
+    while heap:
+        c, n, b, a = heapq.heappop(heap)
+        d = deltas[n]
+        phi = d.row.get(b, {}).get(a)
+        if phi not in (1, -1):
+            continue
+        if cost(d, b, a) > c:
+            heapq.heappush(heap, (cost(d, b, a), n, b, a))
+            continue
+        gamma = [(e, -phi * x) for e, x in d.col[a].items() if e != b]
+        delta_b = [(j, -phi * x) for j, x in d.row[b].items() if j != a]
+        for m in into[n]:
+            m.drop_row(a)
+        for m in into[n + 1]:
+            for e, k in gamma:
+                m.add_row(e, b, k)
+            m.drop_row(b)
+        for m in outof[n]:
+            for j, k in delta_b:
+                m.add_row(j, a, k)
+            m.drop_row(a)
+        for m in outof[n + 1]:
+            m.drop_row(b)
+        # only the rows of gamma changed, in the columns of row b
+        for e, _ in gamma:
+            for j, _ in delta_b:
+                if d.row[e].get(j) in (1, -1):
+                    heapq.heappush(heap, (cost(d, e, j), n, e, j))
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +521,7 @@ def real_structure_classes(data: EquivariantCWData) -> list[int]:
     """Invariants of H^1(Q) / Im Theta: classes on a fixed line bundle,
     Z^1(Q) / (B^1(Q) + Theta Z^1(M))."""
     _require_cells(data, 1, "H^1(Q) / Im Theta")
+    data = data.reduced
     q = (data.delta_Q, data.cells_Q)
     image = data.theta[1] @ data.z1_M
     return subquotient_invariants(cocycles(*q, 1),
@@ -403,6 +539,7 @@ def real_spinc_torsor(data: EquivariantCWData) -> RealStructureCensus:
     z with iota* z - z a coboundary, modulo B^1(M) + (1 + iota*) Z^1(M).
     """
     _require_cells(data, 2, "a first Chern class")
+    data = data.reduced
     m = (data.delta_M, data.cells_M)
     z2 = cocycles(*m, 2)
     kernel = _preimage(data.theta[2] @ z2, z2,

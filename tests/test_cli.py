@@ -10,7 +10,7 @@ import json
 import os
 import subprocess
 import sys
-from math import gcd
+from math import gcd, nan
 from pathlib import Path
 
 import pytest
@@ -620,20 +620,43 @@ print(json.dumps({"imported": imported, "codes": codes, "loaded": [
 """
 
 
+def run_fresh(requests) -> dict:
+    """Run (argv, stdin, exit code) requests in a fresh interpreter; its
+    hmrkit imports after loading the CLI, the exit codes, and which of
+    numpy, morse_blowup and complexes the answers loaded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_CHILD], env=_child_env(),
+        input=json.dumps([[argv, body] for argv, body, _ in requests]),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [code for *_, code in requests]
+    return result
+
+
 def test_numpy_free_subcommands_load_no_numpy():
     # a fresh interpreter: importing the CLI loads only hmrkit.errors from
     # the package, only morse, flow and fixtures-selftest load numpy, and no
     # answer here (lens and psc included) loads hmrkit.complexes
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE_CHILD], env=_child_env(),
-        input=json.dumps([[argv, body]
-                          for argv, body, _ in NUMPY_FREE_REQUESTS]),
-        capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    result = run_fresh(NUMPY_FREE_REQUESTS)
     assert result["imported"] == ["hmrkit", "hmrkit.cli", "hmrkit.errors"]
-    assert result["codes"] == [code for *_, code in NUMPY_FREE_REQUESTS]
     assert result["loaded"] == []
+
+
+#: bodies that morse and flow refuse while reading their fields, before
+#: numpy: a missing field, a non-finite entry and a ragged matrix
+NUMPY_BODY_ERRORS = [
+    (["morse", "--input", "-"], "{}", 2),
+    (["morse", "--input", "-"], json.dumps(
+        {"points": [{"label": "q", "ind_q": 0, "fiber": [[nan]]}]}), 2),
+    (["flow", "--input", "-"], "{}", 2),
+    (["flow", "--input", "-"], json.dumps(
+        {"L": [[1.0], [0.0, 2.0]], "t_max": 1, "step": 0.1}), 2),
+]
+
+
+def test_malformed_morse_and_flow_bodies_load_no_numpy():
+    assert run_fresh(NUMPY_BODY_ERRORS)["loaded"] == []
 
 
 def test_handlers_look_library_names_up_at_call_time(capsys, monkeypatch,

@@ -38,6 +38,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "answers.json"
 
 #: odd p of the ``spinc --input`` lens spaces L(p, q), every coprime q
 LENS_P = range(1, 22, 2)
+#: larger ``spinc --input`` lens spaces: one coprime q per odd p from 23 to
+#: 41, and L(61, 7), where the cochain reduction eliminates the most cells
+LARGE_LENS = ((23, 4), (25, 7), (27, 5), (29, 12), (31, 6), (33, 10),
+              (35, 8), (37, 11), (39, 14), (41, 9), (61, 7))
 #: (p, q) of the ``lens`` requests, errors included
 LENS_TABLE = ((1, 0), (3, 1), (5, 2), (7, 3), (9, 2), (4, 2), (3, 5),
               (1000003, 2))
@@ -135,6 +139,8 @@ def requests() -> list[tuple[list[str], str]]:
         out += [(["spinc", "--input", "-"],
                  json.dumps(lens_space(p, q).to_json()))
                 for q in range(p) if gcd(p, q) == 1]
+    out += [(["spinc", "--input", "-"],
+             json.dumps(lens_space(p, q).to_json())) for p, q in LARGE_LENS]
     # a declared shape that disagrees with the data grid
     body = lens_space(3, 1).to_json()
     body["delta_M"][0]["rows"] += 1

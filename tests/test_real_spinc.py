@@ -253,21 +253,29 @@ def test_lens_census_size(p, name):
 
 
 def test_spinc_report_reduces_each_matrix_once(monkeypatch):
-    # Z^1(M) serves the torsor and the classes: one Smith form per distinct
-    # matrix in a report
-    seen = []
-    snf = f2lin.smith_normal_form
+    # the torsor and the classes share one reduction of M and one of Q,
+    # and one Z^1(M) on the reduced M: a report repeats no elimination and
+    # no kernel of the same matrix
+    reductions, kernels = [], []
+    reduce, cocycles_of = real_spinc._reduce, real_spinc.cocycles
 
-    def counted(m, **kwargs):
-        seen.append(m.data)
-        return snf(m, **kwargs)
+    def counted_reduce(deltas, into, outof):
+        reductions.append(len(deltas))
+        return reduce(deltas, into, outof)
 
-    for module in (f2lin, real_spinc):
-        monkeypatch.setattr(module, "smith_normal_form", counted)
+    def counted_cocycles(deltas, cells, n):
+        kernels.append((deltas, n))
+        return cocycles_of(deltas, cells, n)
+
+    monkeypatch.setattr(real_spinc, "_reduce", counted_reduce)
+    monkeypatch.setattr(real_spinc, "cocycles", counted_cocycles)
     data = build_fixture("lens_7_2")
-    real_spinc_torsor(data)
-    real_structure_classes(data)
-    assert seen and len(seen) == len(set(seen))
+    for _ in range(2):
+        real_spinc_torsor(data)
+        real_structure_classes(data)
+    assert reductions == [data.dim, data.dim]
+    z1_M = [d for d, n in kernels if d is data.reduced.delta_M and n == 1]
+    assert len(z1_M) == 1
 
 
 #: a spinc report's spaces whose Smith forms are checked against the
@@ -290,8 +298,7 @@ def test_snf_matches_oracle_on_census_inputs(monkeypatch, space):
 
     for module in (f2lin, real_spinc):
         monkeypatch.setattr(module, "smith_normal_form", recorded)
-    data = build_fixture(space) if isinstance(space, str) \
-        else lens_space(*space)
+    data = space_data(space)
     real_spinc_torsor(data)
     real_structure_classes(data)
     assert admits_real_structure(data, [0] * data.cells_M[2])
@@ -393,6 +400,125 @@ def test_census_invariant_under_relabelling(name):
             (census.kernel_invariants, census.h1_invariants)
         assert real_structure_classes(moved) == classes
         assert_matches_presented_census(moved)
+
+
+# ---------------------------------------------------------------------------
+# the unit-pivot reduction against the unreduced census
+# ---------------------------------------------------------------------------
+
+
+def unreduced_census(data: EquivariantCWData) -> tuple:
+    """((kernel, h1) invariants of the torsor, classes) computed on the
+    complexes as constructed, None where the dimension is too low: the
+    census as it ran before the reduction, kept as its oracle."""
+    m, q = complex_of(data), complex_of(data, "Q")
+    torsor = classes = None
+    if data.dim >= 1:
+        z1 = cocycles(*m, 1)
+        classes = subquotient_invariants(
+            cocycles(*q, 1), hstack(coboundaries(*q, 1), data.theta[1] @ z1))
+    if data.dim >= 2:
+        z2 = cocycles(*m, 2)
+        kernel = real_spinc._preimage(data.theta[2] @ z2, z2,
+                                      coboundaries(*q, 2))
+        b1 = coboundaries(*m, 1)
+        iz = data.iota[1] @ z1
+        invariant = real_spinc._preimage(iz + z1.scale(-1), z1, b1)
+        torsor = (tuple(subquotient_invariants(kernel, coboundaries(*m, 2))),
+                  tuple(subquotient_invariants(invariant,
+                                               hstack(b1, iz + z1))))
+    return torsor, classes
+
+
+def reduced_census(data: EquivariantCWData) -> tuple:
+    """:func:`unreduced_census` as the library answers it."""
+    torsor = classes = None
+    if data.dim >= 1:
+        classes = real_structure_classes(data)
+    if data.dim >= 2:
+        census = real_spinc_torsor(data)
+        torsor = (census.kernel_invariants, census.h1_invariants)
+    return torsor, classes
+
+
+REDUCTION_SPACES = sorted(FIXTURE_BUILDERS) + [
+    (p, q) for p in range(1, 16, 2) for q in range(p) if gcd(p, q) == 1]
+
+
+def space_data(space) -> EquivariantCWData:
+    return build_fixture(space) if isinstance(space, str) \
+        else lens_space(*space)
+
+
+@pytest.mark.parametrize("space", REDUCTION_SPACES, ids=str)
+def test_reduced_census_matches_unreduced_oracle(space):
+    data = space_data(space)
+    assert reduced_census(data) == unreduced_census(data)
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(FIXTURE_BUILDERS)
+                                  if build_fixture(n).dim >= 2])
+def test_reduced_census_matches_oracle_on_relabelled_copies(name):
+    data = build_fixture(name)
+    for seed in range(3):
+        moved = relabel(data, random.Random(seed))
+        assert reduced_census(moved) == unreduced_census(moved)
+
+
+def reduction_with_maps(data: EquivariantCWData) -> dict:
+    """The reductions of M and Q as :attr:`EquivariantCWData.reduced` runs
+    them, with identity matrices carried beside Theta and iota*: carried
+    into C^n an identity becomes f, carried out of C^n it becomes g."""
+    def sparse(ms):
+        return [real_spinc._Sparse.of(m) for m in ms]
+
+    def identities(cells):
+        return sparse(IntMatrix.identity(c) for c in cells)
+
+    out = {name: sparse(getattr(data, name))
+           for name in ("delta_M", "delta_Q", "theta", "iota")}
+    for name, cells in (("f_M", data.cells_M), ("g_M", data.cells_M),
+                        ("f_Q", data.cells_Q), ("g_Q", data.cells_Q)):
+        out[name] = identities(cells)
+    real_spinc._reduce(
+        out["delta_M"], into=[list(x) for x in zip(out["f_M"], out["iota"])],
+        outof=[list(x) for x in zip(out["g_M"], out["iota"], out["theta"])])
+    real_spinc._reduce(
+        out["delta_Q"], into=[list(x) for x in zip(out["f_Q"], out["theta"])],
+        outof=[[g] for g in out["g_Q"]])
+    return {name: [m.dense() for m in ms] for name, ms in out.items()}
+
+
+@pytest.mark.parametrize("space", sorted(FIXTURE_BUILDERS)
+                         + [(5, 2), (7, 3), (11, 5)], ids=str)
+def test_reduction_is_a_homotopy_equivalence(space):
+    # f g = 1, f and g are chain maps, Theta' = f_Q Theta g_M and
+    # iota' = f_M iota* g_M, and both commute with the reduced coboundaries;
+    # L(11, 5) keeps a 2 x 2 block of delta^1_M with no unit entry
+    data = space_data(space)
+    r = reduction_with_maps(data)
+    red = data.reduced
+    for name in ("delta_M", "delta_Q", "theta", "iota"):
+        assert [m.data for m in getattr(red, name)] == \
+            [m.data for m in r[name]]
+    assert red.cells_M == tuple(m.rows for m in r["f_M"])
+    assert red.cells_Q == tuple(m.rows for m in r["f_Q"])
+    for x, old, new in (("M", data.delta_M, red.delta_M),
+                        ("Q", data.delta_Q, red.delta_Q)):
+        f, g = r["f_" + x], r["g_" + x]
+        for fn, gn in zip(f, g):
+            assert (fn @ gn).data == IntMatrix.identity(fn.rows).data
+        for n, (d, d_red) in enumerate(zip(old, new)):
+            assert (d_red @ f[n]).data == (f[n + 1] @ d).data
+            assert (g[n + 1] @ d_red).data == (d @ g[n]).data
+    for n in range(data.dim + 1):
+        assert red.theta[n].data == \
+            (r["f_Q"][n] @ data.theta[n] @ r["g_M"][n]).data
+        assert red.iota[n].data == \
+            (r["f_M"][n] @ data.iota[n] @ r["g_M"][n]).data
+    for n, (dm, dq) in enumerate(zip(red.delta_M, red.delta_Q)):
+        assert (dq @ red.theta[n]).data == (red.theta[n + 1] @ dm).data
+        assert (dm @ red.iota[n]).data == (red.iota[n + 1] @ dm).data
 
 
 def assert_projection_identities(data: EquivariantCWData):
