@@ -6,8 +6,8 @@ fixed separators) to stdout or ``--output``.  Module errors become
 structured ``{"error": {"code", "message"}}`` objects with exit code 1;
 malformed input JSON, input bodies with a missing or malformed field, and
 out-of-domain input values (``InvalidInput``, naming the field) exit with
-code 2.  ``--pretty`` switches to an indented rendering of the
-same report.
+code 2, as does a run out of memory (``out_of_memory``).  ``--pretty``
+switches to an indented rendering of the same report.
 
 Each process runs one subcommand, so the module imports only ``errors``
 at load time, and each handler imports the library names it calls; the
@@ -567,6 +567,11 @@ def run(argv=None) -> int:
             {"error": {"code": exc.code, "message": str(exc)}},
             args.pretty))
         return 2 if isinstance(exc, InvalidInput) else 1
+    except MemoryError:
+        sys.stdout.write(_dump({"error": {
+            "code": "out_of_memory",
+            "message": f"{args.command} ran out of memory"}}, args.pretty))
+        return 2
 
 
 def main(argv=None):

@@ -84,14 +84,10 @@ class _Builder:
         cells_q = [len(q_order[d]) for d in range(dim + 1)]
 
         # coboundaries: row = d-cell, column = (d-1)-cell of its boundary
-        delta_m = []
-        for d in range(1, dim + 1):
-            rows, cols = cells_m[d], cells_m[d - 1]
-            grid = [[0] * cols for _ in range(rows)]
-            for cid in self.order.get(d, []):
-                for other, coeff in self.boundary[cid].items():
-                    grid[index[cid]][index[other]] += coeff
-            delta_m.append(IntMatrix(rows, cols, tuple(map(tuple, grid))))
+        delta_m = [IntMatrix(cells_m[d], cells_m[d - 1], tuple(
+            tuple(sorted((index[o], c) for o, c in self.boundary[cid].items()
+                         if c))
+            for cid in self.order.get(d, []))) for d in range(1, dim + 1)]
 
         orbit = []
         for d in range(dim + 1):

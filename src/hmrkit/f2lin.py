@@ -4,28 +4,30 @@
 entry (r, c): a product XORs rows, and one reduced echelon elimination
 gives rank and kernel (M4RI-style XOR elimination).  The positions of
 the ones are derived from the rows, for JSON and the grading checks.
-:class:`IntMatrix` stores dense row tuples of Python integers (coboundary
-maps stay small but pivots in Smith normal form do not, so arbitrary
-precision is mandatory); its products skip zero entries, since
-coboundaries have a few nonzeros per row.  Rank and determinant come from
-fraction-free Bareiss elimination, whose entries stay minors of the
-input; every other lattice question (kernels, cokernels, membership in a
-column lattice and subquotients) reads one Smith normal form.  That form
-takes one Euclid step per pivot, repeated until it makes no swap, and
-returns the diagonal of D and, when asked, V^T for the column transform
-V; the row transform U of A that a solve needs is read as the V^T of the
-Smith form of A^T.  A unit pivot, the common case on coboundaries, takes
-one step whose row operations walk the nonzeros of its row and whose
-column operations then change one entry of D each.  Homology ranks, the
-LES check and the real spin-c census all reduce to the operations in this
-module.
+:class:`IntMatrix` stores sparse rows of Python integers, (column,
+value) pairs with columns ascending (coboundary maps stay small but
+pivots in Smith normal form do not, so arbitrary precision is
+mandatory), and its algebra walks the nonzeros only.  The dense grid is
+derived for JSON and at the entry of the eliminations below, whose
+census inputs are already reduced to a few rows.  Rank and determinant
+come from fraction-free Bareiss elimination, whose entries stay minors
+of the input; every other lattice question (kernels, cokernels,
+membership in a column lattice and subquotients) reads one Smith normal
+form.  That form takes one Euclid step per pivot, repeated until it
+makes no swap, and returns the diagonal of D and, when asked, V^T for
+the column transform V; the row transform U of A that a solve needs is
+read as the V^T of the Smith form of A^T.  A unit pivot, the common case
+on coboundaries, takes one step whose row operations walk the nonzeros
+of its row and whose column operations then change one entry of D each.
+Homology ranks, the LES check and the real spin-c census all reduce to
+the operations in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import xor
+from itertools import compress, repeat
+from operator import itemgetter, xor
 from typing import Iterable, Sequence
 
 from .errors import ShapeMismatch, input_int
@@ -204,53 +206,55 @@ def f2_kernel_basis(m: F2Matrix) -> list[int]:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Integer matrix as dense row tuples of arbitrary-precision ints.
-
-    Products skip zeros: the left factor is walked over the nonzeros of
-    each row, and the right factor's rows are listed as (column, value)
-    pairs, so the cost follows the nonzeros that meet, not the shape.
-    """
+    """Integer matrix as sparse rows of arbitrary-precision ints:
+    ``entries[i]`` lists the nonzeros of row i as (column, value) pairs,
+    columns ascending.  The form is canonical, so ``==`` and ``hash``
+    compare values; the dense grid :attr:`data` is derived."""
 
     rows: int
     cols: int
-    data: tuple  # tuple of row tuples
+    entries: tuple  # per row, a tuple of (column, value) pairs
 
-    def __post_init__(self):
-        if len(self.data) != self.rows or any(
-            len(r) != self.cols for r in self.data
-        ):
-            raise ShapeMismatch("data grid inconsistent with declared shape")
+    @property
+    def data(self) -> tuple:
+        """The dense grid, as a tuple of row tuples."""
+        return tuple(tuple(map(dict(row).get, range(self.cols), repeat(0)))
+                     for row in self.entries)
+
+    @staticmethod
+    def from_grid(rows: int, cols: int, grid: Iterable) -> "IntMatrix":
+        """The matrix of a dense grid of ints of that shape."""
+        return IntMatrix(rows, cols, tuple(map(_nonzeros, grid)))
 
     @staticmethod
     def from_rows(grid: Sequence[Sequence[int]]) -> "IntMatrix":
-        """Build from outside input, reading every entry with ``input_int``;
-        a ragged grid raises ValueError."""
-        data = tuple(tuple(input_int(x) for x in r) for r in grid)
+        """Build from outside input, reading every entry with ``input_int``
+        (a row of plain ints is taken as it is); a ragged grid raises
+        ValueError."""
+        data = [list(r) if {int}.issuperset(map(type, r))
+                else list(map(input_int, r)) for r in grid]
         cols = len(data[0]) if data else 0
         if any(len(r) != cols for r in data):
             raise ValueError("rows of unequal length")
-        return IntMatrix(len(data), cols, data)
+        return IntMatrix.from_grid(len(data), cols, data)
 
     @staticmethod
     def from_columns(rows: int, columns: Sequence[Sequence[int]]
                      ) -> "IntMatrix":
         """The matrix whose columns are ``columns``, each of length ``rows``."""
-        if not columns:
-            return IntMatrix.zero(rows, 0)
-        return IntMatrix(rows, len(columns), tuple(zip(*columns)))
+        return IntMatrix.from_grid(len(columns), rows, columns).transpose()
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols
-                                           for _ in range(rows)))
+        return IntMatrix(rows, cols, ((),) * rows)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(map(tuple, _identity_rows(n))))
+        return IntMatrix(n, n, tuple(((i, 1),) for i in range(n)))
 
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
-                "data": [list(r) for r in self.data]}
+                "data": list(map(list, self.data))}
 
     @staticmethod
     def from_json(obj: dict) -> "IntMatrix":
@@ -266,42 +270,48 @@ class IntMatrix:
         return m
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(zip(*self.data)) if self.rows
-                         else ((),) * self.cols)
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for j, x in row:
+                out[j].append((i, x))
+        return IntMatrix(self.cols, self.rows, tuple(map(tuple, out)))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("addition shape mismatch")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.data, other.data)))
+        # a + b is the row (1, 1) times the two rows a and b
+        return IntMatrix(self.rows, self.cols, tuple(
+            _row_times(((0, 1), (1, 1)), pair)
+            for pair in zip(self.entries, other.entries)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch("multiplication shape mismatch")
-        right = [_nonzeros(row) for row in other.data]
-        n = other.cols
-        out = []
-        for row in self.data:
-            acc = [0] * n
-            for k, a in compress(enumerate(row), row):
-                for j, b in right[k]:
-                    acc[j] += a * b
-            out.append(tuple(acc))
-        return IntMatrix(self.rows, n, tuple(out))
+        right = other.entries
+        return IntMatrix(self.rows, other.cols, tuple(
+            _row_times(row, right) for row in self.entries))
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(k * x for x in r) for r in self.data))
+        return IntMatrix(self.rows, self.cols, tuple(
+            _row_times(((0, k),), (r,)) for r in self.entries))
 
     def mul_vec(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.cols:
             raise ShapeMismatch("vector length mismatch")
-        return [sum(a * b for a, b in zip(row, v) if a) for row in self.data]
+        return [sum(a * v[j] for j, a in row) for row in self.entries]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not any(self.entries)
+
+
+def _row_times(row: tuple, right: Sequence) -> tuple:
+    """The sparse row ``row`` times the matrix of the sparse rows
+    ``right``: the nonzeros that meet are summed by column."""
+    acc: dict = {}
+    for k, a in row:
+        for j, b in right[k]:
+            acc[j] = acc.get(j, 0) + a * b
+    return tuple(sorted(filter(itemgetter(1), acc.items())))
 
 
 @dataclass(frozen=True)
@@ -354,22 +364,15 @@ def _indivisible_row(d: list, t: int):
                  if any(x % p for x in d[i][t + 1:])), None)
 
 
-def _nonzeros(row: list) -> list:
+def _nonzeros(row: Sequence[int]) -> tuple:
     """The (column, value) pairs of the nonzero entries of ``row``."""
-    return list(compress(enumerate(row), row))
+    return tuple(compress(enumerate(row), row))
 
 
 def _add_multiple(dst: list, src: list, k: int) -> None:
     """dst += k * src, where src is listed by its nonzeros."""
     for j, x in src:
         dst[j] += k * x
-
-
-def _identity_rows(n: int) -> list:
-    rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-    return rows
 
 
 def smith_normal_form(a: IntMatrix, *, want_v: bool = True) -> SNFResult:
@@ -391,7 +394,8 @@ def smith_normal_form(a: IntMatrix, *, want_v: bool = True) -> SNFResult:
     """
     m, n = a.rows, a.cols
     d = [list(row) for row in a.data]
-    vt = _identity_rows(n) if want_v else None  # row j: column j of V
+    # row j of vt: column j of V
+    vt = [list(r) for r in IntMatrix.identity(n).data] if want_v else None
     zero = [False] * m  # rows found zero by _smallest_entry
     diagonal = []
     t = 0
@@ -452,7 +456,7 @@ def smith_normal_form(a: IntMatrix, *, want_v: bool = True) -> SNFResult:
 
     diagonal += [0] * (min(m, n) - t)
     return SNFResult(tuple(diagonal), None if vt is None
-                     else IntMatrix(n, n, tuple(map(tuple, vt))))
+                     else IntMatrix.from_grid(n, n, vt))
 
 
 def _bareiss(a: IntMatrix) -> tuple[int, int]:
@@ -519,22 +523,19 @@ def int_kernel_basis(a: IntMatrix) -> tuple:
     """
     snf = smith_normal_form(a)
     r = sum(1 for x in snf.diagonal if x != 0)
-    return snf.VT.data[r:]
+    return IntMatrix(a.cols - r, a.cols, snf.VT.entries[r:]).data
 
 
 def _diagonal_solve(snf: SNFResult, rhs: IntMatrix):
-    """The rows of Y with D Y = U rhs, or None if no integer Y exists,
-    where U A V = D and ``snf`` is the Smith form of A^T: its V^T is such
-    a U, with the same diagonal.  Row i of U rhs is divided by d_i, and
-    must be zero past the rank of D."""
+    """The sparse rows of Y with D Y = U rhs, or None if no integer Y
+    exists, where U A V = D and ``snf`` is the Smith form of A^T: its V^T
+    is such a U, with the same diagonal.  Row i of U rhs is divided by
+    d_i, and must be zero past the rank of D."""
     diag = snf.diagonal
     y = []
-    for i, row in enumerate((snf.VT @ rhs).data):
+    for i, row in enumerate((snf.VT @ rhs).entries):
         di = diag[i] if i < len(diag) else 0
-        if di == 1:
-            y.append(row)
-        elif any(x % di for x in row) if di else any(row):
+        if any(x % di for _, x in row) if di else row:
             return None
-        else:
-            y.append(tuple(x // di for x in row) if di else row)
+        y.append(tuple((j, x // di) for j, x in row))
     return y

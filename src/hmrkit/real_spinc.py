@@ -33,9 +33,10 @@ out of M take column operations and the maps into M or Q row operations.
 :attr:`EquivariantCWData.reduced` eliminates unit entries by least
 Markowitz cost until none is left, and the census reads what remains.
 
-Constructing :class:`EquivariantCWData` is the one validation.  It builds
-the matrices of Theta, iota* and pi* once per degree from the validated
-orbit map, and derives delta_Q from them, 2 delta_Q = Theta delta_M pi*:
+Constructing :class:`EquivariantCWData` is the one validation.  It writes
+the sparse rows of Theta, iota* and pi* once per degree from the validated
+orbit map, one or two entries a row, and derives delta_Q from them by
+sparse products, 2 delta_Q = Theta delta_M pi*:
 data that constructs has d.d = 0, a consistent orbit map, and chain maps
 iota* and Theta, so the census functions below read those matrices and
 do not check them again.
@@ -49,7 +50,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 from typing import Sequence
 
 from .errors import (
@@ -112,18 +112,17 @@ class EquivariantCWData:
         object.__setattr__(self, "cells_Q", tuple(self.cells_Q))
         object.__setattr__(self, "delta_M", tuple(self.delta_M))
         object.__setattr__(self, "orbit", tuple(self.orbit))
-        # the grids are sized by the cell counts, so validate them first
+        # the row lists are sized by the cell counts, so validate them first
         preimages = self._validate()
-        theta = [[[0] * m for _ in range(q)]
-                 for m, q in zip(self.cells_M, self.cells_Q)]
-        iota = [[[0] * m for _ in range(m)] for m in self.cells_M]
-        pullback = [[[0] * q for _ in range(m)]
-                    for m, q in zip(self.cells_M, self.cells_Q)]
+        theta = [[()] * q for q in self.cells_Q]
+        iota = [[()] * m for m in self.cells_M]
+        pullback = [[()] * m for m in self.cells_M]
         # lift[n][q]: the cell over q on which pi* has the factor +1
         lift = [[0] * q for q in self.cells_Q]
         # one pass over the orbits, which _validate has checked in range
         for (n, image), pre in preimages.items():
             lift[n][image] = min(pre[0].index, pre[-1].index)
+            row = []
             for e in pre:
                 other = pre[-1] if pre[0] is e else pre[0]
                 # the orientation factor of pi*: +1 on a fixed cell and on
@@ -131,26 +130,26 @@ class EquivariantCWData:
                 # other cell
                 sigma = 1 if e.index <= other.index else e.sign
                 # (Theta beta)(image) = beta(e) + beta(iota e)
-                theta[n][image][e.index] = 2 if e.fixed else sigma
+                row.append((e.index, 2 if e.fixed else sigma))
                 # (iota* beta)(e) = sign(e) * beta(other)
-                iota[n][e.index][other.index] = e.sign
+                iota[n][e.index] = ((other.index, e.sign),)
                 # (pi* gamma)(e) = sigma(e) * gamma(image)
-                pullback[n][e.index][image] = sigma
-        for name, grids, cols in (("theta", theta, self.cells_M),
-                                  ("iota", iota, self.cells_M),
-                                  ("pullback", pullback, self.cells_Q)):
+                pullback[n][e.index] = ((image, sigma),)
+            theta[n][image] = tuple(sorted(row))
+        for name, rows, cols in (("theta", theta, self.cells_M),
+                                 ("iota", iota, self.cells_M),
+                                 ("pullback", pullback, self.cells_Q)):
             object.__setattr__(self, name, tuple(
-                IntMatrix(len(g), c, tuple(map(tuple, g)))
-                for g, c in zip(grids, cols)))
+                IntMatrix(len(r), c, tuple(r)) for r, c in zip(rows, cols)))
         delta_Q = []
         for n, dm in enumerate(self.delta_M):
-            if (dm @ self.iota[n]).data != (self.iota[n + 1] @ dm).data:
+            if dm @ self.iota[n] != self.iota[n + 1] @ dm:
                 raise MalformedOrbitMap(
                     f"iota* does not commute with delta_M in degree {n}")
             # row q of delta_Q is row lift[n + 1][q] of delta_M pi*
-            rows = (dm @ self.pullback[n]).data
-            delta_Q.append(IntMatrix(self.cells_Q[n + 1], self.cells_Q[n],
-                                     tuple(rows[e] for e in lift[n + 1])))
+            lifted = IntMatrix(self.cells_Q[n + 1], dm.cols,
+                               tuple(dm.entries[e] for e in lift[n + 1]))
+            delta_Q.append(lifted @ self.pullback[n])
         object.__setattr__(self, "delta_Q", tuple(delta_Q))
 
     # -- validation ---------------------------------------------------
@@ -285,7 +284,7 @@ class EquivariantCWData:
         for n, (given, derived) in enumerate(zip(delta_Q, data.delta_Q)):
             if (given.rows, given.cols) != (derived.rows, derived.cols):
                 raise ShapeMismatch(f"delta_Q[{n}] has wrong shape")
-            if given.data != derived.data:
+            if given != derived:
                 raise NotChainMap(f"Theta does not commute with the "
                                   f"coboundaries in degree {n}")
         return data
@@ -296,16 +295,14 @@ def verify_theta_chain_map(data: EquivariantCWData, degree: int) -> bool:
     data that constructs, and kept as a check of that."""
     if degree >= data.dim:
         return True
-    lhs = data.delta_Q[degree] @ data.theta[degree]
-    rhs = data.theta[degree + 1] @ data.delta_M[degree]
-    return lhs.data == rhs.data
+    return (data.delta_Q[degree] @ data.theta[degree]
+            == data.theta[degree + 1] @ data.delta_M[degree])
 
 
 def verify_naturality(data: EquivariantCWData, degree: int) -> bool:
     """pi* . Theta = 1 + iota* on cochains in the given degree."""
-    lhs = data.pullback[degree] @ data.theta[degree]
-    rhs = IntMatrix.identity(data.cells_M[degree]) + data.iota[degree]
-    return lhs.data == rhs.data
+    return (data.pullback[degree] @ data.theta[degree]
+            == IntMatrix.identity(data.cells_M[degree]) + data.iota[degree])
 
 
 @dataclass(frozen=True)
@@ -336,12 +333,11 @@ class _Sparse:
 
     @staticmethod
     def of(m: IntMatrix) -> "_Sparse":
-        out = _Sparse({i: {} for i in range(m.rows)},
-                      {j: {} for j in range(m.cols)})
-        for i, r in enumerate(m.data):
-            for j in compress(range(m.cols), r):
-                out.row[i][j] = out.col[j][i] = r[j]
-        return out
+        col = {j: {} for j in range(m.cols)}
+        for i, r in enumerate(m.entries):
+            for j, x in r:
+                col[j][i] = x
+        return _Sparse(dict(enumerate(map(dict, m.entries))), col)
 
     @property
     def T(self) -> "_Sparse":
@@ -361,9 +357,10 @@ class _Sparse:
             del self.col[j][i]
 
     def dense(self) -> IntMatrix:
-        cols = sorted(self.col)
+        """The matrix, its rows and columns renumbered in their order."""
+        cols = {j: k for k, j in enumerate(sorted(self.col))}
         return IntMatrix(len(self.row), len(cols), tuple(
-            tuple(r.get(j, 0) for j in cols)
+            tuple(sorted((cols[j], x) for j, x in r.items()))
             for _, r in sorted(self.row.items())))
 
 
@@ -438,8 +435,9 @@ def coboundaries(deltas: Sequence[IntMatrix], cells: Sequence[int],
 def _hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise ShapeMismatch("hstack row mismatch")
-    return IntMatrix(a.rows, a.cols + b.cols,
-                     tuple(ra + rb for ra, rb in zip(a.data, b.data)))
+    return IntMatrix(a.rows, a.cols + b.cols, tuple(
+        ra + tuple((j + a.cols, x) for j, x in rb)
+        for ra, rb in zip(a.entries, b.entries)))
 
 
 def _preimage(image: IntMatrix, z: IntMatrix, b: IntMatrix) -> IntMatrix:

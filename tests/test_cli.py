@@ -701,6 +701,21 @@ def test_module_error_object(capsys):
     assert report["error"]["code"] == "not_coprime"
 
 
+def test_memory_error_is_a_coded_error(capsys, monkeypatch):
+    # psc --b1 24 under a memory limit once ended in a MemoryError
+    # traceback; a handler that runs out of memory answers with one JSON
+    # error object and exit 2, as for malformed input
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_psc", exhausted)
+    code, out = run_cli(capsys, "psc", "--b1", "24", "--torsion")
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": {
+        "code": "out_of_memory", "message": "psc ran out of memory"}}
+
+
 def test_index_error_code(capsys):
     code, report = run_json(capsys, "index", "--c1sq", "1", "--sigma", "0",
                             "--b1", "0", "--bplus", "0", "--b0", "0")
@@ -844,9 +859,9 @@ def _inconsistent_fixed(body):
 
 
 def _huge_cell_counts(body):
-    # Theta, iota* and pi* are dense grids sized by the cell counts, so
-    # they must wait for the orbit check: a list of 2**62 entries fails at
-    # once with MemoryError, so building them first fails here without
+    # the rows of Theta, iota* and pi* are lists sized by the cell counts,
+    # so they must wait for the orbit check: a list of 2**62 entries fails
+    # at once with MemoryError, so building them first fails here without
     # allocating anything
     body.update(cells_M=[2 ** 62], cells_Q=[2 ** 62], delta_M=[],
                 delta_Q=[], orbit=[])

@@ -7,10 +7,13 @@ form, and direct group-order arithmetic for cokernels.
 
 from __future__ import annotations
 
+import json
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -340,7 +343,7 @@ CENSUS_ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
 
 
 def int_matrix(grid, cols: int) -> IntMatrix:
-    return IntMatrix(len(grid), cols, tuple(map(tuple, grid)))
+    return IntMatrix.from_grid(len(grid), cols, grid)
 
 
 def naive_int_product(a, b, inner: int, cols: int) -> list:
@@ -397,7 +400,7 @@ def int_solve_many(a: IntMatrix, rhs: IntMatrix):
             return None
         y.append(tuple(x // di for x in row) if di else row)
     y = tuple(y[:a.cols]) + ((0,) * rhs.cols,) * (a.cols - a.rows)
-    return snf.V @ IntMatrix(a.cols, rhs.cols, y)
+    return snf.V @ IntMatrix.from_grid(a.cols, rhs.cols, y)
 
 
 def int_solve(a: IntMatrix, b):
@@ -421,8 +424,8 @@ class OracleSNF:
     V: IntMatrix
 
     def diagonal(self) -> tuple:
-        return tuple(self.D.data[i][i]
-                     for i in range(min(self.D.rows, self.D.cols)))
+        d = self.D.data
+        return tuple(d[i][i] for i in range(min(self.D.rows, self.D.cols)))
 
 
 def oracle_diagonal_and_vt(a: IntMatrix) -> tuple:
@@ -541,9 +544,9 @@ def oracle_smith_normal_form(a: IntMatrix) -> OracleSNF:
             negate_row(t)
         t += 1
 
-    return OracleSNF(IntMatrix(m, m, tuple(map(tuple, u))),
-                     IntMatrix(m, n, tuple(map(tuple, d))),
-                     IntMatrix(n, n, tuple(map(tuple, v))))
+    return OracleSNF(IntMatrix.from_grid(m, m, u),
+                     IntMatrix.from_grid(m, n, d),
+                     IntMatrix.from_grid(n, n, v))
 
 
 def oracle_rank_det(grid, cols: int) -> tuple:
@@ -588,6 +591,91 @@ def test_int_products_against_naive_loop(case):
     assert [list(row) for row in prod.data] == naive_int_product(a, b, k, c)
     assert int_matrix(a, k).mul_vec(v) == \
         [row[0] for row in naive_int_product(a, [[x] for x in v], k, 1)]
+
+
+#: mostly zero, so that zero rows and columns are common at every shape
+SPARSE_ENTRIES = st.sampled_from((0, 0, 0, 0, -3, -2, -1, 1, 2, 3))
+
+
+@st.composite
+def sparse_cases(draw):
+    """Grids a and b (r x k) and c (k x n), a vector of length k and a
+    scalar, every dimension 0..12, entries in -3..3."""
+    r, k, n = (draw(st.integers(0, 12)) for _ in range(3))
+    return (r, k, n, draw(grids(r, k, SPARSE_ENTRIES)),
+            draw(grids(r, k, SPARSE_ENTRIES)),
+            draw(grids(k, n, SPARSE_ENTRIES)),
+            draw(st.lists(SPARSE_ENTRIES, min_size=k, max_size=k)),
+            draw(st.integers(-3, 3)))
+
+
+def is_canonical(m: IntMatrix) -> bool:
+    """One tuple of (column, value) pairs per row, columns ascending
+    inside the shape, no stored zero."""
+    return len(m.entries) == m.rows and all(
+        isinstance(row, tuple) and all(x != 0 for _, x in row)
+        and [j for j, _ in row] == sorted({j for j, _ in row})
+        and all(0 <= j < m.cols for j, _ in row) for row in m.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_cases())
+@example((0, 0, 0, [], [], [], [], 2))                        # 0x0
+@example((3, 4, 2, [[0] * 4, [1, 0, -1, 0], [0] * 4],          # zero rows
+          [[0] * 4, [-1, 0, 1, 0], [0, 0, 0, 3]],              # a + b
+          [[2, 0], [0, 0], [2, 0], [0, 0]], [1, 2, 3, 4], 0))  # cancels
+@example((2, 0, 3, [[], []], [[], []], [], [], -1))            # 2x0 @ 0x3
+@example((0, 3, 1, [], [], [[1], [0], [-2]], [5, 6, 7], 3))    # 0x3
+def test_sparse_rows_match_dense_reference(case):
+    # every operation gives the grid the dense reference gives, in the
+    # canonical form, so == and hash compare values
+    r, k, n, a, b, c, v, s = case
+    ma, mb = IntMatrix.from_grid(r, k, a), IntMatrix.from_grid(r, k, b)
+    mc = IntMatrix.from_grid(k, n, c)
+    columns = [[row[j] for row in a] for j in range(k)]
+    results = (
+        (ma @ mc, naive_int_product(a, c, k, n)),
+        (ma + mb, [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]),
+        (ma.scale(s), [[s * x for x in row] for row in a]),
+        (ma.transpose(), columns),
+        (IntMatrix.from_columns(r, columns), a),
+        (IntMatrix.identity(k), [[int(i == j) for j in range(k)]
+                                 for i in range(k)]),
+        (IntMatrix.zero(r, k), [[0] * k for _ in range(r)]),
+    )
+    for m, dense in results:
+        assert is_canonical(m)
+        assert [list(row) for row in m.data] == dense
+        same = IntMatrix.from_grid(m.rows, m.cols, dense)
+        assert m == same and hash(m) == hash(same)
+    assert is_canonical(ma) and ma.data == tuple(map(tuple, a))
+    assert ma.mul_vec(v) == [sum(x * y for x, y in zip(row, v))
+                             for row in a]
+    assert ma.is_zero() == (not any(map(any, a)))
+    assert (ma == mb) == (a == b)
+    # the dense grid is a hashable tuple of row tuples, and JSON goes
+    # through it both ways to the same bytes
+    assert isinstance(ma.data, tuple)
+    assert all(isinstance(row, tuple) for row in ma.data)
+    assert hash(ma.data) == hash(tuple(map(tuple, a)))
+    for m in (ma, mc):
+        text = json.dumps(m.to_json())
+        back = IntMatrix.from_json(json.loads(text))
+        assert back == m and json.dumps(back.to_json()) == text
+
+
+def test_huge_declared_shape_allocates_nothing():
+    # an empty grid under a 2**62 x 2**62 shape is refused before anything
+    # is sized by the declared shape
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="disagrees with data grid"):
+            IntMatrix.from_json({"rows": 2 ** 62, "cols": 2 ** 62,
+                                 "data": []})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 @st.composite

@@ -288,7 +288,9 @@ ORACLE_SPACES = ["lens_7_2"] + [(p, q) for p in range(3, 14, 2)
 def test_snf_matches_oracle_on_census_inputs(monkeypatch, space):
     # every Smith form of a spinc report, plus the existence check, gives
     # the oracle's D diagonal and V^T, and each call site gets the same
-    # diagonal and the transform it asked for
+    # diagonal and the transform it asked for; so do the coboundaries of
+    # M and Q as constructed and their transposes, since the report's own
+    # inputs are the small reduced ones
     calls = []
     snf = f2lin.smith_normal_form
 
@@ -303,6 +305,9 @@ def test_snf_matches_oracle_on_census_inputs(monkeypatch, space):
     real_structure_classes(data)
     assert admits_real_structure(data, [0] * data.cells_M[2])
     assert calls
+    cobounds = data.delta_M + data.delta_Q
+    calls += [(m, {}) for m in cobounds + tuple(m.transpose()
+                                                for m in cobounds)]
     for m, kwargs in calls:
         diagonal, vt = oracle_diagonal_and_vt(m)
         full = snf(m)
@@ -366,12 +371,12 @@ def relabel(data: EquivariantCWData, rng: random.Random
     rng.shuffle(orbit)
 
     def move(m, n, perm, eps):
-        grid = [[0] * m.cols for _ in range(m.rows)]
+        grid, old = [[0] * m.cols for _ in range(m.rows)], m.data
         for r in range(m.rows):
             for c in range(m.cols):
                 grid[perm[n + 1][r]][perm[n][c]] = \
-                    eps[n + 1][r] * eps[n][c] * m.data[r][c]
-        return IntMatrix(m.rows, m.cols, tuple(map(tuple, grid)))
+                    eps[n + 1][r] * eps[n][c] * old[r][c]
+        return IntMatrix.from_grid(m.rows, m.cols, grid)
 
     moved = EquivariantCWData(
         cells_M=data.cells_M, cells_Q=data.cells_Q,
@@ -633,7 +638,7 @@ def unitriangular(a: int, b: int, upper: list, lower: list) -> IntMatrix:
     for i, j in itertools.product(range(a), range(b)):
         rows[i][a + j] = upper[i][j] if upper else 0
         rows[a + j][i] = lower[j][i] if lower else 0
-    return IntMatrix(a + b, a + b, tuple(map(tuple, rows)))
+    return IntMatrix.from_grid(a + b, a + b, rows)
 
 
 @st.composite
@@ -649,15 +654,15 @@ def cochain_complexes(draw):
     e = draw(grid(a, b, CENSUS_ENTRIES))
     f = draw(grid(b, a, CENSUS_ENTRIES))
     perm = draw(st.permutations(range(n1)))
-    p = IntMatrix(n1, n1, tuple(tuple(int(perm[i] == j) for j in range(n1))
-                                for i in range(n1)))
+    p = IntMatrix.from_grid(n1, n1, [[int(perm[i] == j) for j in range(n1)]
+                                     for i in range(n1)])
     t = p @ unitriangular(a, b, None, f) @ unitriangular(a, b, e, None)
     t_inv = (unitriangular(a, b, [[-v for v in r] for r in e], None)
              @ unitriangular(a, b, None, [[-v for v in r] for r in f])
              @ p.transpose())
     assert (t @ t_inv).data == IntMatrix.identity(n1).data
-    d0 = t @ IntMatrix(n1, n0, tuple(map(tuple, x + [[0] * n0] * b)))
-    d1 = IntMatrix(n2, n1, tuple(tuple([0] * a + r) for r in y)) @ t_inv
+    d0 = t @ IntMatrix.from_grid(n1, n0, x + [[0] * n0] * b)
+    d1 = IntMatrix.from_grid(n2, n1, [[0] * a + r for r in y]) @ t_inv
     assert (d1 @ d0).is_zero()
     return (d0, d1), (n0, n1, n2)
 
@@ -734,8 +739,8 @@ def spans_with_relations(draw):
     c = draw(grid(k, m, CENSUS_ENTRIES))
     rels = [[sum(gens[i][t] * c[t][j] for t in range(k)) for j in range(m)]
             for i in range(g)]
-    return (IntMatrix(g, k, tuple(map(tuple, gens))),
-            IntMatrix(g, m, tuple(map(tuple, rels))))
+    return (IntMatrix.from_grid(g, k, gens),
+            IntMatrix.from_grid(g, m, rels))
 
 
 # The smallest-pivot Smith form can grow without bound on dense inputs, so
