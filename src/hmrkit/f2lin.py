@@ -215,6 +215,10 @@ class IntMatrix:
     cols: int
     entries: tuple  # per row, a tuple of (column, value) pairs
 
+    def __post_init__(self):
+        if len(self.entries) != self.rows:
+            raise ShapeMismatch("row count inconsistent with declared shape")
+
     @property
     def data(self) -> tuple:
         """The dense grid, as a tuple of row tuples."""
@@ -228,11 +232,8 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(grid: Sequence[Sequence[int]]) -> "IntMatrix":
-        """Build from outside input, reading every entry with ``input_int``
-        (a row of plain ints is taken as it is); a ragged grid raises
-        ValueError."""
-        data = [list(r) if {int}.issuperset(map(type, r))
-                else list(map(input_int, r)) for r in grid]
+        """Read outside input, entry by entry, with ``input_int``."""
+        data = [list(map(input_int, r)) for r in grid]
         cols = len(data[0]) if data else 0
         if any(len(r) != cols for r in data):
             raise ValueError("rows of unequal length")
@@ -287,9 +288,8 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch("multiplication shape mismatch")
-        right = other.entries
         return IntMatrix(self.rows, other.cols, tuple(
-            _row_times(row, right) for row in self.entries))
+            _row_times(row, other.entries) for row in self.entries))
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(

@@ -227,7 +227,7 @@ class EquivariantCWData:
         _reduce(delta_Q, into=[[t] for t in theta], outof=[[]] * len(theta))
         return CochainPair(
             tuple(len(i.row) for i in iota), tuple(len(t.row) for t in theta),
-            *(tuple(m.dense() for m in ms)
+            *(tuple(m.matrix() for m in ms)
               for ms in (delta_M, delta_Q, theta, iota)))
 
     def to_json(self) -> dict:
@@ -356,7 +356,7 @@ class _Sparse:
         for j in self.row.pop(i):
             del self.col[j][i]
 
-    def dense(self) -> IntMatrix:
+    def matrix(self) -> IntMatrix:
         """The matrix, its rows and columns renumbered in their order."""
         cols = {j: k for k, j in enumerate(sorted(self.col))}
         return IntMatrix(len(self.row), len(cols), tuple(

@@ -31,6 +31,7 @@ from hmrkit.f2lin import (
     int_rank,
     smith_normal_form,
 )
+from hmrkit.errors import ShapeMismatch
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -676,6 +677,15 @@ def test_huge_declared_shape_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+def test_row_count_must_match_declared_rows():
+    # a directly built matrix whose rows disagree with its shape is refused,
+    # rather than zipped or indexed short later
+    with pytest.raises(ShapeMismatch, match="row count"):
+        IntMatrix(3, 2, (((0, 1),), ()))
+    with pytest.raises(ShapeMismatch, match="row count"):
+        IntMatrix.from_grid(1, 2, [[1, 0], [0, 1]])
 
 
 @st.composite

@@ -491,7 +491,7 @@ def reduction_with_maps(data: EquivariantCWData) -> dict:
     real_spinc._reduce(
         out["delta_Q"], into=[list(x) for x in zip(out["f_Q"], out["theta"])],
         outof=[[g] for g in out["g_Q"]])
-    return {name: [m.dense() for m in ms] for name, ms in out.items()}
+    return {name: [m.matrix() for m in ms] for name, ms in out.items()}
 
 
 @pytest.mark.parametrize("space", sorted(FIXTURE_BUILDERS)
