@@ -143,6 +143,13 @@ def input_int(value) -> int:
     return operator.index(value)
 
 
+def input_list(value) -> list:
+    """An array of an input body; an object or a string raises TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
 def input_float(value) -> float:
     """A real number of an input body: a JSON integer or float, not a
     boolean and not a string.  A string raises ValueError, with the

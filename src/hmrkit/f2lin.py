@@ -30,7 +30,7 @@ from itertools import compress, repeat
 from operator import itemgetter, xor
 from typing import Iterable, Sequence
 
-from .errors import ShapeMismatch, input_int
+from .errors import ShapeMismatch, input_int, input_list
 
 
 @dataclass(frozen=True)
@@ -232,18 +232,13 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(grid: Sequence[Sequence[int]]) -> "IntMatrix":
-        """Read outside input, entry by entry, with ``input_int``."""
-        data = [list(map(input_int, r)) for r in grid]
+        """Read outside input, a list of row lists, entry by entry, with
+        ``input_int``."""
+        data = [list(map(input_int, input_list(r))) for r in input_list(grid)]
         cols = len(data[0]) if data else 0
         if any(len(r) != cols for r in data):
             raise ValueError("rows of unequal length")
         return IntMatrix.from_grid(len(data), cols, data)
-
-    @staticmethod
-    def from_columns(rows: int, columns: Sequence[Sequence[int]]
-                     ) -> "IntMatrix":
-        """The matrix whose columns are ``columns``, each of length ``rows``."""
-        return IntMatrix.from_grid(len(columns), rows, columns).transpose()
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
@@ -515,15 +510,15 @@ def cokernel_invariants(a: IntMatrix) -> list[int]:
     return torsion + [0] * free
 
 
-def int_kernel_basis(a: IntMatrix) -> tuple:
-    """Basis of the integer null space {x : a x = 0} as column vectors.
+def int_kernel_basis(a: IntMatrix) -> IntMatrix:
+    """Basis of the integer null space {x : a x = 0}, one vector a row.
 
     The columns of V beyond the rank of D, the rows of V^T, span the
     kernel over Z (they do so saturatedly because V is unimodular).
     """
     snf = smith_normal_form(a)
     r = sum(1 for x in snf.diagonal if x != 0)
-    return IntMatrix(a.cols - r, a.cols, snf.VT.entries[r:]).data
+    return IntMatrix(a.cols - r, a.cols, snf.VT.entries[r:])
 
 
 def _diagonal_solve(snf: SNFResult, rhs: IntMatrix):

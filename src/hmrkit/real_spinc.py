@@ -30,8 +30,10 @@ becomes the Schur complement eps - gamma phi^-1 delta_b, delta^(n-1) loses
 row a and delta^(n+1) column b.  f adds -phi gamma_e (row b) to each row
 e, and g adds -phi delta[b][c] (column a) to each column c, so the maps
 out of M take column operations and the maps into M or Q row operations.
-:attr:`EquivariantCWData.reduced` eliminates unit entries by least
-Markowitz cost until none is left, and the census reads what remains.
+:attr:`EquivariantCWData.reduced` sweeps the rows of each degree, taking
+in each the unit of shortest column, until no unit entry is left
+(Skoldberg, Trans. AMS 358, 2006; Mrozek and Batko, Discrete Comput. Geom.
+41, 2009), and the census reads what remains.
 
 Constructing :class:`EquivariantCWData` is the one validation.  It writes
 the sparse rows of Theta, iota* and pi* once per degree from the validated
@@ -47,7 +49,6 @@ Branched double covers of links enter through their Seifert matrices:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -59,6 +60,7 @@ from .errors import (
     ShapeMismatch,
     input_field,
     input_int,
+    input_list,
 )
 from .f2lin import (
     IntMatrix,
@@ -248,13 +250,15 @@ class EquivariantCWData:
         """Parse :meth:`to_json` output; a malformed field is InvalidInput."""
 
         def counts(v):
-            out = tuple(input_int(n) for n in v)
+            out = tuple(input_int(n) for n in input_list(v))
+            if not out:
+                raise ValueError("no cell count, not even of degree 0")
             if any(n < 0 for n in out):
                 raise ValueError(f"negative cell count in {list(out)}")
             return out
 
         def matrices(v):
-            return tuple(IntMatrix.from_json(m) for m in v)
+            return tuple(IntMatrix.from_json(m) for m in input_list(v))
 
         def flag(v):
             if not isinstance(v, bool):
@@ -267,7 +271,7 @@ class EquivariantCWData:
                            index=input_int(o["cell"][1]),
                            image=input_int(o["image"]), fixed=flag(o["fixed"]),
                            sign=input_int(o["sign"]))
-                for o in v)
+                for o in input_list(v))
 
         cells_M = input_field(obj, "cells_M", counts)
         cells_Q = input_field(obj, "cells_Q", counts)
@@ -367,49 +371,42 @@ class _Sparse:
 def _reduce(deltas: list, into: list, outof: list) -> None:
     """Eliminate unit entries of the complex ``deltas`` in place, turning
     each matrix X of ``into[n]`` (rows indexed by C^n) into f X, and each
-    of ``outof[n]`` (columns indexed by C^n) into X g.  Pivots go by least
-    Markowitz cost (|row| - 1)(|column| - 1), rechecked when an entry is
-    taken and queued again if it has grown."""
+    of ``outof[n]`` (columns indexed by C^n) into X g.  A sweep takes the
+    rows of each degree in order and, in a row with a unit entry, the unit
+    of shortest column; sweeps repeat until one eliminates nothing, which
+    ends since each elimination removes two cells.  Pivots are chosen from
+    ``deltas`` alone."""
     into = [list(x) for x in into]
     outof = [[m.T for m in x] for x in outof]  # columns as rows
     for n, d in enumerate(deltas):
         into[n + 1].append(d)
         outof[n].append(d.T)
-
-    def cost(d, b, a):
-        return (len(d.row[b]) - 1) * (len(d.col[a]) - 1)
-
-    heap = [(cost(d, b, a), n, b, a) for n, d in enumerate(deltas)
-            for b, r in d.row.items() for a, x in r.items() if x in (1, -1)]
-    heapq.heapify(heap)
-    while heap:
-        c, n, b, a = heapq.heappop(heap)
-        d = deltas[n]
-        phi = d.row.get(b, {}).get(a)
-        if phi not in (1, -1):
-            continue
-        if cost(d, b, a) > c:
-            heapq.heappush(heap, (cost(d, b, a), n, b, a))
-            continue
-        gamma = [(e, -phi * x) for e, x in d.col[a].items() if e != b]
-        delta_b = [(j, -phi * x) for j, x in d.row[b].items() if j != a]
-        for m in into[n]:
-            m.drop_row(a)
-        for m in into[n + 1]:
-            for e, k in gamma:
-                m.add_row(e, b, k)
-            m.drop_row(b)
-        for m in outof[n]:
-            for j, k in delta_b:
-                m.add_row(j, a, k)
-            m.drop_row(a)
-        for m in outof[n + 1]:
-            m.drop_row(b)
-        # only the rows of gamma changed, in the columns of row b
-        for e, _ in gamma:
-            for j, _ in delta_b:
-                if d.row[e].get(j) in (1, -1):
-                    heapq.heappush(heap, (cost(d, e, j), n, e, j))
+    progress = True
+    while progress:
+        progress = False
+        # an elimination drops, of its degree or later, only its own row
+        for n, b in [(n, b) for n, d in enumerate(deltas) for b in d.row]:
+            d = deltas[n]
+            units = [a for a, x in d.row[b].items() if x in (1, -1)]
+            if not units:
+                continue
+            a = min(units, key=lambda j: len(d.col[j]))
+            phi = d.row[b][a]
+            gamma = [(e, -phi * x) for e, x in d.col[a].items() if e != b]
+            delta_b = [(j, -phi * x) for j, x in d.row[b].items() if j != a]
+            for m in into[n]:
+                m.drop_row(a)
+            for m in into[n + 1]:
+                for e, k in gamma:
+                    m.add_row(e, b, k)
+                m.drop_row(b)
+            for m in outof[n]:
+                for j, k in delta_b:
+                    m.add_row(j, a, k)
+                m.drop_row(a)
+            for m in outof[n + 1]:
+                m.drop_row(b)
+            progress = True
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +419,7 @@ def cocycles(deltas: Sequence[IntMatrix], cells: Sequence[int],
     """Z^n as columns: a basis of ker(delta^n), all of C^n in the top
     degree."""
     if n < len(deltas):
-        return IntMatrix.from_columns(cells[n], int_kernel_basis(deltas[n]))
+        return int_kernel_basis(deltas[n]).transpose()
     return IntMatrix.identity(cells[n])
 
 
@@ -442,10 +439,10 @@ def _hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def _preimage(image: IntMatrix, z: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Columns spanning the combinations of the columns of z whose images,
-    the columns of ``image``, lie in span(b): the first z.cols coordinates
-    of ker [image | b], so the sign of b does not matter."""
+    the columns of ``image``, lie in span(b): [z | 0] ker [image | b] reads
+    the first z.cols coordinates, so the sign of b does not matter."""
     kern = int_kernel_basis(_hstack(image, b))
-    return z @ IntMatrix.from_columns(z.cols, [v[:z.cols] for v in kern])
+    return _hstack(z, IntMatrix.zero(z.rows, b.cols)) @ kern.transpose()
 
 
 def subquotient_invariants(gens: IntMatrix, rels: IntMatrix) -> list[int]:
@@ -510,7 +507,7 @@ def admits_real_structure(data: EquivariantCWData,
         if any(x != 0 for x in data.delta_M[2].mul_vec(list(c1))):
             raise NotCocycle("c1 is not closed")
     image = data.theta[2].mul_vec(list(c1))
-    rhs = IntMatrix.from_columns(len(image), [image])
+    rhs = IntMatrix.from_grid(1, len(image), [image]).transpose()
     snf = smith_normal_form(data.delta_Q[1].transpose())
     return _diagonal_solve(snf, rhs) is not None
 

@@ -405,7 +405,8 @@ MORSE_BODY = {"points": [{"label": "a", "ind_q": 0, "fiber": [[1.0]]},
 #: negative count or shape, a short row, or a declared shape past the data
 #: grid, that once ended as shape_mismatch with no field named, or an empty
 #: grid under a 2**62 x 2**62 shape, that once allocated the declared zeros
-#: and ended in MemoryError)
+#: and ended in MemoryError, or an object or a string where an array is
+#: expected, or an empty cell list, that were once read as empty arrays)
 NON_INTEGER_FIELDS = (
     ("seifert_float", "seifert-matrix", "data", {"data": [[1]]},
      ("data", 0, 0), 1.5),
@@ -442,6 +443,19 @@ NON_INTEGER_FIELDS = (
     ("spinc_delta_M_empty_grid", "spinc", "delta_M",
      lens_space(3, 1).to_json(), ("delta_M", 0),
      {"rows": 2 ** 62, "cols": 2 ** 62, "data": []}),
+    ("seifert_data_object", "seifert-matrix", "data", {"data": [[1]]},
+     ("data",), {}),
+    ("seifert_data_string", "seifert-matrix", "data", {"data": [[1]]},
+     ("data",), ""),
+    ("seifert_row_object", "seifert-matrix", "data", {"data": [[1]]},
+     ("data", 0), {}),
+    *((f"spinc_{name}_object", "spinc", name, lens_space(3, 1).to_json(),
+       (name,), {})
+      for name in ("cells_M", "cells_Q", "delta_M", "delta_Q", "orbit")),
+    ("spinc_cells_M_empty", "spinc", "cells_M", lens_space(3, 1).to_json(),
+     ("cells_M",), []),
+    ("spinc_cells_Q_empty", "spinc", "cells_Q", lens_space(3, 1).to_json(),
+     ("cells_Q",), []),
 )
 
 
@@ -470,6 +484,17 @@ def test_non_integer_field_exits_2(capsys, monkeypatch, command, field,
                                    body, path, value):
     assert_edit_exits_2(capsys, monkeypatch, command, field, body, path,
                         value)
+
+
+def test_spinc_all_object_body_names_a_field(capsys, monkeypatch):
+    # once read as a complex of dimension -1, and refused as shape_mismatch
+    body = dict.fromkeys(("cells_M", "cells_Q", "delta_M", "delta_Q",
+                          "orbit"), {})
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(body)))
+    code, report = run_json(capsys, "spinc", "--input", "-")
+    assert code == 2
+    assert report["error"]["code"] == "invalid_input"
+    assert "'cells_M'" in report["error"]["message"]
 
 
 def morse_with_counts(capsys, monkeypatch, counts):

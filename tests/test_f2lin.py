@@ -316,7 +316,7 @@ def test_cokernel_unimodular_invariance():
 def test_int_kernel_basis():
     # x + y + z = 0 over Z: kernel is rank 2
     a = IntMatrix.from_rows([[1, 1, 1]])
-    basis = int_kernel_basis(a)
+    basis = int_kernel_basis(a).data
     assert len(basis) == 2
     for v in basis:
         assert a.mul_vec(v) == [0]
@@ -404,9 +404,14 @@ def int_solve_many(a: IntMatrix, rhs: IntMatrix):
     return snf.V @ IntMatrix.from_grid(a.cols, rhs.cols, y)
 
 
+def from_columns(rows: int, columns) -> IntMatrix:
+    """The matrix whose columns are ``columns``, each of length ``rows``."""
+    return IntMatrix.from_grid(len(columns), rows, columns).transpose()
+
+
 def int_solve(a: IntMatrix, b):
     """One integer solution x of a x = b, or None when unsolvable over Z."""
-    x = int_solve_many(a, IntMatrix.from_columns(len(b), [b]))
+    x = int_solve_many(a, from_columns(len(b), [b]))
     return None if x is None else [row[0] for row in x.data]
 
 
@@ -639,7 +644,7 @@ def test_sparse_rows_match_dense_reference(case):
         (ma + mb, [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]),
         (ma.scale(s), [[s * x for x in row] for row in a]),
         (ma.transpose(), columns),
-        (IntMatrix.from_columns(r, columns), a),
+        (from_columns(r, columns), a),
         (IntMatrix.identity(k), [[int(i == j) for j in range(k)]
                                  for i in range(k)]),
         (IntMatrix.zero(r, k), [[0] * k for _ in range(r)]),

@@ -39,7 +39,7 @@ from hmrkit.real_spinc import (
 )
 
 # the Smith-form solve is a test oracle, kept beside its lattice-oracle test
-from test_f2lin import (int_solve_many, oracle_diagonal_and_vt,
+from test_f2lin import (from_columns, int_solve_many, oracle_diagonal_and_vt,
                          oracle_solvable)
 
 
@@ -200,7 +200,7 @@ def test_admits_trivial_c1():
 def test_lens_torsion_c1_always_admits():
     for name in ("lens_3_1", "lens_5_2", "lens_7_1"):
         data = build_fixture(name)
-        for v in int_kernel_basis(data.delta_M[2]):
+        for v in int_kernel_basis(data.delta_M[2]).data:
             assert admits_real_structure(data, v)
 
 
@@ -446,11 +446,21 @@ def reduced_census(data: EquivariantCWData) -> tuple:
     return torsor, classes
 
 
-REDUCTION_SPACES = sorted(FIXTURE_BUILDERS) + [
+# L(5, 2) with delta^1_M doubled: d.d = 0 and iota* still commutes, so it
+# constructs, but the reduction stops with unit-free coboundaries left
+DOUBLED_D1 = "lens_5_2_doubled_d1"
+
+REDUCTION_SPACES = sorted(FIXTURE_BUILDERS) + [DOUBLED_D1] + [
     (p, q) for p in range(1, 16, 2) for q in range(p) if gcd(p, q) == 1]
 
 
 def space_data(space) -> EquivariantCWData:
+    if space == DOUBLED_D1:
+        data = lens_space(5, 2)
+        delta_M = list(data.delta_M)
+        delta_M[1] = delta_M[1].scale(2)
+        return EquivariantCWData(data.cells_M, data.cells_Q, delta_M,
+                                 data.orbit)
     return build_fixture(space) if isinstance(space, str) \
         else lens_space(*space)
 
@@ -495,11 +505,11 @@ def reduction_with_maps(data: EquivariantCWData) -> dict:
 
 
 @pytest.mark.parametrize("space", sorted(FIXTURE_BUILDERS)
-                         + [(5, 2), (7, 3), (11, 5)], ids=str)
+                         + [(5, 2), (7, 3), (11, 5), DOUBLED_D1], ids=str)
 def test_reduction_is_a_homotopy_equivalence(space):
     # f g = 1, f and g are chain maps, Theta' = f_Q Theta g_M and
     # iota' = f_M iota* g_M, and both commute with the reduced coboundaries;
-    # L(11, 5) keeps a 2 x 2 block of delta^1_M with no unit entry
+    # the doubled delta^1_M keeps blocks of both complexes with no unit entry
     data = space_data(space)
     r = reduction_with_maps(data)
     red = data.reduced
@@ -541,6 +551,24 @@ ODD_LENS_SPACES = [(p, q) for p in range(1, 22, 2) for q in range(p)
                    if gcd(p, q) == 1]
 
 
+#: (space, reduced cells of M and Q): every L(p, q) with odd 3 <= p <= 21,
+#: and L(61, 7), reduces to the minimal cells; the doubled delta^1_M stops
+#: early
+REDUCED_CELLS = [(s, ((1, 1, 1, 1), (1, 0, 0, 1)))
+                 for s in ODD_LENS_SPACES if s[0] >= 3] + [
+    ((61, 7), ((1, 1, 1, 1), (1, 0, 0, 1))),
+    (DOUBLED_D1, ((1, 25, 25, 1), (1, 13, 13, 1)))]
+
+
+@pytest.mark.parametrize("space, cells", REDUCED_CELLS,
+                         ids=[str(s) for s, _ in REDUCED_CELLS])
+def test_reduction_ends_with_no_unit_entry(space, cells):
+    red = space_data(space).reduced
+    assert (red.cells_M, red.cells_Q) == cells
+    assert all(x not in (1, -1) for m in red.delta_M + red.delta_Q
+               for r in m.entries for _, x in r)
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
 def test_projection_identities_on_fixtures(name):
     data = build_fixture(name)
@@ -562,8 +590,7 @@ def test_projection_identities_on_lens_spaces(p, q):
 
 
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return IntMatrix.from_columns(a.rows,
-                                  a.transpose().data + b.transpose().data)
+    return from_columns(a.rows, a.transpose().data + b.transpose().data)
 
 
 def presented(cx, degree):
@@ -583,8 +610,8 @@ def induced(t: IntMatrix, src, tgt) -> IntMatrix:
 
 def kernel_lattice(m: IntMatrix, src, tgt) -> IntMatrix:
     """Source coordinates of the classes that m maps to zero."""
-    kern = int_kernel_basis(hstack(m, tgt[1]))
-    return hstack(IntMatrix.from_columns(m.cols, [v[:m.cols] for v in kern]),
+    kern = int_kernel_basis(hstack(m, tgt[1])).data
+    return hstack(from_columns(m.cols, [v[:m.cols] for v in kern]),
                   src[1])
 
 
@@ -710,7 +737,7 @@ def column_span_basis(a: IntMatrix) -> IntMatrix:
             basis.append(cols.pop(nz[0]))
         row += 1
     basis.extend(c for c in cols if any(c))
-    return IntMatrix.from_columns(a.rows, basis)
+    return from_columns(a.rows, basis)
 
 
 def oracle_subquotient(gens: IntMatrix, rels: IntMatrix) -> list:
