@@ -31,7 +31,7 @@ import time
 from functools import partial
 
 from .errors import (HmrkitError, InvalidInput, MalformedJson, input_field,
-                     input_float, input_int)
+                     input_float, input_int, input_list)
 
 SELFTEST_BUDGET_SECONDS = 60.0
 
@@ -186,7 +186,7 @@ def _label(value) -> str:
 
 def _base_points(value) -> list:
     return [(_label(p["label"]), input_int(p["ind_q"]),
-             _finite_floats(p["fiber"])) for p in value]
+             _finite_floats(p["fiber"])) for p in input_list(value)]
 
 
 def _cmd_morse(args) -> int:

@@ -112,6 +112,30 @@ class BlockDifferentials:
                 ("d_us", s, u), ("bar_ss", s, s), ("bar_us", s, u),
                 ("bar_su", u, s), ("bar_uu", u, u))
 
+    @cached_property
+    def complexes(self) -> "ThreeComplexes":
+        """Built on first read; see :func:`assemble`."""
+        check_d = f2_block([
+            [self.d_oo, self.d_uo @ self.bar_su],
+            [self.d_os, self.bar_ss + (self.d_us @ self.bar_su)],
+        ])
+        hat_d = f2_block([
+            [self.d_oo, self.d_uo],
+            [self.bar_su @ self.d_os,
+             self.bar_uu + (self.bar_su @ self.d_us)],
+        ])
+        bar_d = f2_block([
+            [self.bar_ss, self.bar_us],
+            [self.bar_su, self.bar_uu],
+        ])
+        o, s, u = self.gens_o, self.gens_s, self.gens_u
+        return ThreeComplexes(
+            blocks=self,
+            check=GradedComplex(tuple(g.gr for g in o + s), check_d),
+            hat=GradedComplex(tuple(g.gr for g in o + u), hat_d),
+            bar=GradedComplex(tuple(g.bar_gr for g in s + u), bar_d),
+        )
+
     @staticmethod
     def zero(gens_o, gens_s, gens_u) -> "BlockDifferentials":
         no, ns, nu = len(gens_o), len(gens_s), len(gens_u)
@@ -131,7 +155,7 @@ class GradedComplex:
     Chains are bitmasks over all generators.  The columns of d are read
     once, on first use of :attr:`columns`, and each grading is reduced
     once, on first use of :attr:`levels`; homology ranks and the LES check
-    read those two tables.
+    read those two tables.  d . d is multiplied out once, for both checks.
     """
 
     gradings: tuple  # integer grading per generator (gr or bar_gr)
@@ -139,6 +163,10 @@ class GradedComplex:
 
     def indices(self, j: int) -> list[int]:
         return [k for k, g in enumerate(self.gradings) if g == j]
+
+    @cached_property
+    def d_squared_zero(self) -> bool:
+        return (self.d @ self.d).is_zero()
 
     @cached_property
     def columns(self) -> tuple:
@@ -188,43 +216,24 @@ class ThreeComplexes:
 
 
 def assemble(blocks: BlockDifferentials) -> ThreeComplexes:
-    """Build the three total differentials from the eight blocks.
+    """The three total differentials of the eight blocks, built on the
+    first call per ``blocks`` and returned by every later one.
 
     Raises CompositionNonzero downstream if the result fails d^2 = 0;
     shape and grading problems surface here.
     """
-    b = blocks
-    check_d = f2_block([
-        [b.d_oo, b.d_uo @ b.bar_su],
-        [b.d_os, b.bar_ss + (b.d_us @ b.bar_su)],
-    ])
-    hat_d = f2_block([
-        [b.d_oo, b.d_uo],
-        [b.bar_su @ b.d_os, b.bar_uu + (b.bar_su @ b.d_us)],
-    ])
-    bar_d = f2_block([
-        [b.bar_ss, b.bar_us],
-        [b.bar_su, b.bar_uu],
-    ])
-    return ThreeComplexes(
-        blocks=b,
-        check=GradedComplex(tuple(g.gr for g in b.gens_o + b.gens_s),
-                            check_d),
-        hat=GradedComplex(tuple(g.gr for g in b.gens_o + b.gens_u), hat_d),
-        bar=GradedComplex(tuple(g.bar_gr for g in b.gens_s + b.gens_u),
-                          bar_d),
-    )
+    return blocks.complexes
 
 
 def verify_d_squared(c: ThreeComplexes) -> bool:
     """True iff all three total differentials square to zero."""
-    return all((f.d @ f.d).is_zero() for f in (c.check, c.hat, c.bar))
+    return all(f.d_squared_zero for f in (c.check, c.hat, c.bar))
 
 
 def homology(c: ThreeComplexes, flavor: str) -> dict[int, int]:
     """Graded F2 homology ranks of the chosen flavor (zero ranks dropped)."""
     f = c.flavor(flavor)
-    if not (f.d @ f.d).is_zero():
+    if not f.d_squared_zero:
         raise CompositionNonzero(f"{flavor} differential does not square to 0")
     ranks = {j: f.homology_rank(j) for j in f.levels}
     return {j: r for j, r in ranks.items() if r}

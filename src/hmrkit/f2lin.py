@@ -84,8 +84,10 @@ class F2Matrix:
     def transpose(self) -> "F2Matrix":
         out = [0] * self.cols
         for r, mask in enumerate(self.masks):
-            for c in bits(mask):
-                out[c] |= 1 << r
+            while mask:  # inline, like xor_of
+                low = mask & -mask
+                out[low.bit_length() - 1] |= 1 << r
+                mask ^= low
         return F2Matrix(self.cols, self.rows, tuple(out))
 
     def __add__(self, other: "F2Matrix") -> "F2Matrix":
@@ -131,10 +133,13 @@ def bits(mask: int) -> Iterable[int]:
 
 def xor_of(vectors: Sequence[int], mask: int) -> int:
     """The sum of the vectors picked by the set bits of ``mask``; row r of
-    ``a @ b`` is ``xor_of(b.masks, a.masks[r])``."""
+    ``a @ b`` is ``xor_of(b.masks, a.masks[r])``.  The hottest F2 loop, so
+    it walks the bits inline, not through :func:`bits`."""
     out = 0
-    for k in bits(mask):
-        out ^= vectors[k]
+    while mask:
+        low = mask & -mask
+        out ^= vectors[low.bit_length() - 1]
+        mask ^= low
     return out
 
 

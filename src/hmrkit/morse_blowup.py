@@ -74,15 +74,17 @@ class LinearFlowModel:
         a = np.asarray(self.L, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ShapeMismatch("L must be square")
-        if not np.allclose(a, a.T, atol=1e-12):
+        # an exactly symmetric L, the common case, skips np.allclose
+        if not ((a == a.T).all() or np.allclose(a, a.T, atol=1e-12)):
             raise ShapeMismatch("L must be symmetric")
         object.__setattr__(self, "L", a)
         vals, vecs = np.linalg.eigh(a)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        gap_tol = 10.0 * SPECTRAL_TOLERANCE * scale
-        if np.any(np.abs(vals) <= gap_tol):
+        # n is small: plain floats check the spectrum faster than numpy
+        spectrum = vals.tolist()
+        gap_tol = 10.0 * SPECTRAL_TOLERANCE * max(1.0, max(map(abs, spectrum)))
+        if any(abs(v) <= gap_tol for v in spectrum):
             raise DegenerateSpectrum("spectrum contains (near-)zero")
-        if vals.size > 1 and np.min(np.diff(vals)) <= gap_tol:
+        if any(hi - lo <= gap_tol for lo, hi in zip(spectrum, spectrum[1:])):
             raise DegenerateSpectrum("spectrum is not simple")
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)

@@ -449,6 +449,8 @@ NON_INTEGER_FIELDS = (
      ("data",), ""),
     ("seifert_row_object", "seifert-matrix", "data", {"data": [[1]]},
      ("data", 0), {}),
+    ("morse_points_object", "morse", "points", MORSE_BODY, ("points",), {}),
+    ("morse_points_string", "morse", "points", MORSE_BODY, ("points",), ""),
     *((f"spinc_{name}_object", "spinc", name, lens_space(3, 1).to_json(),
        (name,), {})
       for name in ("cells_M", "cells_Q", "delta_M", "delta_Q", "orbit")),

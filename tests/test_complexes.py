@@ -527,3 +527,24 @@ def test_each_grading_is_reduced_once(monkeypatch):
     assert verify_les_exact(c, les_maps(blocks))
     levels = sum(len(set(f.gradings)) for f in (c.check, c.hat, c.bar))
     assert 0 < len(reduced) <= levels
+
+
+def test_d_squared_and_assembly_are_computed_once(monkeypatch):
+    blocks = with_acyclic_pairs(morse_pair_blocks(),
+                                [("o", 0), ("s", 2), ("u", 1), ("u", 4)])
+    c = assemble(blocks)
+    assert assemble(blocks) is c
+    products = []
+    matmul = F2Matrix.__matmul__
+    monkeypatch.setattr(F2Matrix, "__matmul__",
+                        lambda a, b: products.append((a, b)) or matmul(a, b))
+    assert verify_d_squared(c)
+    for flavor in ("check", "hat", "bar"):
+        homology(c, flavor)
+    assert [(id(a), id(b)) for a, b in products] == \
+        [(id(f.d), id(f.d)) for f in (c.check, c.hat, c.bar)]
+    # les_maps reads the complexes assembled above: its only products are
+    # the two sides of each of the three chain-map identities
+    products.clear()
+    les_maps(blocks)
+    assert len(products) == 6

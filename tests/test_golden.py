@@ -51,6 +51,10 @@ INDEX_TABLE = ((8, 0, 1, 1, 0), (0, 0, 0, 0, 0), (16, 0, 2, 1, 0),
 #: generated ``morse`` and ``flow`` bodies
 MORSE_BODIES = 48
 FLOW_BODIES = 48
+#: (generators, fiber dimension) of ``morse`` bodies of the sizes the
+#: benchmark's chain mix runs, each with all-positive, mixed and
+#: all-negative fibers
+CHAIN_MORSE = ((60, 3), (140, 5), (200, 6))
 
 
 def _sha(text: str) -> str:
@@ -75,12 +79,13 @@ def _round9(value):
 
 
 def _fiber(rng, n: int, n_neg: int) -> list:
-    """A symmetric n x n matrix, n <= 3, with n_neg negative eigenvalues:
+    """A symmetric n x n matrix, n <= 8, with n_neg negative eigenvalues:
     distinct integer diagonal entries at least 1 apart, off the diagonal
     multiples of 1/16 of size at most 1/16, so by Gershgorin each
-    eigenvalue lies within 1/8 of a diagonal entry."""
-    neg = sorted(rng.choice(np.arange(1, 6), n_neg, replace=False))
-    pos = sorted(rng.choice(np.arange(1, 6), n - n_neg, replace=False))
+    eigenvalue lies within (n - 1)/16 < 1/2 of a diagonal entry."""
+    sizes = np.arange(1, max(6, n + 3))
+    neg = sorted(rng.choice(sizes, n_neg, replace=False))
+    pos = sorted(rng.choice(sizes, n - n_neg, replace=False))
     diag = [-float(x) for x in reversed(neg)] + [float(x) for x in pos]
     m = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -90,17 +95,22 @@ def _fiber(rng, n: int, n_neg: int) -> list:
     return m
 
 
-def _morse_body(rng) -> dict:
-    """Base points in cancelling pairs and free points, with one fiber
-    sign pattern, so that every base count joins equal patterns."""
-    n = int(rng.integers(1, 4))
-    n_neg = int(rng.integers(0, n + 1))
-    size = int(rng.integers(3, 9))
+def _model_body(rng, n: int, n_neg: int, size: int,
+                diamonds: float = 0.0) -> dict:
+    """At least ``size`` base points with one fiber sign pattern, so that
+    every base count joins equal patterns.  The base is made of diamonds
+    a -> b, c -> d (a share ``diamonds`` of the draws), cancelling pairs
+    and free points (half the rest each); pairs and diamonds are acyclic
+    over F2."""
     inds, ones = [], []
     while len(inds) < size:
-        i = int(rng.integers(0, 3))
-        if rng.random() < 0.5:
-            ones.append([len(inds) + 1, len(inds)])
+        i, k = int(rng.integers(0, 3)), len(inds)
+        piece = rng.random()
+        if piece < diamonds:
+            ones += [[k + 1, k], [k + 2, k], [k + 3, k + 1], [k + 3, k + 2]]
+            inds += [i + 2, i + 1, i + 1, i]
+        elif piece < (1 + diamonds) / 2:
+            ones.append([k + 1, k])
             inds += [i + 1, i]
         else:
             inds.append(i)
@@ -109,6 +119,12 @@ def _morse_body(rng) -> dict:
     return {"points": points,
             "counts": {"rows": len(inds), "cols": len(inds), "ones": ones},
             "grading_shift": int(rng.integers(-2, 3))}
+
+
+def _morse_body(rng) -> dict:
+    n = int(rng.integers(1, 4))
+    n_neg = int(rng.integers(0, n + 1))
+    return _model_body(rng, n, n_neg, int(rng.integers(3, 9)))
 
 
 def _unit(rng, n: int) -> list:
@@ -181,6 +197,10 @@ def requests() -> list[tuple[list[str], str]]:
             (["flow", "--input", "-"], json.dumps(dict(no_phi0, step=1.0))),
             (["morse", "--input", "-"], "{}")]
     out.append((["fixtures-selftest"], ""))
+    rng = np.random.default_rng(2027)
+    out += [(["morse", "--input", "-"], json.dumps(_model_body(
+                rng, n, n_neg, gens // n, diamonds=0.3)))
+            for gens, n in CHAIN_MORSE for n_neg in (0, n // 2, n)]
     return out
 
 

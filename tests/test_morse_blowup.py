@@ -21,6 +21,7 @@ from hmrkit.morse_blowup import (
     CONVERGENCE_SPEED,
     CONVERGENCE_STEPS,
     MAX_STEP_SPECTRAL,
+    SPECTRAL_TOLERANCE,
     BaseMorseData,
     BasePoint,
     FlowTrajectory,
@@ -57,6 +58,119 @@ def test_degenerate_spectrum_rejected():
         LinearFlowModel(np.diag([1.0, 1.0]))
     with pytest.raises(DegenerateSpectrum):
         LinearFlowModel(np.diag([0.0, 1.0]))
+
+
+# -- reference: the checks of a fiber model, written with numpy ---------------
+
+
+def oracle_fiber_model(L) -> np.ndarray:
+    """The eigenvalues of L if LinearFlowModel's checks accept it, by the
+    same checks written with numpy arrays: np.allclose for symmetry, and
+    np.abs and np.diff for the spectrum.  Raises what they raise."""
+    a = np.asarray(L, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeMismatch("L must be square")
+    if not np.allclose(a, a.T, atol=1e-12):
+        raise ShapeMismatch("L must be symmetric")
+    vals = np.linalg.eigh(a)[0]
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    gap_tol = 10.0 * SPECTRAL_TOLERANCE * scale
+    if np.any(np.abs(vals) <= gap_tol):
+        raise DegenerateSpectrum("spectrum contains (near-)zero")
+    if vals.size > 1 and np.min(np.diff(vals)) <= gap_tol:
+        raise DegenerateSpectrum("spectrum is not simple")
+    return vals
+
+
+def outcome(build, L):
+    """The eigenvalues ``build(L)`` accepts L with, or the class of what it
+    raises."""
+    try:
+        return build(L)
+    except Exception as exc:
+        return type(exc)
+
+
+def assert_same_outcome(L):
+    """LinearFlowModel and the oracle accept or reject L alike, with the
+    same eigenvalues or the same exception class; returns that outcome."""
+    got = outcome(lambda m: LinearFlowModel(m).eigenvalues, L)
+    want = outcome(oracle_fiber_model, L)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert np.array_equal(got, want, equal_nan=True)
+    return want
+
+
+def _tolerance(scale: float) -> float:
+    return 10.0 * SPECTRAL_TOLERANCE * scale
+
+
+_SYMMETRIC = random_symmetric(4, np.random.default_rng(5))
+_NEAR_SYMMETRIC = _SYMMETRIC.copy()
+_NEAR_SYMMETRIC[0, 2] += 1e-13
+_FAR_SYMMETRIC = _SYMMETRIC.copy()
+_FAR_SYMMETRIC[0, 2] += 1e-3
+INF, NAN = math.inf, math.nan
+
+#: (id, L, accepted): every check of the fiber model, on each side
+FIBER_CHECK_CASES = (
+    ("symmetric", _SYMMETRIC, True),
+    ("symmetric_2x2", [[2.0, 0.25], [0.25, -1.0]], True),
+    ("symmetric_within_allclose", _NEAR_SYMMETRIC, True),
+    ("asymmetric_past_allclose", _FAR_SYMMETRIC, False),
+    ("asymmetric", [[1.0, 2.0], [0.0, 3.0]], False),
+    ("not_square", [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], False),
+    ("nan_diagonal", [[NAN, 0.0], [0.0, 1.0]], False),
+    ("nan_off_diagonal", [[1.0, NAN], [NAN, 2.0]], False),
+    ("nan_one_side", [[1.0, NAN], [0.0, 2.0]], False),
+    # eigh turns an infinite entry into NaN eigenvalues, which no
+    # spectrum check rejects
+    ("inf_diagonal", [[INF, 0.0], [0.0, 1.0]], True),
+    ("minus_inf_diagonal", [[1.0, 0.0], [0.0, -INF]], True),
+    ("inf_off_diagonal", [[1.0, INF], [INF, 2.0]], True),
+    ("minus_inf_off_diagonal", [[1.0, -INF], [-INF, 2.0]], True),
+    ("inf_one_side", [[1.0, INF], [0.0, 2.0]], False),
+    ("inf_against_minus_inf", [[1.0, INF], [-INF, 2.0]], False),
+    ("repeated_eigenvalue", np.diag([1.0, 1.0]), False),
+    ("zero_eigenvalue", np.diag([0.0, 1.0]), False),
+    # a spectrum inside [-1, 1] keeps the tolerance of scale 1
+    ("small_spectrum", np.diag([7e-10, 0.5]), False),
+    # the zero tolerance at scale 1 and 4, one ulp either side
+    *((f"zero_tol_{sign}{scale:g}_{side}", np.diag([sign * v, scale]),
+       side == "above")
+      for scale in (1.0, 4.0) for sign in (1.0, -1.0)
+      for side, v in (("below", np.nextafter(_tolerance(scale), 0.0)),
+                      ("at", _tolerance(scale)),
+                      ("above", np.nextafter(_tolerance(scale), 1.0)))),
+)
+
+
+@pytest.mark.parametrize("L, accepted", [t[1:] for t in FIBER_CHECK_CASES],
+                         ids=[t[0] for t in FIBER_CHECK_CASES])
+def test_fiber_checks_match_numpy_oracle(L, accepted):
+    assert isinstance(assert_same_outcome(L), type) is not accepted
+
+
+def test_fiber_checks_gap_tolerance_one_ulp_either_side():
+    # with the largest eigenvalue 3, the tolerance is a gap two floats just
+    # above it can have exactly; moving the upper one by one ulp moves the
+    # gap to the nearest gaps either side
+    tol = _tolerance(3.0)
+    low = 2.0 ** -28
+    assert low > tol and (low + tol) - low == tol
+    outcomes = {}
+    for side, high in (("below", np.nextafter(low + tol, 0.0)),
+                       ("at", low + tol),
+                       ("above", np.nextafter(low + tol, 1.0))):
+        for sign in (1.0, -1.0):
+            spectrum = sorted([sign * low, sign * high, 3.0])
+            assert np.linalg.eigvalsh(np.diag(spectrum)).tolist() == spectrum
+            outcomes[side, sign] = assert_same_outcome(np.diag(spectrum))
+    rejected = {key for key, got in outcomes.items() if isinstance(got, type)}
+    assert rejected == {("below", 1.0), ("below", -1.0), ("at", 1.0),
+                        ("at", -1.0)}
 
 
 def test_blowup_gradings_mixed_signature():

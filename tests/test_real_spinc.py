@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import signal
@@ -454,9 +455,13 @@ REDUCTION_SPACES = sorted(FIXTURE_BUILDERS) + [DOUBLED_D1] + [
     (p, q) for p in range(1, 16, 2) for q in range(p) if gcd(p, q) == 1]
 
 
+@functools.cache
 def space_data(space) -> EquivariantCWData:
+    """The data of a fixture name, of L(p, q) given as (p, q), or of
+    DOUBLED_D1, built once: the tests share the object, and with it its
+    reduction."""
     if space == DOUBLED_D1:
-        data = lens_space(5, 2)
+        data = space_data((5, 2))
         delta_M = list(data.delta_M)
         delta_M[1] = delta_M[1].scale(2)
         return EquivariantCWData(data.cells_M, data.cells_Q, delta_M,
@@ -579,7 +584,7 @@ def test_projection_identities_on_fixtures(name):
 
 @pytest.mark.parametrize("p,q", ODD_LENS_SPACES)
 def test_projection_identities_on_lens_spaces(p, q):
-    data = lens_space(p, q)
+    data = space_data((p, q))
     assert_projection_identities(data)
     assert_projection_identities(relabel(data, random.Random(p * q)))
 
@@ -656,7 +661,7 @@ def test_census_matches_presented_groups_on_fixtures(name):
 def test_census_matches_presented_groups_on_lens_spaces(p):
     for q in range(p):
         if gcd(p, q) == 1:
-            assert_matches_presented_census(lens_space(p, q))
+            assert_matches_presented_census(space_data((p, q)))
 
 
 def unitriangular(a: int, b: int, upper: list, lower: list) -> IntMatrix:
