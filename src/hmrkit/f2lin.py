@@ -13,12 +13,9 @@ census inputs are already reduced to a few rows.  Rank and determinant
 come from fraction-free Bareiss elimination, whose entries stay minors
 of the input; every other lattice question (kernels, cokernels,
 membership in a column lattice and subquotients) reads one Smith normal
-form.  That form takes one Euclid step per pivot, repeated until it
-makes no swap, and returns the diagonal of D and, when asked, V^T for
-the column transform V; the row transform U of A that a solve needs is
-read as the V^T of the Smith form of A^T.  A unit pivot, the common case
-on coboundaries, takes one step whose row operations walk the nonzeros
-of its row and whose column operations then change one entry of D each.
+form.  That form is the textbook smallest-pivot elimination and returns
+the diagonal of D and V^T for the column transform V; the row transform
+U of A that a solve needs is read as the V^T of the Smith form of A^T.
 Homology ranks, the LES check and the real spin-c census all reduce to
 the operations in this module.
 """
@@ -318,39 +315,28 @@ def _row_times(row: tuple, right: Sequence) -> tuple:
 class SNFResult:
     """Smith normal form U A V = D with unimodular U, V, as its callers
     read it: the min(rows, cols) diagonal entries of D, and V^T (row j is
-    column j of V) or None when the caller did not ask for it.  U is not
-    kept; the V^T of the Smith form of A^T is a U for A with the same
-    diagonal."""
+    column j of V).  U is not kept; the V^T of the Smith form of A^T is a
+    U for A with the same diagonal."""
 
     diagonal: tuple
-    VT: IntMatrix | None
+    VT: IntMatrix
 
 
-def _smallest_entry(d: list, t: int, zero: list):
+def _smallest_entry(d: list, t: int):
     """Position of the smallest |nonzero| in the block d[t:][t:], or None.
 
-    Ties go to the first in row-major order, so the first unit wins.  The
-    rows from t on are zero before column t, so whole rows are searched.
-    ``zero[i]`` marks row i as found zero; a zero row stays zero under the
-    elimination, so it is not searched again.
+    Ties go to the first in row-major order.  The scan stops at the first
+    unit, since no later entry can be smaller.
     """
-    rows = []
-    for i in range(t, len(d)):
-        if zero[i]:
-            continue
-        row = d[i]
-        if 1 in row or -1 in row:
-            return i, min(row.index(x) for x in (1, -1) if x in row)
-        if any(row):
-            rows.append(i)
-        else:
-            zero[i] = True
     best, pivot = 0, None
-    for i in rows:
+    for i in range(t, len(d)):
         row = d[i]
-        x = min(abs(y) for y in row if y)
-        if not best or x < best:
-            best, pivot = x, (i, [abs(y) for y in row].index(x))
+        for j in range(t, len(row)):
+            x = abs(row[j])
+            if x and (not best or x < best):
+                if x == 1:
+                    return (i, j)
+                best, pivot = x, (i, j)
     return pivot
 
 
@@ -369,94 +355,71 @@ def _nonzeros(row: Sequence[int]) -> tuple:
     return tuple(compress(enumerate(row), row))
 
 
-def _add_multiple(dst: list, src: list, k: int) -> None:
-    """dst += k * src, where src is listed by its nonzeros."""
-    for j, x in src:
-        dst[j] += k * x
+def _minus_multiple(dst: list, src: list, q: int) -> list:
+    """The dense row dst - q * src."""
+    return [x - q * y for x, y in zip(dst, src)]
 
 
-def smith_normal_form(a: IntMatrix, *, want_v: bool = True) -> SNFResult:
-    """Smith normal form over Z: the diagonal of D, and V^T when wanted.
+def smith_normal_form(a: IntMatrix) -> SNFResult:
+    """Smith normal form over Z: the diagonal of D and V^T.
 
+    The textbook elimination (Cohen, GTM 138, 2.4.4) on the dense grid.
     The pivot at each stage is the nonzero entry of smallest absolute
     value (ties broken by lowest row, then column index), which keeps the
-    reduction deterministic across runs.  Diagonal entries are normalized
-    nonnegative with d_i | d_{i+1}.  Each pivot takes Euclid steps until
-    one makes no swap.  A step reduces the rows below the pivot by its
-    row, listed by its nonzeros, then the columns after it by its column,
-    walking the same nonzeros; a remainder is swapped in as the pivot.
-    Unless a swap brought a nonzero below the pivot, a column operation
-    changes one entry of D and one row of V^T.  A unit pivot is done
-    after one step; others get a divisibility fix-up of the trailing
-    block.  ``want_v`` false returns None for V^T
-    and the same diagonal.  No U is built: the V^T of the Smith form of
-    A^T is one, since U A V = D iff V^T A^T U^T = D^T.
+    reduction deterministic across runs.  Its row reduces the rows below
+    it and its column the columns after it; a remainder is swapped in as
+    the pivot, and the pass repeats until one makes no swap.  A pivot that
+    does not divide the trailing block gets the first row it fails to
+    divide added and starts over, so the diagonal entries are nonnegative
+    with d_i | d_{i+1}.  A column operation on V is a row operation on
+    V^T.  No U is built: the V^T of the Smith form of A^T is one, since
+    U A V = D iff V^T A^T U^T = D^T.
     """
     m, n = a.rows, a.cols
     d = [list(row) for row in a.data]
-    # row j of vt: column j of V
-    vt = [list(r) for r in IntMatrix.identity(n).data] if want_v else None
-    zero = [False] * m  # rows found zero by _smallest_entry
+    vt = [list(r) for r in IntMatrix.identity(n).data]  # row j: column j of V
+
+    def swap_cols(t, j):
+        for row in d:
+            row[t], row[j] = row[j], row[t]
+        vt[t], vt[j] = vt[j], vt[t]
+
     diagonal = []
     t = 0
-
-    def swap_rows(i):
-        d[t], d[i] = d[i], d[t]
-        zero[t], zero[i] = zero[i], zero[t]
-
-    # the rows before t are zero from column t on, so a column swap
-    # skips them
-    def swap_cols(j):
-        for row in d[t:]:
-            row[t], row[j] = row[j], row[t]
-        if vt is not None:
-            vt[t], vt[j] = vt[j], vt[t]
-
     while t < min(m, n):
-        pivot = _smallest_entry(d, t, zero)
+        pivot = _smallest_entry(d, t)
         if pivot is None:
             break
-        swap_rows(pivot[0])
-        swap_cols(pivot[1])
+        d[t], d[pivot[0]] = d[pivot[0]], d[t]
+        swap_cols(t, pivot[1])
         swapped = True
         while swapped:
             swapped = False
-            row_t = _nonzeros(d[t])
             for i in range(t + 1, m):
                 if d[i][t]:
-                    _add_multiple(d[i], row_t, -(d[i][t] // d[t][t]))
+                    d[i] = _minus_multiple(d[i], d[t], d[i][t] // d[t][t])
                     if d[i][t]:
-                        swap_rows(i)
-                        row_t = _nonzeros(d[t])
+                        d[t], d[i] = d[i], d[t]
                         swapped = True
-            # the rows that column t reaches: row t alone unless a swap
-            # brought a nonzero below it
-            reach = [row for row in d[t:] if row[t]] if swapped else [d[t]]
-            row_v = None if vt is None else _nonzeros(vt[t])
-            for j, _ in row_t:
-                if j == t or not d[t][j]:
-                    continue
-                q = d[t][j] // d[t][t]
-                for row in reach:
-                    row[j] -= q * row[t]
-                if vt is not None:
-                    _add_multiple(vt[j], row_v, -q)
+            for j in range(t + 1, n):
                 if d[t][j]:
-                    swap_cols(j)
-                    reach = [row for row in d[t:] if row[t]]
-                    row_v = None if vt is None else _nonzeros(vt[t])
-                    swapped = True
+                    q = d[t][j] // d[t][t]
+                    for row in d:
+                        row[j] -= q * row[t]
+                    vt[j] = _minus_multiple(vt[j], vt[t], q)
+                    if d[t][j]:
+                        swap_cols(t, j)
+                        swapped = True
         # force divisibility of the trailing block by the pivot
         i = _indivisible_row(d, t)
         if i is not None:
-            _add_multiple(d[t], _nonzeros(d[i]), 1)
+            d[t] = [x + y for x, y in zip(d[t], d[i])]
             continue
         diagonal.append(abs(d[t][t]))
         t += 1
 
     diagonal += [0] * (min(m, n) - t)
-    return SNFResult(tuple(diagonal), None if vt is None
-                     else IntMatrix.from_grid(n, n, vt))
+    return SNFResult(tuple(diagonal), IntMatrix.from_grid(n, n, vt))
 
 
 def _bareiss(a: IntMatrix) -> tuple[int, int]:
@@ -508,7 +471,7 @@ def cokernel_invariants(a: IntMatrix) -> list[int]:
     Returns the d_i > 1 from the Smith form followed by one 0 per free
     factor.  Trivial factors (d_i = 1) are dropped.
     """
-    diag = smith_normal_form(a, want_v=False).diagonal
+    diag = smith_normal_form(a).diagonal
     r = sum(1 for x in diag if x != 0)
     torsion = [x for x in diag if x > 1]
     free = a.rows - r

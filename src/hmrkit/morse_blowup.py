@@ -81,6 +81,9 @@ class LinearFlowModel:
         vals, vecs = np.linalg.eigh(a)
         # n is small: plain floats check the spectrum faster than numpy
         spectrum = vals.tolist()
+        # eigh turns an infinite entry into NaN eigenvalues
+        if not all(map(math.isfinite, spectrum)):
+            raise DegenerateSpectrum("spectrum is not finite")
         gap_tol = 10.0 * SPECTRAL_TOLERANCE * max(1.0, max(map(abs, spectrum)))
         if any(abs(v) <= gap_tol for v in spectrum):
             raise DegenerateSpectrum("spectrum contains (near-)zero")
