@@ -55,6 +55,21 @@ FLOW_BODIES = 48
 #: benchmark's chain mix runs, each with all-positive, mixed and
 #: all-negative fibers
 CHAIN_MORSE = ((60, 3), (140, 5), (200, 6))
+#: ``flow`` bodies at the edges of the integrator's blocks, answered with
+#: every 1024th sample and the last, which pins the step count:
+#: h max|lambda| = 1.20 (in (0.75, 1.5]) and 0.74 (just below 0.75), 12859
+#: steps at h = 1e-3 that converge mid-block, and 2053 steps that never
+#: converge, past both doublings of the sample buffer (1025 and 2050 rows)
+EDGE_FLOWS = (
+    {"L": [[1.0, 0.0625], [0.0625, 4.0]], "phi0": [0.6, -0.8], "s0": 0.5,
+     "t_max": 60.0, "step": 0.3},
+    {"L": [[1.0, 0.0625], [0.0625, 4.0]], "phi0": [0.6, -0.8], "s0": 0.5,
+     "t_max": 60.0, "step": 0.185},
+    {"L": [[-1.0, 0.0625], [0.0625, 0.5]], "phi0": [0.6, 0.8], "s0": 0.5,
+     "t_max": 100.0, "step": 1e-3},
+    {"L": [[-1.0, 0.0625, 0.0], [0.0625, 0.5, 0.0625], [0.0, 0.0625, 2.0]],
+     "phi0": [0.6, 0.0, 0.8], "s0": 0.5, "t_max": 2.053, "step": 1e-3},
+)
 
 
 def _sha(text: str) -> str:
@@ -201,6 +216,8 @@ def requests() -> list[tuple[list[str], str]]:
     out += [(["morse", "--input", "-"], json.dumps(_model_body(
                 rng, n, n_neg, gens // n, diamonds=0.3)))
             for gens, n in CHAIN_MORSE for n_neg in (0, n // 2, n)]
+    out += [(["flow", "--input", "-", "--samples", "--stride", "1024"],
+             json.dumps(body)) for body in EDGE_FLOWS]
     return out
 
 
