@@ -20,11 +20,16 @@ the supplied base trajectory counts.
 The flow is integrated on its linear lift psi' = -L psi: phi = psi / |psi|,
 and s = s0 |psi(t)| / |psi(0)| because d/dt log|psi| = -Lambda(phi).  One
 classical RK4 step of the lift is the fixed matrix P(h) = sum_{k<=4}
-(-hL)^k / k!.  The integrator advances in blocks of BLOCK_STEPS = 8: one
-product with the stacked powers [P - I; P^2 - I; ...; P^8 - I] gives the
-next eight lifts P^j phi, each renormalized to phi_j, with
-s_j = s |P^j phi| since phi is a unit vector.  The convergence rule still
+(-hL)^k / k!.  The integrator advances in blocks of B steps: one product
+with the stacked powers [P - I; P^2 - I; ...; P^B - I] gives the next B
+lifts P^j phi, each renormalized to phi_j, with s_j = s |P^j phi| since
+phi is a unit vector.  B is BLOCK_STEPS = 16, halved to 8 when
+h max|lambda| > 0.75: P^j phi is formed as phi + (P^j - I) phi, whose
+rounding grows like eps / p(-h lambda)^B, and 16 steps at 0.75 grow it
+about as much as 8 steps at the 1.5 limit.  The convergence rule still
 reads every step, and the trajectory ends at the step where it fires.
+The samples live in one buffer that doubles in place (``ndarray.resize``)
+and is cut to the steps taken before the trajectory views it.
 The step h must satisfy h max|lambda| <= 1.5, inside the range
 h lambda < 1.596 where P keeps the eigenmodes in order.
 ``closed_form_phi`` uses the eigendata and serves as the independent
@@ -55,8 +60,9 @@ MAX_STEP_SPECTRAL = 1.5
 #: eigenvalues within 10 * SPECTRAL_TOLERANCE * max(1, max|eigenvalue|)
 #: of zero or of each other make the spectrum degenerate
 SPECTRAL_TOLERANCE = 1e-10
-#: steps advanced by one product with the stacked powers of the RK4 step
-BLOCK_STEPS = 8
+#: steps advanced by one product with the stacked powers of the RK4 step;
+#: half as many when step * max|eigenvalue| > MAX_STEP_SPECTRAL / 2
+BLOCK_STEPS = 16
 #: sample rows allocated up front; the buffer doubles as steps are taken
 _INITIAL_ROWS = 1024
 
@@ -262,10 +268,14 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
     d/dt log|psi| = -Lambda(phi), so s(t) = s0 |psi(t)| / |psi(0)| needs no
     ODE of its own.  One RK4 step of the lift is the fixed matrix
     P(h) = sum_{k<=4} (-hL)^k / k!, built once from L alone together with
-    its stacked powers [P - I; P^2 - I; ...; P^B - I], B = BLOCK_STEPS.  A
-    block of up to B steps is one product with that stack: step j of the
-    block is phi_j = P^j phi / |P^j phi| and s_j = s |P^j phi|, with phi
-    the unit vector the block starts from.  Integration stops early once
+    its stacked powers [P - I; P^2 - I; ...; P^B - I].  A block of up to
+    B steps is one product with that stack: step j of the block is
+    phi_j = P^j phi / |P^j phi| and s_j = s |P^j phi|, with phi the unit
+    vector the block starts from.  B is BLOCK_STEPS, or half of it when
+    step * max|eigenvalue| > MAX_STEP_SPECTRAL / 2: the rounding of
+    phi + (P^j - I) phi grows like eps / p(-h lambda)^B, with p the RK4
+    factor of one eigenmode, and halving B at half the step limit keeps it
+    within what 8 steps reach at the limit.  Integration stops early once
     ||phi'|| = ||L phi - Lambda(phi) phi|| stays below the convergence
     threshold for 100 consecutive steps; every step of a block is checked,
     and the trajectory ends at the step where the rule fires, not at the
@@ -274,7 +284,9 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
     ``t_max`` and ``step`` must be finite and positive (InvalidInput).
     ``step`` times the largest |eigenvalue| must not exceed
     MAX_STEP_SPECTRAL (StepTooLarge).  Sample storage grows with the steps
-    actually taken, not with t_max / step.
+    actually taken, not with t_max / step: one buffer doubles in place and
+    is cut to the steps taken at the end, so an old and a new copy are
+    never both alive.
     """
     phi = np.asarray(phi0, dtype=float)
     if phi.shape != (model.n,):
@@ -308,7 +320,9 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
     # to 1e-11 from stepping by P on flows that settle slowly.
     offset = prop - eye
     powers = [offset]
-    for _ in range(BLOCK_STEPS - 1):
+    block_steps = BLOCK_STEPS if spectral <= MAX_STEP_SPECTRAL / 2 \
+        else BLOCK_STEPS // 2
+    for _ in range(block_steps - 1):
         powers.append(offset + powers[-1] + offset @ powers[-1])
     stacked = np.concatenate(powers)
     # one row per sample: phi, then s, then Lambda(phi)
@@ -322,12 +336,11 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
     converged = False
     k = 0
     while k < nsteps and not converged:
-        b = min(BLOCK_STEPS, nsteps - k)
+        b = min(block_steps, nsteps - k)
         if k + b >= rows:
+            # in place: no view of the buffer may be alive here
             rows = min(2 * rows, nsteps + 1)
-            grown = np.empty((rows, n + 2))
-            grown[:k + 1] = samples[:k + 1]
-            samples = grown
+            samples.resize((rows, n + 2))
         # phi is a unit vector, so |P^j phi| is the whole growth of |psi|
         # over the first j steps of the block
         psi = (stacked[:b * n] @ phi).reshape(b, n)
@@ -339,10 +352,10 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
         residual = lphis - lams[:, None] * phis
         quiet_flags = np.einsum("ij,ij->i", residual, residual) \
             < CONVERGENCE_SPEED ** 2
-        block = samples[k + 1:k + b + 1]
-        block[:, :n] = phis
-        block[:, n] = s * norms
-        block[:, n + 1] = lams
+        block = slice(k + 1, k + b + 1)  # an index, not a view
+        samples[block, :n] = phis
+        samples[block, n] = s * norms
+        samples[block, n + 1] = lams
         for j, flag in enumerate(quiet_flags.tolist(), start=1):
             quiet = quiet + 1 if flag else 0
             if quiet >= CONVERGENCE_STEPS:
@@ -351,8 +364,8 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
                 break
         k += b
         phi = phis[b - 1]
-        s = float(block[b - 1, n])
-    samples = samples[:k + 1]
+        s = float(samples[k, n])
+    samples.resize((k + 1, n + 2))
     return FlowTrajectory(np.arange(k + 1) * step, samples[:, :n],
                           samples[:, n], samples[:, n + 1], converged)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -593,34 +594,89 @@ def test_block_stepping_matches_stepwise_oracle(seed):
         assert traj.converged
 
 
-@pytest.mark.parametrize("nsteps", [0, 3, BLOCK_STEPS, 1025, 1029, 2053])
+#: (step * max|eigenvalue|, block length) one step on each side of
+#: MAX_STEP_SPECTRAL / 2, where the block is halved
+BLOCK_SIDES = [(0.99 * MAX_STEP_SPECTRAL / 2, BLOCK_STEPS),
+               (1.01 * MAX_STEP_SPECTRAL / 2, BLOCK_STEPS // 2)]
+
+
+@pytest.mark.parametrize("nsteps", [0, 3, 8, 16, 17, 1025, 1029, 2053])
 def test_block_boundaries_match_stepwise_oracle(nsteps):
-    # no step, fewer steps than one block, an exact block, and step counts
-    # that are not multiples of the block and reach past the buffer's
-    # 1025 rows (one step past, exactly) and its 2050 rows (a block spans
-    # the doubling); none of them converges, so every step is taken
-    m = LinearFlowModel(np.diag([-1.0, 0.5, 2.0]))
-    phi0 = np.array([0.6, 0.0, 0.8])
-    traj = assert_matches_stepwise(m, phi0, 0.5, t_max=nsteps * 1e-3 + 1e-4,
-                                   step=1e-3)
-    assert not traj.converged
-    assert len(traj.times) == nsteps + 1
+    # no step, fewer steps than one block, exact blocks of either length,
+    # one step past a long block, and step counts that are not multiples
+    # of the block and reach past the buffer's 1025 rows (one step past,
+    # exactly) and its 2050 rows (a block spans the doubling).  The two
+    # lowest eigenvalues are 1e-3 apart, so none of them converges and
+    # every step is taken
+    m = LinearFlowModel(np.diag([-0.3, -0.299, 2.0]))
+    phi0 = np.array([0.6, 0.48, 0.64])
+    for spectral, _ in BLOCK_SIDES:
+        step = spectral / 2.0
+        traj = assert_matches_stepwise(m, phi0, 0.5,
+                                       t_max=(nsteps + 0.1) * step,
+                                       step=step)
+        assert not traj.converged
+        assert len(traj.times) == nsteps + 1
 
 
 def test_convergence_mid_block_ends_at_the_quiet_step():
     # at an eigenvector every step is quiet, so the rule fires at step 100,
-    # halfway through the block of steps 97..104
-    assert CONVERGENCE_STEPS % BLOCK_STEPS
+    # in the middle of a block of either length.  On the eigenvector of 2,
+    # P^16 shrinks phi to 3.7e-4 of itself, so each 16-step block rounds s
+    # by up to eps / 3.7e-4: the tolerance is that of the step limit
     m = LinearFlowModel(np.diag([-1.0, 2.0, 3.0]))
     w2 = m.eigenvectors[:, 1]
-    traj = assert_matches_stepwise(m, w2, 0.5, t_max=2.0, step=1e-3)
-    assert traj.converged
-    assert len(traj.times) == CONVERGENCE_STEPS + 1
-    # a generic start: the quiet run begins mid-flow and ends mid-block
-    traj = assert_matches_stepwise(m, np.array([0.6, 0.0, 0.8]), 1.0,
-                                   t_max=20.0, step=1e-3)
-    assert traj.converged
-    assert (len(traj.times) - 1) % BLOCK_STEPS
+    for spectral, block in BLOCK_SIDES:
+        assert CONVERGENCE_STEPS % block
+        step = spectral / 3.0
+        traj = assert_matches_stepwise(m, w2, 0.5, t_max=100.0, step=step,
+                                       tol=1e-11)
+        assert traj.converged
+        assert len(traj.times) == CONVERGENCE_STEPS + 1
+        # a generic start: the quiet run begins mid-flow and ends mid-block
+        traj = assert_matches_stepwise(m, np.array([0.6, 0.0, 0.8]), 1.0,
+                                       t_max=100.0, step=step, tol=1e-11)
+        assert traj.converged
+        assert (len(traj.times) - 1) % block
+
+
+@pytest.mark.parametrize("spectral", [1.49, 0.74])
+def test_blocks_keep_stepwise_accuracy_at_the_step_limit(spectral):
+    # eigenvalues 4% apart settle slowly, so a block's rounding has long
+    # to add up: 8-step blocks at the step limit and 16-step blocks just
+    # below half of it stay within 1e-11 of stepping one step at a time,
+    # where 16-step blocks at 1.49 drift by about 6.5e-8
+    m = LinearFlowModel(np.diag([1.0, 1.04]))
+    phi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    step = spectral / 1.04
+    want = oracle_integrate_stepwise(m, phi0, 1.0, 3000.0, step)
+    got = integrate_blowup_flow(m, phi0, 1.0, 3000.0, step)
+    assert got.converged and want.converged
+    assert len(got.times) == len(want.times)
+    assert np.max(np.abs(got.phis - want.phis)) <= 1e-11
+
+
+def test_sample_buffer_grows_in_place():
+    # the n = 16 body of test_linear_lift_matches_nonlinear_reference keeps
+    # 15518 samples, past four doublings of the buffer and filling 15518
+    # of the 16400 rows of the last, so the buffer itself is under 1.06 x
+    # the samples kept.  Growing it by a copy would hold the old and the
+    # new buffer at once, a peak of about 1.6 x
+    rng = np.random.default_rng(716)
+    model = wide_model(rng, 16)
+    phi0 = rng.standard_normal(16)
+    phi0 /= np.linalg.norm(phi0)
+    s0 = float(rng.uniform(0.0, 1.0))
+    tracemalloc.start()
+    try:
+        traj = integrate_blowup_flow(model, phi0, s0, t_max=40.0, step=2e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = len(traj.times) * (16 + 2) * 8
+    assert peak <= 1.35 * kept
+    # the trajectory views a buffer cut to the steps taken
+    assert traj.phis.base.nbytes == kept
 
 
 @pytest.mark.parametrize("stride", [1, 7, 10, 100, 1000])
