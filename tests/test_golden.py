@@ -55,6 +55,10 @@ FLOW_BODIES = 48
 #: benchmark's chain mix runs, each with all-positive, mixed and
 #: all-negative fibers
 CHAIN_MORSE = ((60, 3), (140, 5), (200, 6))
+#: (generators, fiber dimension) of ``morse`` bodies of the sizes the
+#: benchmark's cli mix sends (20-40 generators asked, 20-45 made, n = 2 and
+#: 3), each with every count of negative fiber eigenvalues
+CLI_MORSE = ((20, 2), (40, 2), (21, 3), (39, 3))
 #: ``flow`` bodies at the edges of the integrator's blocks, answered with
 #: every 1024th sample and the last, which pins the step count:
 #: h max|lambda| = 1.20 (in (0.75, 1.5]) and 0.74 (just below 0.75), 12859
@@ -218,6 +222,10 @@ def requests() -> list[tuple[list[str], str]]:
             for gens, n in CHAIN_MORSE for n_neg in (0, n // 2, n)]
     out += [(["flow", "--input", "-", "--samples", "--stride", "1024"],
              json.dumps(body)) for body in EDGE_FLOWS]
+    rng = np.random.default_rng(2028)
+    out += [(["morse", "--input", "-"], json.dumps(_model_body(
+                rng, n, n_neg, gens // n, diamonds=0.3)))
+            for gens, n in CLI_MORSE for n_neg in range(n + 1)]
     return out
 
 
