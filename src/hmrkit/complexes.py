@@ -24,9 +24,9 @@ boundary-obstructed one: it lowers ``bar_gr`` by 1 while raising nothing.
 The maps i: bar -> check, j: check -> hat, p: hat -> bar are chain maps
 (p lowers the grading by one) and induce the long exact sequence relating
 the three homologies; :func:`verify_les_exact` checks exactness per grading
-by plain rank arithmetic.  Each flavor reduces each of its gradings once,
-to its cycles and an echelon basis of its boundaries, and :func:`homology`
-and the LES check share that table.
+by plain rank arithmetic.  Each grading of a flavor goes through one
+elimination of its tagged columns, for its cycles and the boundaries one
+grading below; :func:`homology` and the LES check share that table.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from typing import Optional
 from .errors import CompositionNonzero, GradingViolation, ShapeMismatch
 # f2_rank is unused here, but the benchmark's tracing test reads it as
 # complexes.f2_rank
-from .f2lin import (F2Matrix, f2_block, f2_kernel_basis,  # noqa: F401
-                    f2_rank, reduced_echelon, xor_of)
+from .f2lin import (F2Matrix, f2_block, f2_rank,  # noqa: F401
+                    reduced_echelon, xor_of)
 
 KINDS = ("o", "s", "u")
 #: the (cycles, boundaries) of a grading with no generators
@@ -153,16 +153,13 @@ class GradedComplex:
     differential.
 
     Chains are bitmasks over all generators.  The columns of d are read
-    once, on first use of :attr:`columns`, and each grading is reduced
+    once, on first use of :attr:`columns`, and each grading is eliminated
     once, on first use of :attr:`levels`; homology ranks and the LES check
     read those two tables.  d . d is multiplied out once, for both checks.
     """
 
     gradings: tuple  # integer grading per generator (gr or bar_gr)
     d: F2Matrix
-
-    def indices(self, j: int) -> list[int]:
-        return [k for k, g in enumerate(self.gradings) if g == j]
 
     @cached_property
     def d_squared_zero(self) -> bool:
@@ -174,24 +171,27 @@ class GradedComplex:
         generator c."""
         return self.d.transpose().masks
 
-    def cycle_matrix(self, j: int) -> list[int]:
-        """A basis of the cycles in grading j, as bitmasks over all
-        generators."""
-        idx = self.indices(j)
-        d_j = F2Matrix(len(idx), self.d.rows,
-                       tuple(self.columns[c] for c in idx)).transpose()
-        units = [1 << c for c in idx]
-        return [xor_of(units, z) for z in f2_kernel_basis(d_j)]
+    def cycle_matrix(self, j: int) -> tuple[list[int], dict[int, int]]:
+        """Z_j (bitmasks over all generators) and B_{j-1} (a reduced echelon
+        basis ``{pivot: row}``) from one elimination of the columns of
+        grading j, column c tagged with bit n + c (n = d.rows).  A pivot is
+        a lowest bit, so a row with a tag pivot has no boundary left and its
+        tags are a cycle; the other rows, tags masked off, span B_{j-1}, in
+        grading j - 1 as d has degree -1 (:func:`assemble` checks it)."""
+        n = self.d.rows
+        echelon = reduced_echelon(self.columns[c] | 1 << n + c for c, g
+                                  in enumerate(self.gradings) if g == j)
+        return ([row >> n for pivot, row in echelon.items() if pivot >= n],
+                {pivot: row & (1 << n) - 1
+                 for pivot, row in echelon.items() if pivot < n})
 
     @cached_property
     def levels(self) -> dict[int, tuple[list[int], dict[int, int]]]:
-        """Per grading j: the cycles Z_j, and B_j as a reduced echelon
-        basis ``{pivot: row}``.  The columns of d in grading j + 1 span
-        B_j, and they lie in grading j only because d has degree -1, which
-        :func:`assemble` guarantees."""
-        return {j: (self.cycle_matrix(j), reduced_echelon(
-                    self.columns[c] for c in self.indices(j + 1)))
-                for j in sorted(set(self.gradings))}
+        """Per grading j: Z_j, and B_j as ``{pivot: row}``, from the
+        eliminations of gradings j and j + 1 (:meth:`cycle_matrix`)."""
+        reduced = {j: self.cycle_matrix(j) for j in sorted(set(self.gradings))}
+        return {j: (cycles, reduced.get(j + 1, _EMPTY_LEVEL)[1])
+                for j, (cycles, _) in reduced.items()}
 
     def homology_rank(self, j: int) -> int:
         cycles, boundaries = self.levels.get(j, _EMPTY_LEVEL)

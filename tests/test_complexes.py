@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmrkit import complexes
 from hmrkit.complexes import (
     BlockDifferentials,
     Generator,
+    GradedComplex,
     LesMaps,
     assemble,
     homology,
@@ -514,19 +514,56 @@ def test_les_checker_agrees_with_dense_oracle(base, pairs, variant, seed):
     assert ours == oracle
 
 
+def bit_rows(masks, n):
+    """The bitmasks ``masks``, each below 2^n, as the rows of a 0/1 array
+    with n columns."""
+    assert all(0 <= m < 1 << n for m in masks)
+    return np.array([[m >> k & 1 for k in range(n)] for m in masks],
+                    dtype=np.uint8).reshape(len(masks), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BASES)),
+       st.lists(st.tuples(st.sampled_from("osu"), st.integers(-3, 6)),
+                max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_levels_agree_with_dense_oracle(base, pairs, seed):
+    c = assemble(conjugated(with_acyclic_pairs(BASES[base](), pairs), seed))
+    for flavor in ("check", "hat", "bar"):
+        f = c.flavor(flavor)
+        dm, gr = dense(f.d), np.array(f.gradings, dtype=int)
+        n, oracle = len(gr), {}
+        assert sorted(f.levels) == sorted(set(f.gradings))
+        for j, (cycles, boundaries) in f.levels.items():
+            z, b = bit_rows(cycles, n), bit_rows(list(boundaries.values()), n)
+            assert not z[:, gr != j].any()
+            assert not (dm @ z.T % 2).any()
+            kernel = np.sum(gr == j) - rank2(dm[:, gr == j])
+            image = rank2(dm[:, gr == j + 1])
+            assert len(cycles) == rank2(z) == kernel
+            assert len(boundaries) == rank2(b) == image
+            assert rank2(np.vstack([z, b])) == len(cycles)
+            oracle[j] = kernel - image
+        assert homology(c, flavor) == {j: r for j, r in oracle.items() if r}
+
+
 def test_each_grading_is_reduced_once(monkeypatch):
-    reduced = []
-    kernel_basis = complexes.f2_kernel_basis
-    monkeypatch.setattr(complexes, "f2_kernel_basis",
-                        lambda m: reduced.append(m) or kernel_basis(m))
     blocks = with_acyclic_pairs(morse_pair_blocks(),
                                 [("o", 0), ("s", 2), ("u", 1), ("u", 4)])
     c = assemble(blocks)
-    for flavor in ("check", "hat", "bar"):
-        homology(c, flavor)
+    names = {id(c.flavor(name)): name for name in ("check", "hat", "bar")}
+    calls = []
+    cycle_matrix = GradedComplex.cycle_matrix
+    monkeypatch.setattr(
+        GradedComplex, "cycle_matrix",
+        lambda f, j: calls.append((names[id(f)], j)) or cycle_matrix(f, j))
+    for name in ("check", "hat", "bar"):
+        homology(c, name)
+    once = sorted((name, j) for name in ("check", "hat", "bar")
+                  for j in set(c.flavor(name).gradings))
+    assert len(once) > 3 and sorted(calls) == once
     assert verify_les_exact(c, les_maps(blocks))
-    levels = sum(len(set(f.gradings)) for f in (c.check, c.hat, c.bar))
-    assert 0 < len(reduced) <= levels
+    assert sorted(calls) == once
 
 
 def test_d_squared_and_assembly_are_computed_once(monkeypatch):
