@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -59,6 +60,10 @@ CHAIN_MORSE = ((60, 3), (140, 5), (200, 6))
 #: benchmark's cli mix sends (20-40 generators asked, 20-45 made, n = 2 and
 #: 3), each with every count of negative fiber eigenvalues
 CLI_MORSE = ((20, 2), (40, 2), (21, 3), (39, 3))
+#: the ``morse`` example of the CI's installed-package step: one point,
+#: gradings 0 and 1
+EXAMPLE_MORSE = {"points": [{"label": "q", "ind_q": 0,
+                             "fiber": [[1.0, 0.5], [0.5, -2.0]]}]}
 #: ``flow`` bodies at the edges of the integrator's blocks, answered with
 #: every 1024th sample and the last, which pins the step count:
 #: h max|lambda| = 1.20 (in (0.75, 1.5]) and 0.74 (just below 0.75), 12859
@@ -146,6 +151,16 @@ def _morse_body(rng) -> dict:
     return _model_body(rng, n, n_neg, int(rng.integers(3, 9)))
 
 
+def _tridiagonal(signs) -> list:
+    """The n x n tridiagonal matrix with diagonal signs[i] * (i + 1) and
+    1/16 beside it: eigenvalues within 1/8 of the diagonal, so distinct
+    and of those signs."""
+    n = len(signs)
+    return [[signs[i] * (i + 1.0) if i == k else
+             0.0625 if abs(i - k) == 1 else 0.0 for k in range(n)]
+            for i in range(n)]
+
+
 def _unit(rng, n: int) -> list:
     v = [float(x) for x in rng.integers(-4, 5, n)]
     if not any(v):
@@ -226,6 +241,14 @@ def requests() -> list[tuple[list[str], str]]:
     out += [(["morse", "--input", "-"], json.dumps(_model_body(
                 rng, n, n_neg, gens // n, diamonds=0.3)))
             for gens, n in CLI_MORSE for n_neg in range(n + 1)]
+    # models spanning one to four gradings, with the LES exact at the
+    # extreme ones too
+    out.append((["morse", "--input", "-"], json.dumps(EXAMPLE_MORSE)))
+    out += [(["morse", "--input", "-"], json.dumps(
+                {"points": [{"label": "q", "ind_q": 0,
+                             "fiber": _tridiagonal(signs)}]}))
+            for n in (1, 2, 3) for signs in itertools.product((1, -1),
+                                                               repeat=n)]
     return out
 
 
