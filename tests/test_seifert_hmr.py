@@ -171,10 +171,11 @@ def test_brieskorn_complexes_built_on_first_read():
     assert "complexes" in vars(small)
 
 
-def test_assembled_les_exact_away_from_edges():
-    res = brieskorn_hmr(BrieskornInput("2,5,-1", 2))
-    blocks = res.complexes.blocks
-    maps = les_maps(blocks)
+@pytest.mark.parametrize("fam,k", FAMILIES_K + [("2,7,29", 1)])
+def test_assembled_les_exact(fam, k):
+    # every grading is checked, the two extreme ones of the window included
+    res = brieskorn_hmr(BrieskornInput(fam, k))
+    maps = les_maps(res.complexes.blocks)
     assert verify_les_exact(res.complexes, maps)
 
 
