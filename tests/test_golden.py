@@ -33,7 +33,7 @@ from hmrkit import cli
 from hmrkit.cw_fixtures import FIXTURE_BUILDERS, lens_space
 from hmrkit.seifert_hmr import FAMILIES
 
-from test_real_spinc import CASES
+from test_real_spinc import CASES, flipped_orbit_body
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "answers.json"
 
@@ -249,6 +249,9 @@ def requests() -> list[tuple[list[str], str]]:
                              "fiber": _tridiagonal(signs)}]}))
             for n in (1, 2, 3) for signs in itertools.product((1, -1),
                                                                repeat=n)]
+    # iota* that does not commute with delta_M: one free degree-1 orbit
+    # of L(3, 1) with both signs flipped
+    out.append((["spinc", "--input", "-"], json.dumps(flipped_orbit_body())))
     return out
 
 

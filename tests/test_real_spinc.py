@@ -181,6 +181,23 @@ def test_malformed_orbit_rejected():
         )
 
 
+def flipped_orbit_body() -> dict:
+    """``lens_space(3, 1).to_json()`` with the sign of both cells over
+    the degree-1 quotient cell 0 flipped: the orbit map stays consistent,
+    but iota* no longer commutes with delta_M in degree 0."""
+    body = lens_space(3, 1).to_json()
+    for o in body["orbit"]:
+        if o["cell"][0] == 1 and o["image"] == 0:
+            o["sign"] = -o["sign"]
+    return body
+
+
+def test_iota_not_commuting_with_delta_rejected():
+    with pytest.raises(MalformedOrbitMap, match=r"^iota\* does not commute "
+                       r"with delta_M in degree 0$"):
+        EquivariantCWData.from_json(flipped_orbit_body())
+
+
 def test_missing_coboundary_rejected():
     data = build_fixture("circle_antipodal")
     with pytest.raises(ShapeMismatch, match="dimension 1"):
@@ -403,6 +420,69 @@ def test_census_invariant_under_relabelling(name):
             (census.kernel_invariants, census.h1_invariants)
         assert real_structure_classes(moved) == classes
         assert_matches_presented_census(moved)
+
+
+def first_noncommuting_degree(cells_M, delta_M, orbit):
+    """The product-form oracle of the constructor's iota* check: the first
+    degree n with delta_M[n] iota[n] != iota[n + 1] delta_M[n], iota* read
+    from the orbit list as (iota* beta)(e) = sign(e) beta(partner of e),
+    or None when iota* commutes with delta_M in every degree."""
+    pre: dict = {}
+    for e in orbit:
+        pre.setdefault((e.degree, e.image), []).append(e)
+    rows = [[()] * m for m in cells_M]
+    for e in orbit:
+        other = next((o for o in pre[(e.degree, e.image)]
+                      if o.index != e.index), e)
+        rows[e.degree][e.index] = ((other.index, e.sign),)
+    iota = [IntMatrix(m, m, tuple(r)) for m, r in zip(cells_M, rows)]
+    return next((n for n, dm in enumerate(delta_M)
+                 if dm @ iota[n] != iota[n + 1] @ dm), None)
+
+
+def assert_iota_check_matches_product_oracle(data, rng) -> int:
+    """The constructor accepts ``data`` and, for each degree with a free
+    orbit, the same data with the signs of a random free orbit of that
+    degree flipped, exactly when the product oracle does, and names the
+    oracle's first failing degree.  Returns the number rejected."""
+    assert first_noncommuting_degree(data.cells_M, data.delta_M,
+                                     data.orbit) is None
+    rejected = 0
+    for degree in range(data.dim + 1):
+        free = sorted({e.image for e in data.orbit
+                       if e.degree == degree and not e.fixed})
+        if not free:
+            continue
+        image = rng.choice(free)
+        orbit = tuple(
+            OrbitEntry(e.degree, e.index, e.image, e.fixed, -e.sign)
+            if (e.degree, e.image) == (degree, image) else e
+            for e in data.orbit)
+        parts = (data.cells_M, data.cells_Q, data.delta_M, orbit)
+        n = first_noncommuting_degree(data.cells_M, data.delta_M, orbit)
+        if n is None:
+            EquivariantCWData(*parts)
+            continue
+        with pytest.raises(MalformedOrbitMap, match=r"^iota\* does not "
+                           rf"commute with delta_M in degree {n}$"):
+            EquivariantCWData(*parts)
+        rejected += 1
+    return rejected
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_iota_check_matches_product_oracle_on_fixtures(name):
+    assert_iota_check_matches_product_oracle(build_fixture(name),
+                                             random.Random(name))
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(3, 12, 2)
+                                 for q in range(p) if gcd(p, q) == 1])
+def test_iota_check_matches_product_oracle_on_relabelled_lens_spaces(p, q):
+    for seed in range(2):
+        moved = relabel(lens_space(p, q), random.Random(seed))
+        assert assert_iota_check_matches_product_oracle(
+            moved, random.Random(p * q + seed)) > 0
 
 
 # ---------------------------------------------------------------------------
