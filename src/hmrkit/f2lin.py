@@ -7,11 +7,14 @@ the ones are derived from the rows, for JSON and the grading checks.
 :class:`IntMatrix` stores sparse rows of Python integers, (column,
 value) pairs with columns ascending (coboundary maps stay small but
 pivots in Smith normal form do not, so arbitrary precision is
-mandatory), and its algebra walks the nonzeros only.  The dense grid is
-derived for JSON and at the entry of the eliminations below, whose
-census inputs are already reduced to a few rows.  Rank and determinant
-come from fraction-free Bareiss elimination, whose entries stay minors
-of the input; every other lattice question (kernels, cokernels,
+mandatory), and its algebra walks the nonzeros only.  A left row of one
+entry, as in a signed permutation, the identity or a scale, is copied or
+scaled rather than summed through a dictionary, and so is a sum with an
+empty row or of two one-entry rows.  The dense grid is derived for
+JSON and at the entry of the eliminations below, whose census inputs
+are already reduced to a few rows.  Rank and determinant come from
+fraction-free Bareiss elimination, whose entries stay minors of the
+input; every other lattice question (kernels, cokernels,
 membership in a column lattice and subquotients) reads one Smith normal
 form.  That form is the textbook smallest-pivot elimination and returns
 the diagonal of D and V^T for the column transform V; the row transform
@@ -277,10 +280,8 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("addition shape mismatch")
-        # a + b is the row (1, 1) times the two rows a and b
         return IntMatrix(self.rows, self.cols, tuple(
-            _row_times(((0, 1), (1, 1)), pair)
-            for pair in zip(self.entries, other.entries)))
+            map(_row_sum, self.entries, other.entries)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -303,12 +304,33 @@ class IntMatrix:
 
 def _row_times(row: tuple, right: Sequence) -> tuple:
     """The sparse row ``row`` times the matrix of the sparse rows
-    ``right``: the nonzeros that meet are summed by column."""
+    ``right``: the nonzeros that meet are summed by column.  A row of one
+    entry (k, a), as in a signed permutation, is row k of ``right`` itself
+    when a = 1 and that row scaled by a otherwise, with no sum."""
+    if len(row) == 1:
+        (k, a), = row
+        if a == 1:
+            return right[k]
+        return tuple((j, a * b) for j, b in right[k]) if a else ()
     acc: dict = {}
     for k, a in row:
         for j, b in right[k]:
             acc[j] = acc.get(j, 0) + a * b
     return tuple(sorted(filter(itemgetter(1), acc.items())))
+
+
+def _row_sum(a: tuple, b: tuple) -> tuple:
+    """The sum of two sparse rows.  An empty row gives the other row, and
+    two rows of one entry each are merged with no dictionary."""
+    if not a or not b:
+        return a or b
+    if len(a) == len(b) == 1:
+        (i, x), (j, y) = a[0], b[0]
+        if i != j:
+            return a + b if i < j else b + a
+        return ((i, x + y),) if x + y else ()
+    # a + b is the row (1, 1) times the two rows a and b
+    return _row_times(((0, 1), (1, 1)), (a, b))
 
 
 @dataclass(frozen=True)

@@ -338,9 +338,11 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
     while k < nsteps and not converged:
         b = min(block_steps, nsteps - k)
         if k + b >= rows:
-            # in place: no view of the buffer may be alive here
+            # in place, with no view of the buffer alive here or at the
+            # final cut; refcheck=False, since a profiler or a tracer that
+            # reads the frame's locals holds plain references to it
             rows = min(2 * rows, nsteps + 1)
-            samples.resize((rows, n + 2))
+            samples.resize((rows, n + 2), refcheck=False)
         # phi is a unit vector, so |P^j phi| is the whole growth of |psi|
         # over the first j steps of the block
         psi = (stacked[:b * n] @ phi).reshape(b, n)
@@ -365,7 +367,7 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
         k += b
         phi = phis[b - 1]
         s = float(samples[k, n])
-    samples.resize((k + 1, n + 2))
+    samples.resize((k + 1, n + 2), refcheck=False)
     return FlowTrajectory(np.arange(k + 1) * step, samples[:, :n],
                           samples[:, n], samples[:, n + 1], converged)
 

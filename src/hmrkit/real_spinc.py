@@ -38,8 +38,10 @@ in each the unit of shortest column, until no unit entry is left
 Constructing :class:`EquivariantCWData` is the one validation.  It writes
 the sparse rows of Theta, iota* and pi* once per degree from the validated
 orbit map, one or two entries a row, and derives delta_Q from them by
-sparse products, 2 delta_Q = Theta delta_M pi*:
-data that constructs has d.d = 0, a consistent orbit map, and chain maps
+sparse products, 2 delta_Q = Theta delta_M pi*.  It checks iota* against
+delta_M as a signed involution, entry by entry and with no product: a
+nonzero delta[r][c] needs delta[iota r][iota c] = s_r s_c delta[r][c].
+Data that constructs has d.d = 0, a consistent orbit map, and chain maps
 iota* and Theta, so the census functions below read those matrices and
 do not check them again.
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     MalformedOrbitMap,
@@ -73,8 +75,7 @@ from .f2lin import (
 )
 
 
-@dataclass(frozen=True)
-class OrbitEntry:
+class OrbitEntry(NamedTuple):
     """Where one cell of M goes in the quotient."""
 
     degree: int
@@ -94,10 +95,10 @@ class EquivariantCWData:
     Construction checks the shapes, d.d = 0 and the orbit map, then builds
     per degree n the matrices ``theta[n]`` of Theta: C^n(M) -> C^n(Q),
     ``iota[n]`` of iota* on C^n(M), and ``pullback[n]`` of
-    pi*: C^n(Q) -> C^n(M), checks that iota* commutes with delta_M (else
-    MalformedOrbitMap), and derives the coboundaries ``delta_Q`` of Q.
-    Then pi* Theta = 1 + iota* and Theta is a chain map by construction.
-    Errors name the degree or cell at fault.
+    pi*: C^n(Q) -> C^n(M), checks entry by entry that iota* commutes with
+    delta_M (else MalformedOrbitMap), and derives the coboundaries
+    ``delta_Q`` of Q.  Then pi* Theta = 1 + iota* and Theta is a chain
+    map by construction.  Errors name the degree or cell at fault.
     """
 
     cells_M: tuple
@@ -145,7 +146,7 @@ class EquivariantCWData:
                 IntMatrix(len(r), c, tuple(r)) for r, c in zip(rows, cols)))
         delta_Q = []
         for n, dm in enumerate(self.delta_M):
-            if dm @ self.iota[n] != self.iota[n + 1] @ dm:
+            if not _commutes(dm, iota[n], iota[n + 1]):
                 raise MalformedOrbitMap(
                     f"iota* does not commute with delta_M in degree {n}")
             # row q of delta_Q is row lift[n + 1][q] of delta_M pi*
@@ -292,6 +293,22 @@ class EquivariantCWData:
                 raise NotChainMap(f"Theta does not commute with the "
                                   f"coboundaries in degree {n}")
         return data
+
+
+def _commutes(d: IntMatrix, src: list, tgt: list) -> bool:
+    """Whether d iota* = iota* d, for the rows ``src`` and ``tgt`` of
+    iota* on the columns and on the rows of d.  Row e of iota* is
+    ((iota e, s_e),), iota an involution and s_(iota e) = s_e, so the two
+    sides agree iff every nonzero d[r][c] = x has d[iota r][iota c] =
+    s_r s_c x; (r, c) -> (iota r, iota c) then permutes the nonzeros."""
+    rows = d.entries
+    for row, ((ir, sr),) in zip(rows, tgt):
+        other = dict(rows[ir])
+        for c, x in row:
+            (ic, sc), = src[c]
+            if other.get(ic) != sr * sc * x:
+                return False
+    return True
 
 
 def verify_theta_chain_map(data: EquivariantCWData, degree: int) -> bool:

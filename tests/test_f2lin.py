@@ -645,6 +645,16 @@ def is_canonical(m: IntMatrix) -> bool:
           [[2, 0], [0, 0], [2, 0], [0, 0]], [1, 2, 3, 4], 0))  # cancels
 @example((2, 0, 3, [[], []], [[], []], [], [], -1))            # 2x0 @ 0x3
 @example((0, 3, 1, [], [], [[1], [0], [-2]], [5, 6, 7], 3))    # 0x3
+# rows of one entry: a signed permutation times c (a zero row of c
+# picked with -1), a + b = 0 entry by entry, and scale(0)
+@example((3, 3, 2, [[0, -1, 0], [1, 0, 0], [0, 0, -1]],
+          [[0, 1, 0], [-1, 0, 0], [0, 0, 1]],
+          [[1, 2], [0, 0], [3, 0]], [1, 2, 3], 0))
+# one-entry sums on the same column, on columns in either order, and an
+# empty row plus a one-entry row
+@example((4, 3, 1, [[0, 1, 0], [0, 0, 2], [3, 0, 0], [0, 0, 0]],
+          [[0, 2, 0], [-1, 0, 0], [0, 0, -3], [0, 1, 0]],
+          [[1], [0], [-1]], [0, 1, 0], -2))
 def test_sparse_rows_match_dense_reference(case):
     # every operation gives the grid the dense reference gives, in the
     # canonical form, so == and hash compare values

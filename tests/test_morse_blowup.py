@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import cProfile
 import math
+import sys
 import time
 import tracemalloc
 
@@ -293,6 +295,37 @@ def test_integrate_matches_closed_form():
         err = min(np.linalg.norm(phi - exact), np.linalg.norm(phi + exact))
         sup = max(sup, err)
     assert sup < 1e-6
+
+
+def test_integrate_under_a_profiler_and_a_locals_tracer():
+    # the sample buffer grows past its first rows while a profiler, or a
+    # tracer that reads the frame's locals, holds references to it; the
+    # trajectory is the unprofiled one bit for bit
+    m = LinearFlowModel(np.diag([-1.0, 2.0]))
+    args = (m, np.array([0.6, 0.8]), 1.0, 20.0, 1e-3)
+    plain = integrate_blowup_flow(*args)
+    assert len(plain.times) > _INITIAL_ROWS + 1
+
+    def read_locals(frame, event, arg):
+        frame.f_locals
+        return read_locals
+
+    def hook(frame, event, arg):
+        if frame.f_code is integrate_blowup_flow.__code__:
+            return read_locals
+        return None
+
+    profiled = cProfile.Profile().runcall(integrate_blowup_flow, *args)
+    old = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        traced = integrate_blowup_flow(*args)
+    finally:
+        sys.settrace(old)
+    for got in (profiled, traced):
+        assert got.converged == plain.converged
+        for name in ("times", "phis", "ss", "lambdas"):
+            assert np.array_equal(getattr(got, name), getattr(plain, name))
 
 
 def test_boundary_invariance():
