@@ -894,6 +894,19 @@ def _huge_cell_counts(body):
                 delta_Q=[], orbit=[])
 
 
+def _huge_quotient_counts(body):
+    # one fixed 0-cell over the first of 2**62 quotient cells: the rows of
+    # Theta are sized by cells_Q, so they must wait for the check that
+    # finds quotient cell 1 uncovered
+    body.update(cells_M=[1, 0, 0], cells_Q=[2 ** 62, 0, 0],
+                delta_M=[{"rows": 0, "cols": 1, "data": []},
+                         {"rows": 0, "cols": 0, "data": []}],
+                delta_Q=[{"rows": 0, "cols": 2 ** 62, "data": []},
+                         {"rows": 0, "cols": 0, "data": []}],
+                orbit=[{"cell": [0, 0], "image": 0, "fixed": True,
+                        "sign": 1}])
+
+
 #: (id, edit of the lens_space(3, 1) body, error code, text of the message
 #: naming the degree, cell or dimension at fault)
 CW_REJECTIONS = (
@@ -924,6 +937,8 @@ CW_REJECTIONS = (
      "(0, 0) missing"),
     ("huge_cell_counts", _huge_cell_counts, "malformed_orbit_map",
      "(0, 0) missing"),
+    ("huge_quotient_counts", _huge_quotient_counts, "malformed_orbit_map",
+     "quotient cell (0,1) covered by 0 cells with inconsistent fixed flags"),
     ("unequal_signs", _unequal_signs, "malformed_orbit_map", "(0,2) has unequal signs"),
     ("inconsistent_fixed", _inconsistent_fixed, "malformed_orbit_map",
      "(0,2) covered by 2 cells"),

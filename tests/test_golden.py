@@ -33,6 +33,7 @@ from hmrkit import cli
 from hmrkit.cw_fixtures import FIXTURE_BUILDERS, lens_space
 from hmrkit.seifert_hmr import FAMILIES
 
+from test_cli import CW_REJECTIONS
 from test_real_spinc import CASES, flipped_orbit_body
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "answers.json"
@@ -252,6 +253,12 @@ def requests() -> list[tuple[list[str], str]]:
     # iota* that does not commute with delta_M: one free degree-1 orbit
     # of L(3, 1) with both signs flipped
     out.append((["spinc", "--input", "-"], json.dumps(flipped_orbit_body())))
+    # every rejection of an edited L(3, 1) body, one per check of the
+    # constructor and of the body's delta_Q
+    for _, edit, _, _ in CW_REJECTIONS:
+        body = lens_space(3, 1).to_json()
+        edit(body)
+        out.append((["spinc", "--input", "-"], json.dumps(body)))
     return out
 
 
