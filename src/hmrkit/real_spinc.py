@@ -35,12 +35,16 @@ in each the unit of shortest column, until no unit entry is left
 (Skoldberg, Trans. AMS 358, 2006; Mrozek and Batko, Discrete Comput. Geom.
 41, 2009), and the census reads what remains.
 
-Constructing :class:`EquivariantCWData` is the one validation.  It writes
-the sparse rows of Theta, iota* and pi* once per degree from the validated
-orbit map, one or two entries a row, and derives delta_Q from them by
-sparse products, 2 delta_Q = Theta delta_M pi*.  It checks iota* against
-delta_M as a signed involution, entry by entry and with no product: a
-nonzero delta[r][c] needs delta[iota r][iota c] = s_r s_c delta[r][c].
+Constructing :class:`EquivariantCWData` is the one validation, and one
+walk of the orbit map.  After the shapes and d.d = 0 come the checks of
+each orbit entry, in order: degree, index, image, sign, fixed sign, listed
+once.  Then per degree every cell of M must be listed, and each quotient
+cell in turn has its fixed flags and signs checked and writes its row of
+Theta and the rows of iota* and pi* over it, one or two entries a row.  No
+row is sized by a cell count before that count is checked.  Last, iota*
+must commute with delta_M, checked as a signed involution entry by entry
+(a nonzero delta[r][c] needs delta[iota r][iota c] = s_r s_c delta[r][c]),
+and delta_Q is derived by sparse products, 2 delta_Q = Theta delta_M pi*.
 Data that constructs has d.d = 0, a consistent orbit map, and chain maps
 iota* and Theta, so the census functions below read those matrices and
 do not check them again.
@@ -92,13 +96,14 @@ class EquivariantCWData:
     ``delta_M[n]`` is the coboundary C^n(M) -> C^{n+1}(M) (rows indexed by
     (n+1)-cells), one per degree below the top dimension.
 
-    Construction checks the shapes, d.d = 0 and the orbit map, then builds
-    per degree n the matrices ``theta[n]`` of Theta: C^n(M) -> C^n(Q),
-    ``iota[n]`` of iota* on C^n(M), and ``pullback[n]`` of
-    pi*: C^n(Q) -> C^n(M), checks entry by entry that iota* commutes with
-    delta_M (else MalformedOrbitMap), and derives the coboundaries
-    ``delta_Q`` of Q.  Then pi* Theta = 1 + iota* and Theta is a chain
-    map by construction.  Errors name the degree or cell at fault.
+    Construction checks the shapes, d.d = 0 and the orbit map, writing
+    per degree n, one checked quotient cell at a time, the matrices
+    ``theta[n]`` of Theta: C^n(M) -> C^n(Q), ``iota[n]`` of iota* on
+    C^n(M), and ``pullback[n]`` of pi*: C^n(Q) -> C^n(M), checks entry by
+    entry that iota* commutes with delta_M (else MalformedOrbitMap), and
+    derives the coboundaries ``delta_Q`` of Q.  Then pi* Theta = 1 + iota*
+    and Theta is a chain map by construction.  Errors name the degree or
+    cell at fault.
     """
 
     cells_M: tuple
@@ -115,52 +120,7 @@ class EquivariantCWData:
         object.__setattr__(self, "cells_Q", tuple(self.cells_Q))
         object.__setattr__(self, "delta_M", tuple(self.delta_M))
         object.__setattr__(self, "orbit", tuple(self.orbit))
-        # the row lists are sized by the cell counts, so validate them first
-        preimages = self._validate()
-        theta = [[()] * q for q in self.cells_Q]
-        iota = [[()] * m for m in self.cells_M]
-        pullback = [[()] * m for m in self.cells_M]
-        # lift[n][q]: the cell over q on which pi* has the factor +1
-        lift = [[0] * q for q in self.cells_Q]
-        # one pass over the orbits, which _validate has checked in range
-        for (n, image), pre in preimages.items():
-            lift[n][image] = min(pre[0].index, pre[-1].index)
-            row = []
-            for e in pre:
-                other = pre[-1] if pre[0] is e else pre[0]
-                # the orientation factor of pi*: +1 on a fixed cell and on
-                # the lower index of a free orbit, the listed sign on the
-                # other cell
-                sigma = 1 if e.index <= other.index else e.sign
-                # (Theta beta)(image) = beta(e) + beta(iota e)
-                row.append((e.index, 2 if e.fixed else sigma))
-                # (iota* beta)(e) = sign(e) * beta(other)
-                iota[n][e.index] = ((other.index, e.sign),)
-                # (pi* gamma)(e) = sigma(e) * gamma(image)
-                pullback[n][e.index] = ((image, sigma),)
-            theta[n][image] = tuple(sorted(row))
-        for name, rows, cols in (("theta", theta, self.cells_M),
-                                 ("iota", iota, self.cells_M),
-                                 ("pullback", pullback, self.cells_Q)):
-            object.__setattr__(self, name, tuple(
-                IntMatrix(len(r), c, tuple(r)) for r, c in zip(rows, cols)))
-        delta_Q = []
-        for n, dm in enumerate(self.delta_M):
-            if not _commutes(dm, iota[n], iota[n + 1]):
-                raise MalformedOrbitMap(
-                    f"iota* does not commute with delta_M in degree {n}")
-            # row q of delta_Q is row lift[n + 1][q] of delta_M pi*
-            lifted = IntMatrix(self.cells_Q[n + 1], dm.cols,
-                               tuple(dm.entries[e] for e in lift[n + 1]))
-            delta_Q.append(lifted @ self.pullback[n])
-        object.__setattr__(self, "delta_Q", tuple(delta_Q))
-
-    # -- validation ---------------------------------------------------
-
-    def _validate(self) -> dict:
-        """Check shapes and the orbit map; return the preimages of each
-        quotient cell, keyed by (degree, image)."""
-        dim = len(self.cells_M) - 1
+        dim = self.dim
         if len(self.cells_Q) != len(self.cells_M):
             raise MalformedOrbitMap(f"M has dimension {dim}, Q "
                                     f"{len(self.cells_Q) - 1}")
@@ -191,25 +151,61 @@ class EquivariantCWData:
                 raise MalformedOrbitMap(f"cell {key} listed twice")
             seen.add(key)
             preimages.setdefault((e.degree, e.image), []).append(e)
+        theta, iota, pullback = [], [], []
+        # lift[n][q]: the cell over q on which pi* has the factor +1
+        lift = []
         for n in range(dim + 1):
             for i in range(self.cells_M[n]):
                 if (n, i) not in seen:
                     raise MalformedOrbitMap(f"cell {(n, i)} missing")
+            # every cell of degree n is listed, so these rows are bounded
+            # by the orbit's length; the rows of Theta and lift grow one
+            # checked quotient cell at a time, as cells_Q[n] is unchecked
+            iota.append([()] * self.cells_M[n])
+            pullback.append([()] * self.cells_M[n])
+            theta.append([])
+            lift.append([])
             for q in range(self.cells_Q[n]):
-                pre = preimages.get((n, q), [])
-                if len(pre) == 1 and pre[0].fixed:
-                    continue
-                if len(pre) == 2 and not pre[0].fixed and not pre[1].fixed:
-                    if pre[0].sign != pre[1].sign:
-                        raise MalformedOrbitMap(
-                            f"free orbit over ({n},{q}) has unequal signs"
-                        )
-                    continue
+                pre = preimages.get((n, q), ())
+                if not (len(pre) == 1 and pre[0].fixed or len(pre) == 2
+                        and not (pre[0].fixed or pre[1].fixed)):
+                    raise MalformedOrbitMap(
+                        f"quotient cell ({n},{q}) covered by {len(pre)} "
+                        "cells with inconsistent fixed flags")
+                # a free pair differs first in index, so sorting orders it
+                # by index; a fixed cell is both pre[0] and pre[-1]
+                lo, hi = sorted((pre[0], pre[-1]))
+                s = hi.sign
+                if lo.sign != s:
+                    raise MalformedOrbitMap(
+                        f"free orbit over ({n},{q}) has unequal signs")
+                # (Theta beta)(q) = beta(e) + beta(iota e)
+                theta[n].append(((lo.index, 2),) if lo.fixed
+                                else ((lo.index, 1), (hi.index, s)))
+                # (iota* beta)(e) = sign(e) * beta(iota e)
+                iota[n][lo.index] = ((hi.index, s),)
+                iota[n][hi.index] = ((lo.index, s),)
+                # (pi* gamma)(e) = sigma(e) * gamma(q), with the orientation
+                # factor sigma +1 on a fixed cell and on the lower index of
+                # a free orbit, the listed sign on the other cell
+                pullback[n][lo.index] = ((q, 1),)
+                pullback[n][hi.index] = ((q, s),)
+                lift[n].append(lo.index)
+        for name, rows, cols in (("theta", theta, self.cells_M),
+                                 ("iota", iota, self.cells_M),
+                                 ("pullback", pullback, self.cells_Q)):
+            object.__setattr__(self, name, tuple(
+                IntMatrix(len(r), c, tuple(r)) for r, c in zip(rows, cols)))
+        delta_Q = []
+        for n, dm in enumerate(self.delta_M):
+            if not _commutes(dm, iota[n], iota[n + 1]):
                 raise MalformedOrbitMap(
-                    f"quotient cell ({n},{q}) covered by {len(pre)} cells "
-                    "with inconsistent fixed flags"
-                )
-        return preimages
+                    f"iota* does not commute with delta_M in degree {n}")
+            # row q of delta_Q is row lift[n + 1][q] of delta_M pi*
+            lifted = IntMatrix(self.cells_Q[n + 1], dm.cols,
+                               tuple(dm.entries[e] for e in lift[n + 1]))
+            delta_Q.append(lifted @ self.pullback[n])
+        object.__setattr__(self, "delta_Q", tuple(delta_Q))
 
     # -- derived structure -------------------------------------------
 
@@ -440,12 +436,6 @@ def cocycles(deltas: Sequence[IntMatrix], cells: Sequence[int],
     return IntMatrix.identity(cells[n])
 
 
-def coboundaries(deltas: Sequence[IntMatrix], cells: Sequence[int],
-                 n: int) -> IntMatrix:
-    """B^n as columns: delta^{n-1}, no columns in degree 0."""
-    return deltas[n - 1] if n else IntMatrix.zero(cells[0], 0)
-
-
 def _hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise ShapeMismatch("hstack row mismatch")
@@ -531,13 +521,12 @@ def admits_real_structure(data: EquivariantCWData,
 
 def real_structure_classes(data: EquivariantCWData) -> list[int]:
     """Invariants of H^1(Q) / Im Theta: classes on a fixed line bundle,
-    Z^1(Q) / (B^1(Q) + Theta Z^1(M))."""
+    Z^1(Q) / (B^1(Q) + Theta Z^1(M)), B^1(Q) the columns of delta_Q[0]."""
     _require_cells(data, 1, "H^1(Q) / Im Theta")
     data = data.reduced
-    q = (data.delta_Q, data.cells_Q)
     image = data.theta[1] @ data.z1_M
-    return subquotient_invariants(cocycles(*q, 1),
-                                  _hstack(coboundaries(*q, 1), image))
+    return subquotient_invariants(cocycles(data.delta_Q, data.cells_Q, 1),
+                                  _hstack(data.delta_Q[0], image))
 
 
 def real_spinc_torsor(data: EquivariantCWData) -> RealStructureCensus:
@@ -552,18 +541,17 @@ def real_spinc_torsor(data: EquivariantCWData) -> RealStructureCensus:
     """
     _require_cells(data, 2, "a first Chern class")
     data = data.reduced
-    m = (data.delta_M, data.cells_M)
-    z2 = cocycles(*m, 2)
-    kernel = _preimage(data.theta[2] @ z2, z2,
-                       coboundaries(data.delta_Q, data.cells_Q, 2))
+    # B^n is the column lattice of delta[n - 1]
+    z2 = cocycles(data.delta_M, data.cells_M, 2)
+    kernel = _preimage(data.theta[2] @ z2, z2, data.delta_Q[1])
 
-    z1, b1 = data.z1_M, coboundaries(*m, 1)
+    z1, b1 = data.z1_M, data.delta_M[0]
     iz = data.iota[1] @ z1
     invariant = _preimage(iz + z1.scale(-1), z1, b1)
     return RealStructureCensus(
         exists=True,
         kernel_invariants=tuple(
-            subquotient_invariants(kernel, coboundaries(*m, 2))),
+            subquotient_invariants(kernel, data.delta_M[1])),
         h1_invariants=tuple(subquotient_invariants(
             invariant, _hstack(b1, iz + z1))),
     )

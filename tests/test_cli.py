@@ -353,7 +353,7 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv, code_name,
 
 @pytest.mark.parametrize("field, value", [
     ("step", 0), ("step", -0.01), ("step", float("nan")),
-    ("t_max", 0), ("t_max", float("inf")),
+    ("t_max", 0), ("t_max", float("inf")), ("s0", -1),
 ])
 def test_flow_bad_step_or_horizon_exits_2(capsys, tmp_path, field, value):
     payload = {"L": [[-1.0, 0.0], [0.0, 2.0]], "phi0": [0.6, 0.8],
