@@ -171,12 +171,10 @@ def _finite_floats(value):
     return out
 
 
-def _nonnegative_float(value) -> float:
+def _finite_float(value) -> float:
     out = input_float(value)
     if not math.isfinite(out):
         raise ValueError(f"must be finite, got {out}")
-    if out < 0:
-        raise ValueError(f"must be nonnegative, got {out}")
     return out
 
 
@@ -230,7 +228,7 @@ def _cmd_flow(args) -> int:
     raw = _load_input(args)
     matrix = input_field(raw, "L", _finite_floats)
     phi0 = input_field(raw, "phi0", _finite_floats, None)
-    s0 = input_field(raw, "s0", _nonnegative_float, 0.0)
+    s0 = input_field(raw, "s0", _finite_float, 0.0)
     t_max = input_field(raw, "t_max", input_float)
     step = input_field(raw, "step", input_float)
     import numpy as np

@@ -281,7 +281,8 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
     and the trajectory ends at the step where the rule fires, not at the
     end of its block.
 
-    ``t_max`` and ``step`` must be finite and positive (InvalidInput).
+    ``s0`` must be nonnegative, and ``t_max`` and ``step`` finite and
+    positive (InvalidInput).
     ``step`` times the largest |eigenvalue| must not exceed
     MAX_STEP_SPECTRAL (StepTooLarge).  Sample storage grows with the steps
     actually taken, not with t_max / step: one buffer doubles in place and
@@ -294,7 +295,7 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
     if abs(np.linalg.norm(phi) - 1.0) > 1e-9:
         raise ShapeMismatch("phi0 must be a unit vector")
     if s0 < 0:
-        raise ShapeMismatch("s0 must be nonnegative")
+        raise InvalidInput(f"s0 must be nonnegative, got {s0!r}")
     for name, value in (("t_max", t_max), ("step", step)):
         if not (math.isfinite(value) and value > 0):
             raise InvalidInput(f"{name} must be finite and positive, "

@@ -152,19 +152,16 @@ class EquivariantCWData:
             seen.add(key)
             preimages.setdefault((e.degree, e.image), []).append(e)
         theta, iota, pullback = [], [], []
-        # lift[n][q]: the cell over q on which pi* has the factor +1
-        lift = []
         for n in range(dim + 1):
             for i in range(self.cells_M[n]):
                 if (n, i) not in seen:
                     raise MalformedOrbitMap(f"cell {(n, i)} missing")
             # every cell of degree n is listed, so these rows are bounded
-            # by the orbit's length; the rows of Theta and lift grow one
-            # checked quotient cell at a time, as cells_Q[n] is unchecked
+            # by the orbit's length; the rows of Theta grow one checked
+            # quotient cell at a time, as cells_Q[n] is unchecked
             iota.append([()] * self.cells_M[n])
             pullback.append([()] * self.cells_M[n])
             theta.append([])
-            lift.append([])
             for q in range(self.cells_Q[n]):
                 pre = preimages.get((n, q), ())
                 if not (len(pre) == 1 and pre[0].fixed or len(pre) == 2
@@ -190,7 +187,6 @@ class EquivariantCWData:
                 # a free orbit, the listed sign on the other cell
                 pullback[n][lo.index] = ((q, 1),)
                 pullback[n][hi.index] = ((q, s),)
-                lift[n].append(lo.index)
         for name, rows, cols in (("theta", theta, self.cells_M),
                                  ("iota", iota, self.cells_M),
                                  ("pullback", pullback, self.cells_Q)):
@@ -201,9 +197,11 @@ class EquivariantCWData:
             if not _commutes(dm, iota[n], iota[n + 1]):
                 raise MalformedOrbitMap(
                     f"iota* does not commute with delta_M in degree {n}")
-            # row q of delta_Q is row lift[n + 1][q] of delta_M pi*
+            # row q of delta_Q is the row of delta_M pi* at the first
+            # cell of Theta row q (factor +1)
             lifted = IntMatrix(self.cells_Q[n + 1], dm.cols,
-                               tuple(dm.entries[e] for e in lift[n + 1]))
+                               tuple(dm.entries[row[0][0]]
+                                     for row in theta[n + 1]))
             delta_Q.append(lifted @ self.pullback[n])
         object.__setattr__(self, "delta_Q", tuple(delta_Q))
 

@@ -406,7 +406,7 @@ def test_bad_inputs_rejected():
     m = LinearFlowModel(np.diag([-1.0, 2.0]))
     with pytest.raises(ShapeMismatch):
         integrate_blowup_flow(m, np.array([1.0, 1.0]), 1.0, 1.0, 1e-3)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InvalidInput, match="s0"):
         integrate_blowup_flow(m, np.array([1.0, 0.0]), -1.0, 1.0, 1e-3)
     for t_max, step in ((1.0, 0.0), (1.0, -1e-3), (1.0, float("nan")),
                         (1.0, float("inf")), (0.0, 1e-3), (-1.0, 1e-3),
@@ -528,7 +528,8 @@ def oracle_integrate_stepwise(model: LinearFlowModel, phi0, s0: float,
     ||phi'|| = ||L phi - Lambda(phi) phi|| stays below the convergence
     threshold for 100 consecutive steps.
 
-    ``t_max`` and ``step`` must be finite and positive (InvalidInput).
+    ``s0`` must be nonnegative, and ``t_max`` and ``step`` finite and
+    positive (InvalidInput).
     ``step`` times the largest |eigenvalue| must not exceed
     MAX_STEP_SPECTRAL (StepTooLarge).  Sample storage grows with the steps
     actually taken, not with t_max / step.
@@ -539,7 +540,7 @@ def oracle_integrate_stepwise(model: LinearFlowModel, phi0, s0: float,
     if abs(np.linalg.norm(phi) - 1.0) > 1e-9:
         raise ShapeMismatch("phi0 must be a unit vector")
     if s0 < 0:
-        raise ShapeMismatch("s0 must be nonnegative")
+        raise InvalidInput(f"s0 must be nonnegative, got {s0!r}")
     for name, value in (("t_max", t_max), ("step", step)):
         if not (math.isfinite(value) and value > 0):
             raise InvalidInput(f"{name} must be finite and positive, "

@@ -49,11 +49,15 @@ def complex_of(data, space="M"):
     return data.delta_Q, data.cells_Q
 
 
+def coboundaries(deltas, cells, degree):
+    """B^n as columns: delta^{n-1}, no columns in degree 0."""
+    return deltas[degree - 1] if degree else IntMatrix.zero(cells[0], 0)
+
+
 def cohomology_invariants(data, degree, space="M"):
-    """H^n for n >= 1: B^n is the column lattice of delta[n - 1]."""
-    deltas, cells = complex_of(data, space)
-    return subquotient_invariants(cocycles(deltas, cells, degree),
-                                  deltas[degree - 1])
+    cx = complex_of(data, space)
+    return subquotient_invariants(cocycles(*cx, degree),
+                                  coboundaries(*cx, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +503,15 @@ def unreduced_census(data: EquivariantCWData) -> tuple:
     if data.dim >= 1:
         z1 = cocycles(*m, 1)
         classes = subquotient_invariants(
-            cocycles(*q, 1), hstack(data.delta_Q[0], data.theta[1] @ z1))
+            cocycles(*q, 1), hstack(coboundaries(*q, 1), data.theta[1] @ z1))
     if data.dim >= 2:
         z2 = cocycles(*m, 2)
         kernel = real_spinc._preimage(data.theta[2] @ z2, z2,
-                                      data.delta_Q[1])
-        b1 = data.delta_M[0]
+                                      coboundaries(*q, 2))
+        b1 = coboundaries(*m, 1)
         iz = data.iota[1] @ z1
         invariant = real_spinc._preimage(iz + z1.scale(-1), z1, b1)
-        torsor = (tuple(subquotient_invariants(kernel, data.delta_M[1])),
+        torsor = (tuple(subquotient_invariants(kernel, coboundaries(*m, 2))),
                   tuple(subquotient_invariants(invariant,
                                                hstack(b1, iz + z1))))
     return torsor, classes
@@ -675,16 +679,10 @@ def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return from_columns(a.rows, a.transpose().data + b.transpose().data)
 
 
-def coboundaries(cx, degree):
-    """B^n as columns: delta^{n-1}, no columns in degree 0."""
-    deltas, cells = cx
-    return deltas[degree - 1] if degree else IntMatrix.zero(cells[0], 0)
-
-
 def presented(cx, degree):
     """(cocycle generators, coboundaries in their coordinates)."""
     z = cocycles(*cx, degree)
-    rels = int_solve_many(z, coboundaries(cx, degree))
+    rels = int_solve_many(z, coboundaries(*cx, degree))
     assert rels is not None
     return z, rels
 
@@ -787,7 +785,7 @@ def cochain_complexes(draw):
 def test_cohomology_subquotient_matches_presentation(cx):
     for degree in range(3):
         z, rels = presented(cx, degree)
-        assert subquotient_invariants(z, coboundaries(cx, degree)) == \
+        assert subquotient_invariants(z, coboundaries(*cx, degree)) == \
             cokernel_invariants(rels)
 
 
