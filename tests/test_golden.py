@@ -23,6 +23,7 @@ import io
 import itertools
 import json
 import math
+import random
 import sys
 from math import gcd
 from pathlib import Path
@@ -30,11 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from hmrkit import cli
-from hmrkit.cw_fixtures import FIXTURE_BUILDERS, lens_space
+from hmrkit.cw_fixtures import FIXTURE_BUILDERS, build_fixture, lens_space
 from hmrkit.seifert_hmr import FAMILIES
 
 from test_cli import CW_REJECTIONS
-from test_real_spinc import CASES, flipped_orbit_body
+from test_real_spinc import (CASES, DOUBLED_D1, flipped_orbit_body, relabel,
+                             space_data)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "answers.json"
 
@@ -259,6 +261,16 @@ def requests() -> list[tuple[list[str], str]]:
         body = lens_space(3, 1).to_json()
         edit(body)
         out.append((["spinc", "--input", "-"], json.dumps(body)))
+    # renumbered and reoriented copies of every fixture of dimension >= 2
+    # (L(5, 2) among them) and of L(21, 8), so that the reduction meets
+    # other pivot orders; and L(5, 2) with delta^1_M doubled, whose
+    # reduction stops at cells (1, 25, 25, 1) and (1, 13, 13, 1)
+    spaces = [build_fixture(name) for name in sorted(FIXTURE_BUILDERS)]
+    out += [(["spinc", "--input", "-"],
+             json.dumps(relabel(data, random.Random(0)).to_json()))
+            for data in spaces + [lens_space(21, 8)] if data.dim >= 2]
+    out.append((["spinc", "--input", "-"],
+                json.dumps(space_data(DOUBLED_D1).to_json())))
     return out
 
 
