@@ -28,12 +28,18 @@ Gaussian elimination of a unit entry phi = delta^n[b][a] is such a pair
 Slusarek, Comput. Math. Appl. 35, 1998): cells a and b go, delta^n
 becomes the Schur complement eps - gamma phi^-1 delta_b, delta^(n-1) loses
 row a and delta^(n+1) column b.  f adds -phi gamma_e (row b) to each row
-e, and g adds -phi delta[b][c] (column a) to each column c, so the maps
-out of M take column operations and the maps into M or Q row operations.
+e, and g adds -phi delta[b][c] (column a) to each column c.
 :attr:`EquivariantCWData.reduced` sweeps the rows of each degree, taking
 in each the unit of shortest column, until no unit entry is left
 (Skoldberg, Trans. AMS 358, 2006; Mrozek and Batko, Discrete Comput. Geom.
-41, 2009), and the census reads what remains.
+41, 2009), and logs the eliminations; only the coboundaries take row
+operations.  As the comparison maps of algebraic Morse theory are read
+off the matching (Skoldberg), the composite f and g are read off the log,
+starting from the surviving cells: one backward pass writes where each
+eliminated b goes under f (the sum of -phi gamma_e times where e goes)
+and another where each eliminated a goes under g, moving all survivors at
+once.  Theta' and iota' are then formed from the one- and two-entry rows
+of Theta and iota*, and the census reads the reduced pair.
 
 Constructing :class:`EquivariantCWData` is the one validation, and one
 walk of the orbit map.  After the shapes and d.d = 0 come the checks of
@@ -214,18 +220,31 @@ class EquivariantCWData:
     @cached_property
     def reduced(self) -> "CochainPair":
         """M and Q with every unit entry of their coboundaries eliminated,
-        Theta and iota* carried along; computed on first read, since both
-        census answers read it."""
-        delta_M, delta_Q, theta, iota = (
-            [_Sparse.of(m) for m in ms]
-            for ms in (self.delta_M, self.delta_Q, self.theta, self.iota))
-        _reduce(delta_M, into=[[i] for i in iota],
-                outof=[[i, t] for i, t in zip(iota, theta)])
-        _reduce(delta_Q, into=[[t] for t in theta], outof=[[]] * len(theta))
+        and Theta' = f_Q Theta g_M and iota' = f_M iota* g_M formed from
+        the rows of Theta and iota* once the eliminations are known;
+        computed on first read, since both census answers read it."""
+        delta_M, delta_Q = ([_Sparse.of(m) for m in ms]
+                            for ms in (self.delta_M, self.delta_Q))
+        log_M, log_Q = _reduce(delta_M), _reduce(delta_Q)
+        kept_M = _kept(delta_M, self.cells_M)
+        kept_Q = _kept(delta_Q, self.cells_Q)
+        # f moves an eliminated b onto the rows e of its column, g an
+        # eliminated a onto the other columns of its row
+        f_M = _replay([(n + 1, b, gamma)
+                       for n, b, _, gamma, _ in reversed(log_M)], kept_M)
+        g_M = _replay([(n, a, rest)
+                       for n, _, a, _, rest in reversed(log_M)], kept_M)
+        f_Q = _replay([(n + 1, b, gamma)
+                       for n, b, _, gamma, _ in reversed(log_Q)], kept_Q)
+        cells_M, cells_Q = tuple(map(len, kept_M)), tuple(map(len, kept_Q))
         return CochainPair(
-            tuple(len(i.row) for i in iota), tuple(len(t.row) for t in theta),
-            *(tuple(m.matrix() for m in ms)
-              for ms in (delta_M, delta_Q, theta, iota)))
+            cells_M, cells_Q,
+            *(tuple(m.matrix() for m in ms) for ms in (delta_M, delta_Q)),
+            tuple(_conjugate(*args) for args in zip(
+                f_Q, self.theta, g_M, cells_Q, cells_M)),
+            tuple(_conjugate(*args) for args in zip(
+                f_M, self.iota, g_M, cells_M, cells_M)),
+            tuple(f_M))
 
     def to_json(self) -> dict:
         return {
@@ -331,6 +350,9 @@ class CochainPair:
     delta_Q: tuple
     theta: tuple
     iota: tuple
+    #: per degree n, f_M: C^n(M) -> C'^n(M) by columns, each cell of M
+    #: that it does not send to 0 mapped to {reduced cell: coefficient}
+    f_M: tuple = field(default=(), compare=False, repr=False)
 
     @cached_property
     def z1_M(self) -> IntMatrix:
@@ -379,19 +401,18 @@ class _Sparse:
             for _, r in sorted(self.row.items())))
 
 
-def _reduce(deltas: list, into: list, outof: list) -> None:
-    """Eliminate unit entries of the complex ``deltas`` in place, turning
-    each matrix X of ``into[n]`` (rows indexed by C^n) into f X, and each
-    of ``outof[n]`` (columns indexed by C^n) into X g.  A sweep takes the
-    rows of each degree in order and, in a row with a unit entry, the unit
-    of shortest column; sweeps repeat until one eliminates nothing, which
-    ends since each elimination removes two cells.  Pivots are chosen from
-    ``deltas`` alone."""
-    into = [list(x) for x in into]
-    outof = [[m.T for m in x] for x in outof]  # columns as rows
-    for n, d in enumerate(deltas):
-        into[n + 1].append(d)
-        outof[n].append(d.T)
+def _reduce(deltas: list) -> list:
+    """Eliminate unit entries of the complex ``deltas`` in place and
+    return the eliminations in order, each as (n, b, a, gamma, rest) for
+    the unit phi = delta^n[b][a]: gamma the pairs (e, -phi delta^n[e][a])
+    over the other rows of column a, rest the pairs (j, -phi delta^n[b][j])
+    over the other columns of row b.  delta^n takes the Schur update,
+    which also empties column a, delta^(n-1) loses row a and delta^(n+1)
+    column b.  A sweep takes the rows of each degree in order and, in a
+    row with a unit entry, the unit of shortest column; sweeps repeat
+    until one eliminates nothing, which ends since each elimination
+    removes two cells."""
+    log = []
     progress = True
     while progress:
         progress = False
@@ -404,20 +425,63 @@ def _reduce(deltas: list, into: list, outof: list) -> None:
             a = min(units, key=lambda j: len(d.col[j]))
             phi = d.row[b][a]
             gamma = [(e, -phi * x) for e, x in d.col[a].items() if e != b]
-            delta_b = [(j, -phi * x) for j, x in d.row[b].items() if j != a]
-            for m in into[n]:
-                m.drop_row(a)
-            for m in into[n + 1]:
-                for e, k in gamma:
-                    m.add_row(e, b, k)
-                m.drop_row(b)
-            for m in outof[n]:
-                for j, k in delta_b:
-                    m.add_row(j, a, k)
-                m.drop_row(a)
-            for m in outof[n + 1]:
-                m.drop_row(b)
+            rest = [(j, -phi * x) for j, x in d.row[b].items() if j != a]
+            if n:
+                deltas[n - 1].drop_row(a)
+            for e, k in gamma:
+                d.add_row(e, b, k)
+            d.drop_row(b)
+            del d.col[a]  # emptied by the Schur update
+            if n + 1 < len(deltas):
+                deltas[n + 1].T.drop_row(b)
+            log.append((n, b, a, gamma, rest))
             progress = True
+    return log
+
+
+def _kept(deltas: list, cells: Sequence[int]) -> list:
+    """Per degree, the cells that the reduction of ``deltas`` kept, in
+    order: the columns of each coboundary and the rows of the last."""
+    if not deltas:
+        return [range(cells[0])]
+    return [sorted(d.col) for d in deltas] + [sorted(deltas[-1].row)]
+
+
+def _replay(steps: list, kept: list) -> list:
+    """Where each cell goes under a map of the reduction, per degree: the
+    cell mapped to {index among the kept cells: coefficient}, absent if
+    it goes to 0.  That is column c of f, or row c of g.  A kept cell goes
+    to itself; ``steps`` are the eliminations, last first, as (n, c,
+    pairs), and the eliminated cell c of degree n goes to the sum of k
+    times where e goes, over the pairs (e, k).  One pass moves every kept
+    cell at once."""
+    out = [{c: {i: 1} for i, c in enumerate(cs)} for cs in kept]
+    for n, c, pairs in steps:
+        moved, acc = out[n], {}
+        for e, k in pairs:
+            if e in moved:
+                for i, x in moved[e].items():
+                    acc[i] = acc.get(i, 0) + k * x
+        col = {i: x for i, x in acc.items() if x}
+        if col:
+            moved[c] = col
+    return out
+
+
+def _conjugate(f: dict, x: IntMatrix, g: dict, rows: int,
+               cols: int) -> IntMatrix:
+    """f x g, for f by columns and g by rows as :func:`_replay` gives
+    them, and x of one or two entries a row."""
+    out = [{} for _ in range(rows)]
+    for q, fq in f.items():
+        for c, t in x.entries[q]:
+            if c in g:
+                for j, y in g[c].items():
+                    for i, u in fq.items():
+                        acc = out[i]
+                        acc[j] = acc.get(j, 0) + u * t * y
+    return IntMatrix(rows, cols, tuple(
+        tuple(sorted((j, v) for j, v in r.items() if v)) for r in out))
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +567,24 @@ def _require_cells(data: EquivariantCWData, degree: int, what: str):
 
 def admits_real_structure(data: EquivariantCWData,
                           c1: Sequence[int]) -> bool:
-    """True iff the class of Theta(c1) vanishes in H^2(Q): Theta(c1) lies
-    in B^2(Q), the column lattice of delta_Q[1]."""
+    """True iff the class of Theta(c1) vanishes in H^2(Q).  c1 is checked
+    closed on the data as given; on the reduced pair that class is
+    [f_Q][Theta c1] = [Theta' f_M c1], which vanishes iff Theta' f_M c1
+    lies in the column lattice of the reduced delta_Q[1]."""
     _require_cells(data, 2, "a first Chern class")
     if len(c1) != data.cells_M[2]:
         raise ShapeMismatch("c1 has wrong length for the 2-cells of M")
     if 2 < data.dim:
         if any(x != 0 for x in data.delta_M[2].mul_vec(list(c1))):
             raise NotCocycle("c1 is not closed")
-    image = data.theta[2].mul_vec(list(c1))
+    red = data.reduced
+    pushed = [0] * red.cells_M[2]
+    for c, x in enumerate(c1):
+        for i, y in red.f_M[2].get(c, {}).items() if x else ():
+            pushed[i] += x * y
+    image = red.theta[2].mul_vec(pushed)
     rhs = IntMatrix.from_grid(1, len(image), [image]).transpose()
-    snf = smith_normal_form(data.delta_Q[1].transpose())
+    snf = smith_normal_form(red.delta_Q[1].transpose())
     return _diagonal_solve(snf, rhs) is not None
 
 

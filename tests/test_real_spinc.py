@@ -20,6 +20,7 @@ from hmrkit.cw_fixtures import FIXTURE_BUILDERS, build_fixture, lens_space
 from hmrkit.errors import (
     MalformedOrbitMap,
     NotChainMap,
+    NotCocycle,
     NotCoprime,
     ShapeMismatch,
 )
@@ -214,41 +215,70 @@ def test_missing_coboundary_rejected():
 # ---------------------------------------------------------------------------
 
 
+def unreduced_admits(data: EquivariantCWData, c1) -> bool:
+    """Whether Theta(c1) lies in the column lattice of delta_Q[1] as
+    constructed, by a Smith-form solve: the existence check as it ran
+    before it read the reduced pair, kept as its oracle."""
+    image = data.theta[2].mul_vec(list(c1))
+    rhs = IntMatrix.from_grid(1, len(image), [image]).transpose()
+    snf = f2lin.smith_normal_form(data.delta_Q[1].transpose())
+    return f2lin._diagonal_solve(snf, rhs) is not None
+
+
+def admits(data: EquivariantCWData, c1) -> bool:
+    """:func:`admits_real_structure`, which must agree with the
+    unreduced solve."""
+    answer = admits_real_structure(data, c1)
+    assert answer == unreduced_admits(data, c1)
+    return answer
+
+
 def test_admits_trivial_c1():
     data = build_fixture("lens_3_1")
-    assert admits_real_structure(data, [0] * data.cells_M[2])
+    assert admits(data, [0] * data.cells_M[2])
+
+
+def test_admits_checks_c1_on_the_data_as_given():
+    data = build_fixture("lens_3_1")
+    with pytest.raises(ShapeMismatch, match="wrong length"):
+        admits_real_structure(data, [0] * (data.cells_M[2] + 1))
+    # a single 2-cell is no cocycle of L(3, 1); the reduced pair would
+    # not see that
+    with pytest.raises(NotCocycle):
+        admits_real_structure(data, [1] + [0] * (data.cells_M[2] - 1))
 
 
 def test_lens_torsion_c1_always_admits():
     for name in ("lens_3_1", "lens_5_2", "lens_7_1"):
         data = build_fixture(name)
         for v in int_kernel_basis(data.delta_M[2]).data:
-            assert admits_real_structure(data, v)
+            assert admits(data, v)
 
 
 def test_s1xs2_rotation_only_trivial_admits():
     data = build_fixture("s1_x_s2_rotation")
     assert cohomology_invariants(data, 2) == [0]
     z2 = cocycles(*complex_of(data), 2)
-    admitted = [admits_real_structure(data, c1)
-                for c1 in z2.transpose().data]
+    admitted = [admits(data, c1) for c1 in z2.transpose().data]
     # some generator cocycles represent the nontrivial class and fail
     assert not all(admitted)
-    assert admits_real_structure(data, [0] * data.cells_M[2])
+    assert admits(data, [0] * data.cells_M[2])
 
 
 @pytest.mark.parametrize("name", [n for n in sorted(FIXTURE_BUILDERS)
                                   if build_fixture(n).dim >= 2])
 def test_admits_real_structure_against_lattice_oracle(name):
     # Theta(c1) must lie in the column lattice of delta_Q[1]; Euclid on
-    # the columns decides that without a Smith form
+    # the columns decides that without a Smith form.  Relabelled copies
+    # reach the reduced pair by other eliminations
     data = build_fixture(name)
-    z2 = cocycles(*complex_of(data), 2)
-    grid = [list(row) for row in data.delta_Q[1].data]
-    for c1 in list(z2.transpose().data) + [[sum(row) for row in z2.data]]:
-        image = data.theta[2].mul_vec(c1)
-        assert admits_real_structure(data, c1) == \
-            oracle_solvable(grid, image, data.cells_Q[1])
+    for moved in [data] + [relabel(data, random.Random(s)) for s in (0, 1)]:
+        z2 = cocycles(*complex_of(moved), 2)
+        grid = [list(row) for row in moved.delta_Q[1].data]
+        for c1 in list(z2.transpose().data) + [[sum(r) for r in z2.data]]:
+            image = moved.theta[2].mul_vec(c1)
+            assert admits(moved, c1) == \
+                oracle_solvable(grid, image, moved.cells_Q[1])
 
 
 def test_real_structure_classes():
@@ -275,15 +305,15 @@ def test_lens_census_size(p, name):
 
 
 def test_spinc_report_reduces_each_matrix_once(monkeypatch):
-    # the torsor and the classes share one reduction of M and one of Q,
-    # and one Z^1(M) on the reduced M: a report repeats no elimination and
-    # no kernel of the same matrix
+    # the torsor, the classes and the existence check share one reduction
+    # of M and one of Q, and one Z^1(M) on the reduced M: a report repeats
+    # no elimination and no kernel of the same matrix
     reductions, kernels = [], []
     reduce, cocycles_of = real_spinc._reduce, real_spinc.cocycles
 
-    def counted_reduce(deltas, into, outof):
+    def counted_reduce(deltas):
         reductions.append(len(deltas))
-        return reduce(deltas, into, outof)
+        return reduce(deltas)
 
     def counted_cocycles(deltas, cells, n):
         kernels.append((deltas, n))
@@ -295,6 +325,7 @@ def test_spinc_report_reduces_each_matrix_once(monkeypatch):
     for _ in range(2):
         real_spinc_torsor(data)
         real_structure_classes(data)
+        admits_real_structure(data, [0] * data.cells_M[2])
     assert reductions == [data.dim, data.dim]
     z1_M = [d for d, n in kernels if d is data.reduced.delta_M and n == 1]
     assert len(z1_M) == 1
@@ -308,12 +339,12 @@ ORACLE_SPACES = ["lens_7_2"] + [(p, q) for p in range(3, 14, 2)
 
 @pytest.mark.parametrize("space", ORACLE_SPACES, ids=str)
 def test_snf_matches_oracle_on_census_inputs(monkeypatch, space):
-    # every Smith form of a spinc report, plus the existence check, gives
+    # every Smith form of a spinc report and of the existence check gives
     # the oracle's D diagonal and V^T; so do the coboundaries of M and Q
-    # as constructed and their transposes, since the report's own inputs
-    # are the small reduced ones.  Those stay at most 2x3: the plain
-    # Smith form relies on it, so a reduction that regresses fails here
-    # rather than slowing the census down
+    # as constructed and their transposes, since the census and the
+    # existence check read only the small reduced ones.  Those stay at
+    # most 2x3: the plain Smith form relies on it, so a reduction that
+    # regresses fails here rather than slowing the census down
     calls = []
     snf = f2lin.smith_normal_form
 
@@ -326,9 +357,8 @@ def test_snf_matches_oracle_on_census_inputs(monkeypatch, space):
     data = space_data(space)
     real_spinc_torsor(data)
     real_structure_classes(data)
-    assert calls and all(m.rows <= 2 and m.cols <= 3 for m in calls)
-    # the existence check solves against the unreduced coboundary
     assert admits_real_structure(data, [0] * data.cells_M[2])
+    assert calls and all(m.rows <= 2 and m.cols <= 3 for m in calls)
     cobounds = data.delta_M + data.delta_Q
     calls += cobounds + tuple(m.transpose() for m in cobounds)
     for m in calls:
@@ -567,27 +597,104 @@ def test_reduced_census_matches_oracle_on_relabelled_copies(name):
 
 
 def reduction_with_maps(data: EquivariantCWData) -> dict:
-    """The reductions of M and Q as :attr:`EquivariantCWData.reduced` runs
-    them, with identity matrices carried beside Theta and iota*: carried
-    into C^n an identity becomes f, carried out of C^n it becomes g."""
+    """The reductions of M and Q by the sweep of the library's ``_reduce``,
+    with Theta, iota* and identity matrices carried through every
+    elimination by row and column operations: carried into C^n an
+    identity becomes f, carried out of C^n it becomes g.  This is how
+    :attr:`EquivariantCWData.reduced` ran before it kept an elimination
+    log, and it is that property's oracle."""
     def sparse(ms):
         return [real_spinc._Sparse.of(m) for m in ms]
 
     def identities(cells):
         return sparse(IntMatrix.identity(c) for c in cells)
 
+    def carry(deltas, into, outof):
+        # each matrix of into[n] (rows indexed by C^n) becomes f X, each
+        # of outof[n] (columns indexed by C^n) X g
+        outof = [[m.T for m in x] for x in outof]  # columns as rows
+        for n, d in enumerate(deltas):
+            into[n + 1].append(d)
+            outof[n].append(d.T)
+        progress = True
+        while progress:
+            progress = False
+            for n, b in [(n, b) for n, d in enumerate(deltas)
+                         for b in d.row]:
+                d = deltas[n]
+                units = [a for a, x in d.row[b].items() if x in (1, -1)]
+                if not units:
+                    continue
+                a = min(units, key=lambda j: len(d.col[j]))
+                phi = d.row[b][a]
+                gamma = [(e, -phi * x) for e, x in d.col[a].items()
+                         if e != b]
+                delta_b = [(j, -phi * x) for j, x in d.row[b].items()
+                           if j != a]
+                for m in into[n]:
+                    m.drop_row(a)
+                for m in into[n + 1]:
+                    for e, k in gamma:
+                        m.add_row(e, b, k)
+                    m.drop_row(b)
+                for m in outof[n]:
+                    for j, k in delta_b:
+                        m.add_row(j, a, k)
+                    m.drop_row(a)
+                for m in outof[n + 1]:
+                    m.drop_row(b)
+                progress = True
+
     out = {name: sparse(getattr(data, name))
            for name in ("delta_M", "delta_Q", "theta", "iota")}
     for name, cells in (("f_M", data.cells_M), ("g_M", data.cells_M),
                         ("f_Q", data.cells_Q), ("g_Q", data.cells_Q)):
         out[name] = identities(cells)
-    real_spinc._reduce(
-        out["delta_M"], into=[list(x) for x in zip(out["f_M"], out["iota"])],
-        outof=[list(x) for x in zip(out["g_M"], out["iota"], out["theta"])])
-    real_spinc._reduce(
-        out["delta_Q"], into=[list(x) for x in zip(out["f_Q"], out["theta"])],
-        outof=[[g] for g in out["g_Q"]])
+    carry(out["delta_M"],
+          into=[list(x) for x in zip(out["f_M"], out["iota"])],
+          outof=[list(x) for x in zip(out["g_M"], out["iota"], out["theta"])])
+    carry(out["delta_Q"], into=[list(x) for x in zip(out["f_Q"], out["theta"])],
+          outof=[[g] for g in out["g_Q"]])
     return {name: [m.matrix() for m in ms] for name, ms in out.items()}
+
+
+def by_columns(columns: dict, rows: int, cols: int) -> IntMatrix:
+    """The matrix whose column c is ``columns[c]``, given as {row: value};
+    an absent column is zero."""
+    grid = [[0] * cols for _ in range(rows)]
+    for c, column in columns.items():
+        for r, x in column.items():
+            grid[r][c] = x
+    return IntMatrix.from_grid(rows, cols, grid)
+
+
+def assert_reduced_matches_carried(data: EquivariantCWData):
+    red, r = data.reduced, reduction_with_maps(data)
+    assert red.cells_M == tuple(m.rows for m in r["f_M"])
+    assert red.cells_Q == tuple(m.rows for m in r["f_Q"])
+    for name in ("delta_M", "delta_Q", "theta", "iota"):
+        assert getattr(red, name) == tuple(r[name]), name
+    assert [by_columns(f, m.rows, m.cols) for f, m in zip(red.f_M, r["f_M"])] \
+        == r["f_M"]
+    assert all(x for f in red.f_M for col in f.values() for x in col.values())
+
+
+#: spaces whose reduction is checked against the carrying oracle: those
+#: of the census oracle, and L(p, q) up to p = 21
+CARRIED_SPACES = REDUCTION_SPACES + [
+    (p, q) for p in range(17, 22, 2) for q in range(p) if gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("space", CARRIED_SPACES, ids=str)
+def test_reduced_matches_carrying_oracle(space):
+    assert_reduced_matches_carried(space_data(space))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_reduced_matches_carrying_oracle_on_relabelled_copies(name):
+    data = build_fixture(name)
+    for seed in range(3):
+        assert_reduced_matches_carried(relabel(data, random.Random(seed)))
 
 
 @pytest.mark.parametrize("space", sorted(FIXTURE_BUILDERS)
@@ -599,11 +706,6 @@ def test_reduction_is_a_homotopy_equivalence(space):
     data = space_data(space)
     r = reduction_with_maps(data)
     red = data.reduced
-    for name in ("delta_M", "delta_Q", "theta", "iota"):
-        assert [m.data for m in getattr(red, name)] == \
-            [m.data for m in r[name]]
-    assert red.cells_M == tuple(m.rows for m in r["f_M"])
-    assert red.cells_Q == tuple(m.rows for m in r["f_Q"])
     for x, old, new in (("M", data.delta_M, red.delta_M),
                         ("Q", data.delta_Q, red.delta_Q)):
         f, g = r["f_" + x], r["g_" + x]
