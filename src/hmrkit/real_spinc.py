@@ -33,13 +33,12 @@ e, and g adds -phi delta[b][c] (column a) to each column c.
 in each the unit of shortest column, until no unit entry is left
 (Skoldberg, Trans. AMS 358, 2006; Mrozek and Batko, Discrete Comput. Geom.
 41, 2009), and logs the eliminations; only the coboundaries take row
-operations.  As the comparison maps of algebraic Morse theory are read
-off the matching (Skoldberg), the composite f and g are read off the log,
-starting from the surviving cells: one backward pass writes where each
-eliminated b goes under f (the sum of -phi gamma_e times where e goes)
-and another where each eliminated a goes under g, moving all survivors at
-once.  Theta' and iota' are then formed from the one- and two-entry rows
-of Theta and iota*, and the census reads the reduced pair.
+operations.  The composite f and g are read off the log from the
+surviving cells, as algebraic Morse theory reads its comparison maps off
+the matching (Skoldberg): one backward pass writes where each eliminated
+b goes under f and another where each eliminated a goes under g, moving
+all survivors at once.  Theta' and iota' are then formed from the one-
+and two-entry rows of Theta and iota*.
 
 Constructing :class:`EquivariantCWData` is the one validation, and one
 walk of the orbit map.  After the shapes and d.d = 0 come the checks of
@@ -222,7 +221,8 @@ class EquivariantCWData:
         """M and Q with every unit entry of their coboundaries eliminated,
         and Theta' = f_Q Theta g_M and iota' = f_M iota* g_M formed from
         the rows of Theta and iota* once the eliminations are known;
-        computed on first read, since both census answers read it."""
+        computed on first read, since both census answers and the
+        existence check read it."""
         delta_M, delta_Q = ([_Sparse.of(m) for m in ms]
                             for ms in (self.delta_M, self.delta_Q))
         log_M, log_Q = _reduce(delta_M), _reduce(delta_Q)
@@ -352,7 +352,7 @@ class CochainPair:
     iota: tuple
     #: per degree n, f_M: C^n(M) -> C'^n(M) by columns, each cell of M
     #: that it does not send to 0 mapped to {reduced cell: coefficient}
-    f_M: tuple = field(default=(), compare=False, repr=False)
+    f_M: tuple = field(compare=False, repr=False)
 
     @cached_property
     def z1_M(self) -> IntMatrix:
@@ -580,7 +580,7 @@ def admits_real_structure(data: EquivariantCWData,
     red = data.reduced
     pushed = [0] * red.cells_M[2]
     for c, x in enumerate(c1):
-        for i, y in red.f_M[2].get(c, {}).items() if x else ():
+        for i, y in red.f_M[2].get(c, {}).items():
             pushed[i] += x * y
     image = red.theta[2].mul_vec(pushed)
     rhs = IntMatrix.from_grid(1, len(image), [image]).transpose()
