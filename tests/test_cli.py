@@ -461,18 +461,24 @@ NON_INTEGER_FIELDS = (
 )
 
 
+def edited(body, path, value):
+    """A copy of ``body`` with the entry at ``path`` set to ``value``."""
+    body = copy.deepcopy(body)
+    node = body
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return body
+
+
 def assert_edit_exits_2(capsys, monkeypatch, command, field, body, path,
                         value):
     """``body`` answers with exit 0; with the entry at ``path`` set to
     ``value`` it is invalid_input naming ``field``."""
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(body)))
     assert run_json(capsys, command, "--input", "-")[0] == 0
-    body = copy.deepcopy(body)
-    node = body
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(body)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        edited(body, path, value))))
     code, report = run_json(capsys, command, "--input", "-")
     assert code == 2
     assert report["error"]["code"] == "invalid_input"
@@ -516,16 +522,22 @@ def test_morse_repeated_count_is_one_count(capsys, monkeypatch):
     assert report([[0, 1], [0, 1]]) == once
 
 
+#: a count outside the declared shape of MORSE_BODY
+COUNT_OUTSIDE = {"rows": 2, "cols": 2, "ones": [[2, 0]]}
+
+
 def test_morse_count_outside_its_shape(capsys, monkeypatch):
-    code, report = morse_with_counts(capsys, monkeypatch,
-                                     {"rows": 2, "cols": 2, "ones": [[2, 0]]})
+    code, report = morse_with_counts(capsys, monkeypatch, COUNT_OUTSIDE)
     assert code == 1
     assert report["error"] == {"code": "shape_mismatch",
                                "message": "entry (2,0) outside 2x2"}
 
 
-@pytest.mark.parametrize("size, ones", [(10 ** 12, []), (10 ** 12, [[0, 1]]),
-                                        (-3, [])])
+#: (declared size, ones) of counts whose shape is not MORSE_BODY's
+COUNTS_SHAPES = [(10 ** 12, []), (10 ** 12, [[0, 1]]), (-3, [])]
+
+
+@pytest.mark.parametrize("size, ones", COUNTS_SHAPES)
 def test_morse_counts_shape_checked_before_any_allocation(
         capsys, monkeypatch, size, ones):
     # a declared shape sizes nothing: it is checked against the point
@@ -552,8 +564,10 @@ FLOAT_FIELDS = (
 )
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                   float("-inf")], ids=["nan", "inf", "-inf"])
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command, field, body, path",
                          [t[1:] for t in FLOAT_FIELDS],
                          ids=[t[0] for t in FLOAT_FIELDS])
@@ -570,7 +584,10 @@ NUMBER_FIELDS = FLOAT_FIELDS + (
 )
 
 
-@pytest.mark.parametrize("value", ["1", True, 10 ** 400],
+NON_NUMBERS = ["1", True, 10 ** 400]
+
+
+@pytest.mark.parametrize("value", NON_NUMBERS,
                          ids=["string", "bool", "huge_int"])
 @pytest.mark.parametrize("command, field, body, path",
                          [t[1:] for t in NUMBER_FIELDS],
@@ -582,7 +599,10 @@ def test_non_number_float_field_exits_2(capsys, monkeypatch, command, field,
                         value)
 
 
-@pytest.mark.parametrize("label", [[1, 2], 7], ids=["list", "int"])
+LABELS = [[1, 2], 7]
+
+
+@pytest.mark.parametrize("label", LABELS, ids=["list", "int"])
 def test_morse_label_must_be_string(capsys, monkeypatch, label):
     assert_edit_exits_2(capsys, monkeypatch, "morse", "points", MORSE_BODY,
                         ("points", 0, "label"), label)

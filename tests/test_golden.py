@@ -34,7 +34,9 @@ from hmrkit import cli
 from hmrkit.cw_fixtures import FIXTURE_BUILDERS, build_fixture, lens_space
 from hmrkit.seifert_hmr import FAMILIES
 
-from test_cli import CW_REJECTIONS
+from test_cli import (COUNT_OUTSIDE, COUNTS_SHAPES, CW_REJECTIONS,
+                      FLOAT_FIELDS, LABELS, MORSE_BODY, NON_FINITE,
+                      NON_INTEGER_FIELDS, NON_NUMBERS, NUMBER_FIELDS, edited)
 from test_real_spinc import (CASES, DOUBLED_D1, flipped_orbit_body, relabel,
                              space_data)
 
@@ -271,7 +273,23 @@ def requests() -> list[tuple[list[str], str]]:
             for data in spaces + [lens_space(21, 8)] if data.dim >= 2]
     out.append((["spinc", "--input", "-"],
                 json.dumps(space_data(DOUBLED_D1).to_json())))
+    out += [(["morse", "--input", "-"], json.dumps(edited(MORSE_BODY, *edit)))
+            for edit in _morse_rejections()]
     return out
+
+
+def _morse_rejections() -> list[tuple]:
+    """(path, value) of every edit of MORSE_BODY that a rejection table of
+    test_cli.py refuses."""
+    edits = [t[4:] for t in NON_INTEGER_FIELDS if t[1] == "morse"]
+    edits += [(t[4], v) for t in FLOAT_FIELDS if t[1] == "morse"
+              for v in NON_FINITE]
+    edits += [(t[4], v) for t in NUMBER_FIELDS if t[1] == "morse"
+              for v in NON_NUMBERS]
+    edits += [(("points", 0, "label"), label) for label in LABELS]
+    edits += [(("counts",), {"rows": size, "cols": size, "ones": ones})
+              for size, ones in COUNTS_SHAPES]
+    return edits + [(("counts",), COUNT_OUTSIDE)]
 
 
 def answer(argv: list[str], body: str) -> dict:
