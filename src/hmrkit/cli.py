@@ -192,14 +192,15 @@ def _base_points(value) -> list:
 def _cmd_morse(args) -> int:
     raw = _load_input(args)
     points = input_field(raw, "points", _base_points)
-    # the counts are read by the model module, which loads numpy
-    from .complexes import assemble, homology, les_maps, verify_les_exact
-    from .morse_blowup import (BaseMorseData, BasePoint, LinearFlowModel,
-                               build_model_complexes, read_counts)
+    from .f2lin import read_counts
 
     counts = input_field(raw, "counts",
                          lambda v: read_counts(v, len(points)), None)
     shift = input_field(raw, "grading_shift", input_int, 0)
+    from .complexes import assemble, homology, les_maps, verify_les_exact
+    from .morse_blowup import (BaseMorseData, BasePoint, LinearFlowModel,
+                               build_model_complexes)
+
     base = BaseMorseData(
         tuple(BasePoint(label, ind_q, LinearFlowModel(fiber))
               for label, ind_q, fiber in points), counts)

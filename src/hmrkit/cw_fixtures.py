@@ -1,10 +1,12 @@
 """Equivariant CW fixtures: small spaces with involution, built honestly.
 
-Each builder assembles cells with explicit integer boundaries and an
-explicit cellular involution, then forms the orbit data.  It checks only
-what that needs (boundary cells one degree lower, an image for every
-cell): the :class:`EquivariantCWData` constructor checks d.d = 0 and that
-the involution is a chain map, as for any other input, and derives the
+Each builder adds cells with explicit integer boundaries, each boundary
+cell already added one degree lower, and writes each cell's coboundary
+row as it goes; it states the cellular involution once per orbit, then
+numbers the quotient cells and writes the orbit entries in one walk.  An
+orbit is either a fixed cell or a pair of cells swapped with a sign.  The
+:class:`EquivariantCWData` constructor checks d.d = 0 and that the
+involution is a chain map, as for any other input, and derives the
 quotient complex.  The centerpiece is a genus-one
 splitting of lens spaces: the torus carries the arrangement of four
 circles through the involution's fixed points (two "horizontal" ones and
@@ -22,6 +24,7 @@ lens fixtures shipped here.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import gcd
 
 from .errors import InvalidInput, MalformedOrbitMap, NotCoprime, ShapeMismatch
@@ -30,78 +33,64 @@ from .real_spinc import EquivariantCWData, OrbitEntry
 
 
 class _Builder:
-    """Accumulates cells, boundaries and the involution."""
+    """Cells in degree order, each with its coboundary row, and the
+    involution, stated once per orbit."""
 
     def __init__(self):
-        self.order: dict[int, list] = {}
-        self.boundary: dict = {}
-        self.degree: dict = {}
-        self.iota: dict = {}
+        self.cells = defaultdict(list)  # degree -> cells in index order
+        self.rows = defaultdict(list)  # degree -> their coboundary rows
+        self.at: dict = {}  # cell -> (degree, index)
+        self.iota: dict = {}  # cell -> (image, sign)
 
     def add(self, deg: int, cid, boundary: dict):
-        if cid in self.degree:
+        """Add a cell; each boundary cell must be added, one degree lower."""
+        if cid in self.at:
             raise ShapeMismatch(f"duplicate cell {cid}")
-        self.order.setdefault(deg, []).append(cid)
-        self.degree[cid] = deg
-        self.boundary[cid] = dict(boundary)
+        row = []
+        for o, c in boundary.items():
+            d, i = self.at.get(o, (None, None))
+            if d != deg - 1:
+                raise ShapeMismatch(f"boundary cell {o} of {cid} is not "
+                                    f"an added cell of degree {deg - 1}")
+            if c:
+                row.append((i, c))
+        self.at[cid] = (deg, len(self.cells[deg]))
+        self.cells[deg].append(cid)
+        self.rows[deg].append(tuple(sorted(row)))
 
-    def set_iota(self, cid, image, sign: int):
-        self.iota[cid] = (image, sign)
+    def swap(self, a, b, sign: int):
+        """A free orbit: the involution maps a to sign * b and back."""
+        self.iota[a] = (b, sign)
+        self.iota[b] = (a, sign)
 
-    def set_fixed(self, cid):
+    def fix(self, cid):
         self.iota[cid] = (cid, 1)
 
-    # -- checks -------------------------------------------------------
-
-    def _check(self):
-        for cid, bdry in self.boundary.items():
-            if any(self.degree[o] != self.degree[cid] - 1 for o in bdry):
-                raise ShapeMismatch(f"boundary of {cid} has wrong degree")
-            if cid not in self.iota:
-                raise MalformedOrbitMap(f"no involution image for {cid}")
-
-    # -- output -------------------------------------------------------
-
     def finish(self) -> EquivariantCWData:
-        self._check()
-        dim = max(self.order)
-        cells_m = [len(self.order.get(d, [])) for d in range(dim + 1)]
-        index = {cid: i for d in range(dim + 1)
-                 for i, cid in enumerate(self.order.get(d, []))}
-
-        # orbits: representative = earlier-listed cell of each pair
-        rep_of: dict = {}
-        q_order: dict[int, list] = {d: [] for d in range(dim + 1)}
-        for d in range(dim + 1):
-            for cid in self.order.get(d, []):
-                img, _ = self.iota[cid]
-                if cid not in rep_of:
-                    rep_of[cid] = cid
-                    rep_of[img] = cid
-                    q_order[d].append(cid)
-        q_index = {rep: i for d in range(dim + 1)
-                   for i, rep in enumerate(q_order[d])}
-        cells_q = [len(q_order[d]) for d in range(dim + 1)]
-
-        # coboundaries: row = d-cell, column = (d-1)-cell of its boundary
-        delta_m = [IntMatrix(cells_m[d], cells_m[d - 1], tuple(
-            tuple(sorted((index[o], c) for o, c in self.boundary[cid].items()
-                         if c))
-            for cid in self.order.get(d, []))) for d in range(1, dim + 1)]
-
-        orbit = []
-        for d in range(dim + 1):
-            for cid in self.order.get(d, []):
+        """Number the quotient cells (an orbit takes the number of its
+        first cell) and write the orbit entries, in one walk."""
+        dim = max(self.cells)
+        cells = [self.cells[d] for d in range(dim + 1)]
+        quotient: dict = {}
+        cells_q, orbit = [], []
+        for d, level in enumerate(cells):
+            count = 0
+            for i, cid in enumerate(level):
+                if cid not in self.iota:
+                    raise MalformedOrbitMap(f"no involution image for {cid}")
                 img, sign = self.iota[cid]
-                orbit.append(OrbitEntry(
-                    degree=d, index=index[cid],
-                    image=q_index[rep_of[cid]],
-                    fixed=(img == cid), sign=sign,
-                ))
+                if cid not in quotient:
+                    quotient[cid] = quotient[img] = count
+                    count += 1
+                orbit.append(OrbitEntry(d, i, quotient[cid], img == cid,
+                                        sign))
+            cells_q.append(count)
         return EquivariantCWData(
-            cells_M=tuple(cells_m), cells_Q=tuple(cells_q),
-            delta_M=tuple(delta_m), orbit=tuple(orbit),
-        )
+            cells_M=tuple(map(len, cells)), cells_Q=tuple(cells_q),
+            delta_M=tuple(IntMatrix(len(cells[d]), len(cells[d - 1]),
+                                    tuple(self.rows[d]))
+                          for d in range(1, dim + 1)),
+            orbit=tuple(orbit))
 
 
 # ---------------------------------------------------------------------------
@@ -135,21 +124,18 @@ def _add_torus(b: _Builder, p: int, q: int):
             ("ht", m): 1, ("sb", (m + 1) % n): 1,
             ("hb", (m + q) % n): -1, ("sb", m): -1,
         })
-    # involution v -> -v
+    # involution v -> -v: m -> -m mod 2p fixes m = 0 and m = p only
+    for fam in ("V", "W"):
+        b.fix((fam, 0))
+        b.fix((fam, p))
+        for m in range(1, p):
+            b.swap((fam, m), (fam, n - m), 1)
+    for m in range(p):
+        b.swap(("hb", m), ("hb", n - 1 - m), -1)
+        b.swap(("ht", m), ("ht", n - 1 - m), -1)
     for m in range(n):
-        for fam in ("V", "W"):
-            if m % n in (0, p):
-                b.set_fixed((fam, m))
-            elif (fam, m) not in b.iota:
-                b.set_iota((fam, m), (fam, (-m) % n), 1)
-                b.set_iota((fam, (-m) % n), (fam, m), 1)
-    for m in range(n):
-        b.set_iota(("hb", m), ("hb", (-m - 1) % n), -1)
-        b.set_iota(("ht", m), ("ht", (-m - 1) % n), -1)
-        b.set_iota(("sa", m), ("sb", (-m - q) % n), -1)
-        b.set_iota(("sb", m), ("sa", (-m - q) % n), -1)
-        b.set_iota(("fa", m), ("fb", (-m - q - 1) % n), 1)
-        b.set_iota(("fb", m), ("fa", (-m - q - 1) % n), 1)
+        b.swap(("sa", m), ("sb", (-m - q) % n), -1)
+        b.swap(("fa", m), ("fb", (-m - q - 1) % n), 1)
 
 
 def _horizontal_circles(p: int):
@@ -203,31 +189,21 @@ def _add_solid_torus(b: _Builder, label: str, circles, band_faces,
         v0, vh = verts[0], verts[half]
         g = ("g", label, i)
         b.add(1, g, {vh: 1, v0: -1})
-        b.set_fixed(g)
+        b.fix(g)
         hplus = ("H", label, i, "+")
         hminus = ("H", label, i, "-")
-        bd_plus = {e: 1 for e in edges[:half]}
-        bd_plus[g] = bd_plus.get(g, 0) - 1
-        bd_minus = {e: 1 for e in edges[half:]}
-        bd_minus[g] = bd_minus.get(g, 0) + 1
-        b.add(2, hplus, bd_plus)
-        b.add(2, hminus, bd_minus)
-        b.set_iota(hplus, hminus, -1)
-        b.set_iota(hminus, hplus, -1)
+        b.add(2, hplus, {**dict.fromkeys(edges[:half], 1), g: -1})
+        b.add(2, hminus, {**dict.fromkeys(edges[half:], 1), g: 1})
+        b.swap(hplus, hminus, -1)
         disks.append((hplus, hminus))
     (d0p, d0m), (d1p, d1m) = disks
     slab_a = ("T", label, "A")
     slab_b = ("T", label, "B")
-    bd_a = {f: band_sign for f in band_faces[0]}
-    for f, c in ((d1p, 1), (d1m, 1), (d0p, -1), (d0m, -1)):
-        bd_a[f] = bd_a.get(f, 0) + c
-    bd_b = {f: band_sign for f in band_faces[1]}
-    for f, c in ((d0p, 1), (d0m, 1), (d1p, -1), (d1m, -1)):
-        bd_b[f] = bd_b.get(f, 0) + c
-    b.add(3, slab_a, bd_a)
-    b.add(3, slab_b, bd_b)
-    b.set_iota(slab_a, slab_b, 1)
-    b.set_iota(slab_b, slab_a, 1)
+    b.add(3, slab_a, {**dict.fromkeys(band_faces[0], band_sign),
+                      d1p: 1, d1m: 1, d0p: -1, d0m: -1})
+    b.add(3, slab_b, {**dict.fromkeys(band_faces[1], band_sign),
+                      d0p: 1, d0m: 1, d1p: -1, d1m: -1})
+    b.swap(slab_a, slab_b, 1)
 
 
 def _psi_half(q: int, cell) -> int:
@@ -303,8 +279,7 @@ def point_pair() -> EquivariantCWData:
     b = _Builder()
     b.add(0, "p0", {})
     b.add(0, "p1", {})
-    b.set_iota("p0", "p1", 1)
-    b.set_iota("p1", "p0", 1)
+    b.swap("p0", "p1", 1)
     return b.finish()
 
 
@@ -315,10 +290,8 @@ def circle_antipodal() -> EquivariantCWData:
     b.add(0, "v1", {})
     b.add(1, "e0", {"v1": 1, "v0": -1})
     b.add(1, "e1", {"v0": 1, "v1": -1})
-    b.set_iota("v0", "v1", 1)
-    b.set_iota("v1", "v0", 1)
-    b.set_iota("e0", "e1", 1)
-    b.set_iota("e1", "e0", 1)
+    b.swap("v0", "v1", 1)
+    b.swap("e0", "e1", 1)
     return b.finish()
 
 
@@ -329,10 +302,9 @@ def circle_reflection() -> EquivariantCWData:
     b.add(0, "bb", {})
     b.add(1, "up", {"bb": 1, "a": -1})
     b.add(1, "dn", {"a": 1, "bb": -1})
-    b.set_fixed("a")
-    b.set_fixed("bb")
-    b.set_iota("up", "dn", -1)
-    b.set_iota("dn", "up", -1)
+    b.fix("a")
+    b.fix("bb")
+    b.swap("up", "dn", -1)
     return b.finish()
 
 
@@ -359,12 +331,10 @@ def s1_x_s2_rotation() -> EquivariantCWData:
     b.add(3, ("c", "F"), {("c", "e"): -1, ("c", "e'"): 1})
     b.add(3, ("c", "F'"), {("c", "e'"): -1, ("c", "e"): 1})
     for cid in (("v", "N"), ("v", "S"), ("c", "N"), ("c", "S")):
-        b.set_fixed(cid)
+        b.fix(cid)
     for pref in ("v", "c"):
-        b.set_iota((pref, "e"), (pref, "e'"), 1)
-        b.set_iota((pref, "e'"), (pref, "e"), 1)
-        b.set_iota((pref, "F"), (pref, "F'"), 1)
-        b.set_iota((pref, "F'"), (pref, "F"), 1)
+        b.swap((pref, "e"), (pref, "e'"), 1)
+        b.swap((pref, "F"), (pref, "F'"), 1)
     return b.finish()
 
 

@@ -3,7 +3,8 @@
 :class:`F2Matrix` stores one Python int per row, bit c of row r being
 entry (r, c): a product XORs rows, and one reduced echelon elimination
 gives rank and kernel (M4RI-style XOR elimination).  The positions of
-the ones are derived from the rows, for JSON and the grading checks.
+the ones are derived from the rows once per matrix, for JSON and the
+grading checks.
 :class:`IntMatrix` stores sparse rows of Python integers, (column,
 value) pairs with columns ascending (coboundary maps stay small but
 pivots in Smith normal form do not, so arbitrary precision is
@@ -26,6 +27,7 @@ the operations in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, repeat
 from operator import itemgetter, xor
 from typing import Iterable, Sequence
@@ -42,7 +44,7 @@ class F2Matrix:
     cols: int
     masks: tuple
 
-    @property
+    @cached_property
     def ones(self) -> tuple:
         """The positions (r, c) of the ones, in row-major order."""
         return tuple((r, c) for r, mask in enumerate(self.masks)
@@ -121,6 +123,20 @@ def json_entries(obj: dict) -> tuple[int, int, set]:
         if not (0 <= r < rows and 0 <= c < cols):
             raise ShapeMismatch(f"entry ({r},{c}) outside {rows}x{cols}")
     return rows, cols, ones
+
+
+COUNTS_SHAPE = "counts shape must match point count"
+
+
+def read_counts(obj: dict, points: int) -> F2Matrix:
+    """The base counts of a ``morse`` body with ``points`` base points.
+    The positions are checked against the declared shape, and that shape
+    against the point count, before any row is built: no allocation is
+    sized by an outside shape."""
+    rows, cols, ones = json_entries(obj)
+    if (rows, cols) != (points, points):
+        raise ShapeMismatch(COUNTS_SHAPE)
+    return F2Matrix.from_entries(rows, cols, ones)
 
 
 def bits(mask: int) -> Iterable[int]:

@@ -47,7 +47,7 @@ import numpy as np
 from .complexes import BlockDifferentials, Generator
 from .errors import (DegenerateSpectrum, GradingViolation, InvalidInput,
                      ShapeMismatch, StepTooLarge)
-from .f2lin import F2Matrix, json_entries
+from .f2lin import COUNTS_SHAPE, F2Matrix
 
 #: convergence is declared when ||phi'|| stays below this for 100 steps
 CONVERGENCE_SPEED = 1e-8
@@ -112,9 +112,6 @@ class BasePoint:
     fiber: LinearFlowModel
 
 
-_COUNTS_SHAPE = "counts shape must match point count"
-
-
 @dataclass(frozen=True)
 class BaseMorseData:
     """Base critical points plus optional mod-2 base trajectory counts.
@@ -131,23 +128,12 @@ class BaseMorseData:
         if self.counts is not None:
             npts = len(self.points)
             if (self.counts.rows, self.counts.cols) != (npts, npts):
-                raise ShapeMismatch(_COUNTS_SHAPE)
+                raise ShapeMismatch(COUNTS_SHAPE)
             for (r, c) in self.counts.ones:
                 if self.points[c].ind_q - self.points[r].ind_q != 1:
                     raise GradingViolation(
                         "base count entry does not drop the index by 1"
                     )
-
-
-def read_counts(obj: dict, points: int) -> F2Matrix:
-    """Base counts for ``points`` base points, read from JSON.  The
-    positions are checked against the declared shape, and that shape
-    against the point count, before any row is built: no allocation is
-    sized by an outside shape."""
-    rows, cols, ones = json_entries(obj)
-    if (rows, cols) != (points, points):
-        raise ShapeMismatch(_COUNTS_SHAPE)
-    return F2Matrix.from_entries(rows, cols, ones)
 
 
 def blowup_critical_points(base: BaseMorseData,

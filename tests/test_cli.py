@@ -691,11 +691,16 @@ def test_numpy_free_subcommands_load_no_numpy():
 
 
 #: bodies that morse and flow refuse while reading their fields, before
-#: numpy: a missing field, a non-finite entry and a ragged matrix
+#: numpy: a missing field, a non-finite entry, malformed counts, a
+#: non-integer grading shift and a ragged matrix
 NUMPY_BODY_ERRORS = [
     (["morse", "--input", "-"], "{}", 2),
     (["morse", "--input", "-"], json.dumps(
         {"points": [{"label": "q", "ind_q": 0, "fiber": [[nan]]}]}), 2),
+    (["morse", "--input", "-"], json.dumps(
+        edited(MORSE_BODY, ("counts",), "x")), 2),
+    (["morse", "--input", "-"], json.dumps(
+        edited(MORSE_BODY, ("grading_shift",), 1.7)), 2),
     (["flow", "--input", "-"], "{}", 2),
     (["flow", "--input", "-"], json.dumps(
         {"L": [[1.0], [0.0, 2.0]], "t_max": 1, "step": 0.1}), 2),

@@ -260,6 +260,15 @@ def test_json_roundtrip_f2():
     assert F2Matrix.from_json(m.to_json()) == m
 
 
+def test_ones_derived_once_per_matrix():
+    m = F2Matrix.from_entries(3, 4, [(2, 3), (0, 1), (0, 0)])
+    assert m.ones == ((0, 0), (0, 1), (2, 3))
+    assert m.ones is m.ones
+    # the cached positions take no part in equality or hashing
+    other = F2Matrix(3, 4, m.masks)
+    assert m == other and hash(m) == hash(other)
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form / cokernels
 # ---------------------------------------------------------------------------
