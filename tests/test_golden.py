@@ -275,17 +275,27 @@ def requests() -> list[tuple[list[str], str]]:
                 json.dumps(space_data(DOUBLED_D1).to_json())))
     out += [(["morse", "--input", "-"], json.dumps(edited(MORSE_BODY, *edit)))
             for edit in _morse_rejections()]
+    out += [([command, "--input", "-"], json.dumps(edited(*edit)))
+            for command in ("spinc", "seifert-matrix", "flow")
+            for edit in _field_rejections(command)]
     return out
+
+
+def _field_rejections(command: str) -> list[tuple]:
+    """(body, path, value) of every edit that NON_INTEGER_FIELDS,
+    FLOAT_FIELDS or NUMBER_FIELDS of test_cli.py refuses for
+    ``command``."""
+    edits = [t[3:] for t in NON_INTEGER_FIELDS if t[1] == command]
+    edits += [(*t[3:], v) for t in FLOAT_FIELDS if t[1] == command
+              for v in NON_FINITE]
+    return edits + [(*t[3:], v) for t in NUMBER_FIELDS if t[1] == command
+                    for v in NON_NUMBERS]
 
 
 def _morse_rejections() -> list[tuple]:
     """(path, value) of every edit of MORSE_BODY that a rejection table of
     test_cli.py refuses."""
-    edits = [t[4:] for t in NON_INTEGER_FIELDS if t[1] == "morse"]
-    edits += [(t[4], v) for t in FLOAT_FIELDS if t[1] == "morse"
-              for v in NON_FINITE]
-    edits += [(t[4], v) for t in NUMBER_FIELDS if t[1] == "morse"
-              for v in NON_NUMBERS]
+    edits = [edit[1:] for edit in _field_rejections("morse")]
     edits += [(("points", 0, "label"), label) for label in LABELS]
     edits += [(("counts",), {"rows": size, "cols": size, "ones": ones})
               for size, ones in COUNTS_SHAPES]
