@@ -11,7 +11,8 @@ switches to an indented rendering of the same report.
 
 Each process runs one subcommand, so the module imports only ``errors``
 at load time, and each handler imports the library names it calls; the
-parser lists no ``--fixture`` names, ``build_fixture`` checks them.  Only
+parser lists no ``--fixture`` names, and ``build_fixture`` refuses an
+unknown one as ``invalid_input`` listing the known ones.  Only
 ``morse``, ``flow`` and ``fixtures-selftest`` load numpy, and ``morse``
 and ``flow`` only once the body's fields are read and checked; ``spinc``,
 ``seifert-matrix``, ``brieskorn``, ``lens``, ``psc`` and ``index`` never
@@ -232,6 +233,9 @@ def _cmd_flow(args) -> int:
     s0 = input_field(raw, "s0", _finite_float, 0.0)
     t_max = input_field(raw, "t_max", input_float)
     step = input_field(raw, "step", input_float)
+    if phi0 is None and args.seed < 0:
+        raise InvalidInput(f"--seed must be a non-negative integer, "
+                           f"got {args.seed}")
     import numpy as np
 
     from .morse_blowup import (LinearFlowModel, closed_form_phi,

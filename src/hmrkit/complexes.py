@@ -21,14 +21,24 @@ counting trajectories through the interior, and ``bar_<src><tgt>`` for the
 four counting boundary trajectories.  The connecting block ``bar_su`` is the
 boundary-obstructed one: it lowers ``bar_gr`` by 1 while raising nothing.
 
+:func:`assemble` builds the three complexes once per block set and
+returns the same object on every later call.  Each flavor multiplies out
+d . d once, for :func:`verify_d_squared` and every :func:`homology` call,
+reads the columns of its differential as bitmasks once, and reduces each
+grading once: each column carries its generator's bit as a tag above its
+boundary bits, and one reduced echelon pass gives the cycles (the rows
+whose pivot is a tag) and an echelon basis of the boundaries one grading
+below (the other rows, tags masked off).  :func:`homology` and the LES
+check share that table, kept on the complex.
+
 The maps i: bar -> check, j: check -> hat, p: hat -> bar are chain maps
-(p lowers the grading by one) and induce the long exact sequence relating
-the three homologies; :func:`verify_les_exact` checks exactness at every
-grading by plain rank arithmetic, and each composite g . f on homology by
-applying g to the images f(Z) it has already formed.  Each grading of a
-flavor goes through one elimination of its tagged columns, for its cycles
-and the boundaries one grading below; :func:`homology` and the LES check
-share that table.
+(p lowers the grading by one); :func:`les_maps` reuses the complexes its
+caller assembled and checks each chain-map identity by comparing its two
+sides.  They induce the long exact sequence relating the three
+homologies; :func:`verify_les_exact` checks exactness at every grading,
+the extreme ones included, by plain rank arithmetic, and each composite
+g . f on homology by applying g to the images f(Z) that the rank of f is
+read from, so it forms no product of maps.
 """
 
 from __future__ import annotations

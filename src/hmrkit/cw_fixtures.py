@@ -1,9 +1,12 @@
-"""Equivariant CW fixtures: small spaces with involution, built honestly.
+"""Equivariant CW fixtures: spheres, lens spaces, tori and circle bundles
+with involution, built honestly.
 
 Each builder adds cells with explicit integer boundaries, each boundary
 cell already added one degree lower, and writes each cell's coboundary
-row as it goes; it states the cellular involution once per orbit, then
-numbers the quotient cells and writes the orbit entries in one walk.  An
+row as it goes; a duplicate cell, or a boundary cell not added one degree
+lower, is ``shape_mismatch``.  It states the cellular involution once per
+orbit, then numbers the quotient cells and writes the orbit entries in
+one walk, where a cell with no image is ``malformed_orbit_map``.  An
 orbit is either a fixed cell or a pair of cells swapped with a sign.  The
 :class:`EquivariantCWData` constructor checks d.d = 0 and that the
 involution is a chain map, as for any other input, and derives the

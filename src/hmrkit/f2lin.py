@@ -1,25 +1,29 @@
-"""Exact linear algebra over F2 and over the integers.
+"""Exact linear algebra over F2 and over the integers, without numpy.
 
 :class:`F2Matrix` stores one Python int per row, bit c of row r being
 entry (r, c): a product XORs rows, and one reduced echelon elimination
-gives rank and kernel (M4RI-style XOR elimination).  The positions of
-the ones are derived from the rows once per matrix, for JSON and the
-grading checks.
+gives rank and kernel (M4RI-style XOR elimination).  Products and
+transposes walk the set bits of a row inline (``mask & -mask``), not
+through :func:`bits`.  The positions of the ones are derived on first
+read, once per matrix, for JSON and the grading checks.
+:func:`read_counts` checks the counts of a ``morse`` body against its
+point count before any row is built.
 :class:`IntMatrix` stores sparse rows of Python integers, (column,
-value) pairs with columns ascending (coboundary maps stay small but
-pivots in Smith normal form do not, so arbitrary precision is
-mandatory), and its algebra walks the nonzeros only.  A left row of one
-entry, as in a signed permutation, the identity or a scale, is copied or
-scaled rather than summed through a dictionary, and so is a sum with an
-empty row or of two one-entry rows.  The dense grid is derived for
-JSON and at the entry of the eliminations below, whose census inputs
-are already reduced to a few rows.  Rank and determinant come from
-fraction-free Bareiss elimination, whose entries stay minors of the
-input; every other lattice question (kernels, cokernels,
-membership in a column lattice and subquotients) reads one Smith normal
-form.  That form is the textbook smallest-pivot elimination and returns
-the diagonal of D and V^T for the column transform V; the row transform
-U of A that a solve needs is read as the V^T of the Smith form of A^T.
+value) pairs with columns ascending and no zero, so ``==`` and ``hash``
+compare values (pivots in Smith normal form grow, so arbitrary
+precision is mandatory), and its algebra walks the nonzeros only.  A
+left row of one entry, as in a signed permutation, the identity or a
+scale, is copied or scaled rather than summed through a dictionary, and
+so is a sum with an empty row or of two one-entry rows.  The dense grid
+is derived for JSON, whose ``data`` stays dense, and at the entry of the
+eliminations below, whose census inputs are already reduced to a few
+rows.  Rank and determinant come from fraction-free Bareiss elimination,
+whose entries stay minors of the input; every other lattice question
+(kernels, cokernels, membership in a column lattice and subquotients)
+reads one Smith normal form.  That form is the textbook smallest-pivot
+elimination (Cohen, GTM 138, 2.4.4) and returns the diagonal of D and
+V^T for the column transform V; the row transform U of A that a solve
+needs is read as the V^T of the Smith form of A^T.
 Homology ranks, the LES check and the real spin-c census all reduce to
 the operations in this module.
 """

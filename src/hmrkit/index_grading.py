@@ -2,10 +2,10 @@
 
 The three ingredients: the index of the deformation operator on a closed
 4-manifold with involution, the grading shift picked up along a loop of
-configurations, and the structure of the grading set J as a Z-set.  The
-recurring 1/2-factor (half the ordinary monopole degree) means parity
-failures indicate input that no real spin-c structure can realize — they
-raise, they are never rounded away.
+configurations, and the structure of the grading set J as a Z-set,
+with its stabilizers.  The recurring 1/2-factor (half the ordinary
+monopole degree) means parity failures indicate input that no real
+spin-c structure can realize — they raise, they are never rounded away.
 """
 
 from __future__ import annotations

@@ -33,7 +33,13 @@ and is cut to the steps taken before the trajectory views it.
 The step h must satisfy h max|lambda| <= 1.5, inside the range
 h lambda < 1.596 where P keeps the eigenmodes in order.
 ``closed_form_phi`` uses the eigendata and serves as the independent
-oracle; the integrator builds P from L alone.
+oracle; the integrator builds P from L alone.  :class:`LinearFlowModel`
+keeps the eigendata as ``np.linalg.eigh`` returns it: the closed form and
+the limiting eigen index read an eigenvector only through V (V^T phi0)
+and |V^T phi0|, so no answer depends on its sign.  Its checks test exact
+symmetry first, ``np.allclose`` (atol 1e-12) only when that fails, and
+check the spectrum for non-finite, zero and repeated eigenvalues on
+plain floats.
 """
 
 from __future__ import annotations

@@ -18,6 +18,12 @@ Supported inputs:
   involutions, where the irreducible critical points are tabulated
   (:func:`brieskorn_irreducibles`) and cross-checked against a
   brute-force orbifold-line-bundle enumeration (:func:`divisor_count`).
+
+:func:`brieskorn_hmr` is the one entry point for a Brieskorn answer: it
+tabulates the spectrum, takes the default window or checks the given
+one, and assembles the flavor triple.  The answer builds its explicit
+chain model, and imports :mod:`hmrkit.complexes`, only when
+``BrieskornResult.complexes`` is read.
 """
 
 from __future__ import annotations

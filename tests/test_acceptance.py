@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +33,8 @@ from hmrkit.real_spinc import SeifertMatrix, branched_cover_invariants, \
 from hmrkit.cw_fixtures import build_fixture
 from hmrkit.seifert_hmr import BrieskornInput, Tower, brieskorn_hmr, \
     psc_hmr
+
+from test_real_spinc import oracle_alexander_at_minus_one
 
 
 def verdict(number: int, label: str, ok: bool):
@@ -133,27 +134,6 @@ def test_criterion_5_real_structure_census():
     ok = ok and (real_spinc_torsor(rotation).size(),
                  real_structure_classes(rotation)) == cli.ROTATION_CENSUS
     verdict(5, "real spin-c census", ok)
-
-
-def oracle_alexander_at_minus_one(a: IntMatrix) -> int:
-    n = a.rows
-    if n == 0:
-        return 1
-    d = a.data
-    sym = [[Fraction(d[i][j] + d[j][i]) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if sym[i][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            sym[k], sym[piv] = sym[piv], sym[k]
-        det *= sym[k][k]
-        for i in range(k + 1, n):
-            f = sym[i][k] / sym[k][k]
-            sym[i] = [x - f * y for x, y in zip(sym[i], sym[k])]
-    assert det.denominator == 1
-    return abs(int(det))
 
 
 def test_criterion_6_branched_covers():

@@ -22,8 +22,11 @@ from test_real_spinc import time_limit
 
 
 def run_cli(capsys, *argv):
+    """Exit code and stdout of one in-process run, which writes nothing to
+    stderr, errors included."""
     code = cli.run(list(argv))
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == ""
     return code, out
 
 
@@ -656,21 +659,24 @@ import contextlib, io, json, sys
 requests = json.load(sys.stdin)
 from hmrkit import cli
 imported = sorted(m for m in sys.modules if m.startswith("hmrkit"))
-codes = []
+codes, errors = [], []
 for argv, body in requests:
     sys.stdin = io.StringIO(body)
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         codes.append(cli.run(argv))
-print(json.dumps({"imported": imported, "codes": codes, "loaded": [
-    m for m in ("numpy", "hmrkit.morse_blowup", "hmrkit.complexes")
-    if m in sys.modules]}))
+    errors.append(json.loads(out.getvalue()).get("error", {}).get("code"))
+print(json.dumps({"imported": imported, "codes": codes, "errors": errors,
+                  "loaded": [m for m in ("numpy", "hmrkit.morse_blowup",
+                                         "hmrkit.complexes")
+                             if m in sys.modules]}))
 """
 
 
 def run_fresh(requests) -> dict:
     """Run (argv, stdin, exit code) requests in a fresh interpreter; its
-    hmrkit imports after loading the CLI, the exit codes, and which of
-    numpy, morse_blowup and complexes the answers loaded."""
+    hmrkit imports after loading the CLI, the exit codes, the error code of
+    each report (None for an answer), and which of numpy, morse_blowup and
+    complexes the answers loaded."""
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_FREE_CHILD], env=_child_env(),
         input=json.dumps([[argv, body] for argv, body, _ in requests]),
@@ -692,7 +698,8 @@ def test_numpy_free_subcommands_load_no_numpy():
 
 #: bodies that morse and flow refuse while reading their fields, before
 #: numpy: a missing field, a non-finite entry, malformed counts, a
-#: non-integer grading shift and a ragged matrix
+#: non-integer grading shift, a ragged matrix, and a negative --seed for a
+#: random phi0
 NUMPY_BODY_ERRORS = [
     (["morse", "--input", "-"], "{}", 2),
     (["morse", "--input", "-"], json.dumps(
@@ -704,11 +711,32 @@ NUMPY_BODY_ERRORS = [
     (["flow", "--input", "-"], "{}", 2),
     (["flow", "--input", "-"], json.dumps(
         {"L": [[1.0], [0.0, 2.0]], "t_max": 1, "step": 0.1}), 2),
+    (["flow", "--input", "-", "--seed", "-1"], json.dumps(
+        {"L": [[1.0, 0.0], [0.0, 2.0]], "t_max": 1, "step": 0.1}), 2),
 ]
 
 
 def test_malformed_morse_and_flow_bodies_load_no_numpy():
-    assert run_fresh(NUMPY_BODY_ERRORS)["loaded"] == []
+    result = run_fresh(NUMPY_BODY_ERRORS)
+    assert result["errors"] == ["invalid_input"] * len(NUMPY_BODY_ERRORS)
+    assert result["loaded"] == []
+
+
+def test_lens_process_loads_no_census_or_numpy_modules():
+    # a fresh python -m hmrkit.cli process, whose -X importtime log names
+    # every module it loads
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hmrkit.cli", "lens",
+         "--p", "5", "--q", "2"], env=_child_env(), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["p"] == 5
+    loaded = {line.rsplit("|", 1)[1].strip()
+              for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "hmrkit.seifert_hmr" in loaded
+    assert not loaded & {"numpy", "hmrkit.f2lin", "hmrkit.real_spinc",
+                         "hmrkit.cw_fixtures"}
 
 
 def test_handlers_look_library_names_up_at_call_time(capsys, monkeypatch,
@@ -805,6 +833,25 @@ def test_flow_bad_stride_exits_2(capsys, tmp_path, stride, output):
     assert report["error"]["code"] == "invalid_input"
     assert "--stride" in report["error"]["message"]
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("phi0, code", [(None, 2), ([0.6, 0.8], 0)],
+                         ids=["random_phi0", "given_phi0"])
+def test_flow_negative_seed_exits_2_when_used(capsys, tmp_path, phi0, code):
+    # --seed -1 once ended in a ValueError traceback from numpy; a body
+    # with its own phi0 does not use the seed
+    body = {"L": [[-1.0, 0.0], [0.0, 2.0]], "t_max": 1.0, "step": 0.01}
+    if phi0 is not None:
+        body["phi0"] = phi0
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(body))
+    got, report = run_json(capsys, "flow", "--input", str(path),
+                           "--seed", "-1")
+    assert got == code
+    if code:
+        assert report["error"] == {
+            "code": "invalid_input",
+            "message": "--seed must be a non-negative integer, got -1"}
 
 
 @pytest.mark.parametrize("window", ["abc", "1", ":"])

@@ -65,8 +65,8 @@ CHAIN_MORSE = ((60, 3), (140, 5), (200, 6))
 #: benchmark's cli mix sends (20-40 generators asked, 20-45 made, n = 2 and
 #: 3), each with every count of negative fiber eigenvalues
 CLI_MORSE = ((20, 2), (40, 2), (21, 3), (39, 3))
-#: the ``morse`` example of the CI's installed-package step: one point,
-#: gradings 0 and 1
+#: a one-point ``morse`` example of gradings 0 and 1, whose report has all
+#: three homology flavors and an exact LES
 EXAMPLE_MORSE = {"points": [{"label": "q", "ind_q": 0,
                              "fiber": [[1.0, 0.5], [0.5, -2.0]]}]}
 #: ``flow`` bodies at the edges of the integrator's blocks, answered with
