@@ -50,7 +50,7 @@ LARGE_LENS = ((23, 4), (25, 7), (27, 5), (29, 12), (31, 6), (33, 10),
               (35, 8), (37, 11), (39, 14), (41, 9), (61, 7))
 #: (p, q) of the ``lens`` requests, errors included
 LENS_TABLE = ((1, 0), (3, 1), (5, 2), (7, 3), (9, 2), (4, 2), (3, 5),
-              (1000003, 2))
+              (1000003, 2), (0, 0), (-3, 1))
 #: (c1sq, sigma, b1, bplus, b0) of the ``index`` requests, errors included
 INDEX_TABLE = ((8, 0, 1, 1, 0), (0, 0, 0, 0, 0), (16, 0, 2, 1, 0),
                (1, 0, 0, 0, 0), (0, 0, -5, 0, 0), (0, 0, 0, -2, 0))
