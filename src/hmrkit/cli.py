@@ -32,7 +32,7 @@ import time
 from functools import partial
 
 from .errors import (HmrkitError, InvalidInput, MalformedJson, input_field,
-                     input_float, input_int, input_list)
+                     input_float, input_int, input_list, input_object)
 
 SELFTEST_BUDGET_SECONDS = 60.0
 
@@ -187,7 +187,8 @@ def _label(value) -> str:
 
 def _base_points(value) -> list:
     return [(_label(p["label"]), input_int(p["ind_q"]),
-             _finite_floats(p["fiber"])) for p in input_list(value)]
+             _finite_floats(p["fiber"]))
+            for p in map(input_object, input_list(value))]
 
 
 def _cmd_morse(args) -> int:

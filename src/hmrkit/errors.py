@@ -150,6 +150,13 @@ def input_list(value) -> list:
     return value
 
 
+def input_object(value) -> dict:
+    """An object of an input body; an array or a string raises TypeError."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
 def input_float(value) -> float:
     """A real number of an input body: a JSON integer or float, not a
     boolean and not a string.  A string raises ValueError, with the

@@ -36,7 +36,7 @@ from itertools import compress, repeat
 from operator import itemgetter, xor
 from typing import Iterable, Sequence
 
-from .errors import ShapeMismatch, input_int, input_list
+from .errors import ShapeMismatch, input_int, input_list, input_object
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,7 @@ def json_entries(obj: dict) -> tuple[int, int, set]:
     ``{"rows", "cols", "ones"}``, each position checked against that
     shape.  Nothing here is sized by the shape, so a caller can check it
     before a matrix is built."""
+    obj = input_object(obj)
     rows, cols = input_int(obj["rows"]), input_int(obj["cols"])
     ones = {(input_int(r), input_int(c)) for r, c in obj["ones"]}
     for (r, c) in ones:
@@ -279,6 +280,7 @@ class IntMatrix:
 
     @staticmethod
     def from_json(obj: dict) -> "IntMatrix":
+        obj = input_object(obj)
         shape = (input_int(obj["rows"]), input_int(obj["cols"]))
         if min(shape) < 0:
             raise ValueError(f"negative shape {shape[0]}x{shape[1]}")

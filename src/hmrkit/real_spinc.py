@@ -84,6 +84,7 @@ from .errors import (
     input_field,
     input_int,
     input_list,
+    input_object,
 )
 from .f2lin import (
     IntMatrix,
@@ -297,7 +298,7 @@ class EquivariantCWData:
                            index=input_int(o["cell"][1]),
                            image=input_int(o["image"]), fixed=flag(o["fixed"]),
                            sign=input_int(o["sign"]))
-                for o in input_list(v))
+                for o in map(input_object, input_list(v)))
 
         cells_M = input_field(obj, "cells_M", counts)
         cells_Q = input_field(obj, "cells_Q", counts)

@@ -125,9 +125,12 @@ def psc_hmr(b1_inv: int, torsion: bool):
 
 def lens_hmr(p: int, q: int):
     """(count, triple) for L(p, q): its p real spin-c structures each carry
-    the three-sphere flavor triple."""
-    if p < 1 or q < 0 or (p, q) != (1, 0) and not 0 < q < p:
-        raise NotCoprime(f"invalid lens parameters ({p}, {q})")
+    the three-sphere flavor triple.  p below 1 or q outside [0, p) is
+    InvalidInput; a common factor of p and q is NotCoprime."""
+    if p < 1:
+        raise InvalidInput(f"p must be a positive integer, got {p}")
+    if not 0 <= q < p:
+        raise InvalidInput(f"q must satisfy 0 <= q < p = {p}, got {q}")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"lens parameters ({p}, {q}) are not coprime")
     return p, psc_hmr(0, True)

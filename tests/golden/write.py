@@ -16,7 +16,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(TESTS), str(TESTS.parent / "src")]
 
-from test_golden import GOLDEN, answer, requests  # noqa: E402
+from test_golden import GOLDEN, answer, requests, run_request  # noqa: E402
 
 
 def by_request(table: list) -> dict:
@@ -24,7 +24,8 @@ def by_request(table: list) -> dict:
 
 
 old = by_request(json.loads(GOLDEN.read_text()) if GOLDEN.exists() else [])
-table = [answer(argv, body) for argv, body in requests()]
+table = [answer(argv, body, *run_request(argv, body))
+         for argv, body in requests()]
 new = by_request(table)
 for key, entry in new.items():
     if key in old and old[key] != entry:

@@ -409,7 +409,9 @@ MORSE_BODY = {"points": [{"label": "a", "ind_q": 0, "fiber": [[1.0]]},
 #: grid, that once ended as shape_mismatch with no field named, or an empty
 #: grid under a 2**62 x 2**62 shape, that once allocated the declared zeros
 #: and ended in MemoryError, or an object or a string where an array is
-#: expected, or an empty cell list, that were once read as empty arrays)
+#: expected, or an empty cell list, that were once read as empty arrays,
+#: or a string where an object is expected, whose message once quoted
+#: CPython's own words, which differ between Python versions)
 NON_INTEGER_FIELDS = (
     ("seifert_float", "seifert-matrix", "data", {"data": [[1]]},
      ("data", 0, 0), 1.5),
@@ -461,6 +463,13 @@ NON_INTEGER_FIELDS = (
      ("cells_M",), []),
     ("spinc_cells_Q_empty", "spinc", "cells_Q", lens_space(3, 1).to_json(),
      ("cells_Q",), []),
+    ("morse_counts_string", "morse", "counts", MORSE_BODY, ("counts",), "x"),
+    ("morse_point_string", "morse", "points", MORSE_BODY, ("points", 0),
+     "q"),
+    ("spinc_delta_M_entry_string", "spinc", "delta_M",
+     lens_space(3, 1).to_json(), ("delta_M", 0), "q"),
+    ("spinc_orbit_entry_string", "spinc", "orbit", lens_space(3, 1).to_json(),
+     ("orbit", 0), "q"),
 )
 
 
@@ -893,9 +902,11 @@ def test_flow_csv_rows_are_the_json_samples(capsys, tmp_path):
     (["index", "--c1sq", "0", "--sigma", "0", "--b1", "0", "--bplus", "0",
       "--b0", "-1"], "b0"),
     (["spinc", "--fixture", "no_such_fixture"], "lens_3_1"),
+    (["lens", "--p", "-3", "--q", "1"], "p must"),
+    (["lens", "--p", "3", "--q", "5"], "q must"),
 ], ids=["psc_b1", "brieskorn_k", "brieskorn_window_reversed",
         "brieskorn_window_below", "index_b1", "index_bplus", "index_b0",
-        "spinc_fixture"])
+        "spinc_fixture", "lens_p", "lens_q"])
 def test_out_of_domain_flag_exits_2(capsys, argv, flag):
     code, report = run_json(capsys, *argv)
     assert code == 2

@@ -302,15 +302,20 @@ def _morse_rejections() -> list[tuple]:
     return edits + [(("counts",), COUNT_OUTSIDE)]
 
 
-def answer(argv: list[str], body: str) -> dict:
-    """The table entry of one request, run through ``cli.run``."""
+def run_request(argv: list[str], body: str) -> tuple[int, str]:
+    """(exit code, stdout) of one request, run through ``cli.run``."""
     stdin, sys.stdin = sys.stdin, io.StringIO(body)
     try:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = cli.run(argv)
     finally:
         sys.stdin = stdin
-    text = out.getvalue()
+    return code, out.getvalue()
+
+
+def answer(argv: list[str], body: str, code: int, text: str) -> dict:
+    """The table entry of one request that exits ``code`` with stdout
+    ``text``."""
     if argv[0] == "flow":
         text = json.dumps(_round9(json.loads(text)), sort_keys=True)
     return {"argv": argv, "body_sha256": _sha(body), "exit": code,
@@ -319,7 +324,13 @@ def answer(argv: list[str], body: str) -> dict:
 
 def test_golden_answers():
     want = json.loads(GOLDEN.read_text())
-    got = [answer(argv, body) for argv, body in requests()]
+    runs = [(argv, body, *run_request(argv, body))
+            for argv, body in requests()]
+    # CPython words these errors differently from one version to the next
+    assert not [argv for argv, _, _, text in runs
+                if "indices must be integers" in text
+                or "not subscriptable" in text]
+    got = [answer(*run) for run in runs]
     assert [(w["argv"], w["body_sha256"]) for w in want] == \
         [(g["argv"], g["body_sha256"]) for g in got]
     changed = [(g["argv"], g["body_sha256"][:12])

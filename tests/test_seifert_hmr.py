@@ -100,7 +100,7 @@ def test_lens_copies():
 def test_lens_rejects_bad_input():
     with pytest.raises(NotCoprime):
         lens_hmr(4, 2)
-    with pytest.raises(NotCoprime):
+    with pytest.raises(InvalidInput, match="q must .* got 5"):
         lens_hmr(3, 5)
 
 
