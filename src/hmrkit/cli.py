@@ -2,22 +2,18 @@
 
 Every subcommand reads explicit flags and/or a JSON input file, runs one
 library computation, and writes a deterministic JSON report (sorted keys,
-fixed separators) to stdout or ``--output``.  Module errors become
-structured ``{"error": {"code", "message"}}`` objects with exit code 1;
-malformed input JSON, input bodies with a missing or malformed field, and
-out-of-domain input values (``InvalidInput``, naming the field) exit with
-code 2, as does a run out of memory (``out_of_memory``).  ``--pretty``
-switches to an indented rendering of the same report.
+fixed separators) to stdout or ``--output``.  The README's "Command line"
+section states which requests are refused, with which error code and
+exit code, as a table that ``tests/test_readme.py`` runs.
 
 Each process runs one subcommand, so the module imports only ``errors``
 at load time, and each handler imports the library names it calls; the
-parser lists no ``--fixture`` names, and ``build_fixture`` refuses an
-unknown one as ``invalid_input`` listing the known ones.  Only
-``morse``, ``flow`` and ``fixtures-selftest`` load numpy, and ``morse``
-and ``flow`` only once the body's fields are read and checked; ``spinc``,
-``seifert-matrix``, ``brieskorn``, ``lens``, ``psc`` and ``index`` never
-do.  A name imported inside a handler is looked up on its defining
-module at each call, so rebinding it there reaches the CLI.
+parser lists no ``--fixture`` names, so that it needs no fixture module.
+Only ``morse``, ``flow`` and ``fixtures-selftest`` load numpy, and
+``morse`` and ``flow`` only once the body's fields are read and checked;
+``spinc``, ``seifert-matrix``, ``brieskorn``, ``lens``, ``psc`` and
+``index`` never do.  A name imported inside a handler is looked up on its
+defining module at each call, so rebinding it there reaches the CLI.
 """
 
 from __future__ import annotations
@@ -324,9 +320,7 @@ def _cmd_brieskorn(args) -> int:
         # every differential block of the model is zero, so d.d = 0 holds
         # for any report that is written
         "d_squared": True,
-        "hat": res.hat.to_json(),
-        "check": res.check.to_json(),
-        "bar": res.bar.to_json(),
+        **_triple_json((res.hat, res.check, res.bar)),
     }
     return _emit(report, args)
 

@@ -21,24 +21,9 @@ counting trajectories through the interior, and ``bar_<src><tgt>`` for the
 four counting boundary trajectories.  The connecting block ``bar_su`` is the
 boundary-obstructed one: it lowers ``bar_gr`` by 1 while raising nothing.
 
-:func:`assemble` builds the three complexes once per block set and
-returns the same object on every later call.  Each flavor multiplies out
-d . d once, for :func:`verify_d_squared` and every :func:`homology` call,
-reads the columns of its differential as bitmasks once, and reduces each
-grading once: each column carries its generator's bit as a tag above its
-boundary bits, and one reduced echelon pass gives the cycles (the rows
-whose pivot is a tag) and an echelon basis of the boundaries one grading
-below (the other rows, tags masked off).  :func:`homology` and the LES
-check share that table, kept on the complex.
-
-The maps i: bar -> check, j: check -> hat, p: hat -> bar are chain maps
-(p lowers the grading by one); :func:`les_maps` reuses the complexes its
-caller assembled and checks each chain-map identity by comparing its two
-sides.  They induce the long exact sequence relating the three
-homologies; :func:`verify_les_exact` checks exactness at every grading,
-the extreme ones included, by plain rank arithmetic, and each composite
-g . f on homology by applying g to the images f(Z) that the rank of f is
-read from, so it forms no product of maps.
+The maps i: bar -> check, j: check -> hat and p: hat -> bar (p lowers
+the grading by one) are chain maps, and induce the long exact sequence of
+the three homologies.
 """
 
 from __future__ import annotations
@@ -266,7 +251,9 @@ class LesMaps:
 
 
 def les_maps(blocks: BlockDifferentials) -> LesMaps:
-    """Assemble i, j, p and verify the chain-map identities.
+    """Assemble i, j, p and verify the chain-map identities f d = d f,
+    by comparing the two sides, on the complexes that :func:`assemble`
+    built for ``blocks``.
 
         i = [[0, d_uo], [1, d_us]]     (C_s + C_u  ->  C_o + C_s)
         j = [[1, 0], [0, bar_su]]      (C_o + C_s  ->  C_o + C_u)

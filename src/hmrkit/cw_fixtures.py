@@ -1,21 +1,13 @@
 """Equivariant CW fixtures: spheres, lens spaces, tori and circle bundles
 with involution, built honestly.
 
-Each builder adds cells with explicit integer boundaries, each boundary
-cell already added one degree lower, and writes each cell's coboundary
-row as it goes; a duplicate cell, or a boundary cell not added one degree
-lower, is ``shape_mismatch``.  It states the cellular involution once per
-orbit, then numbers the quotient cells and writes the orbit entries in
-one walk, where a cell with no image is ``malformed_orbit_map``.  An
-orbit is either a fixed cell or a pair of cells swapped with a sign.  The
-:class:`EquivariantCWData` constructor checks d.d = 0 and that the
-involution is a chain map, as for any other input, and derives the
-quotient complex.  The centerpiece is a genus-one
-splitting of lens spaces: the torus carries the arrangement of four
-circles through the involution's fixed points (two "horizontal" ones and
-two of slope p/q), and each handlebody contributes two fixed diameters,
-four half-disks swapped in pairs, and two solid slabs swapped by the
-involution.
+Each fixture gives its cells explicit integer boundaries and its
+involution, and the :class:`EquivariantCWData` constructor checks it as
+any other input.  The centerpiece is a genus-one splitting of lens
+spaces: the torus carries the arrangement of four circles through the
+involution's fixed points (two "horizontal" ones and two of slope p/q),
+and each handlebody contributes two fixed diameters, four half-disks
+swapped in pairs, and two solid slabs swapped by the involution.
 
 Coordinates on the torus R^2/Z^2 (involution v -> -v, fixed points at
 {0,1/2}^2): vertices V[m] = (m/2p, 0) and W[m] = (m/2p, 1/2) for
@@ -37,7 +29,8 @@ from .real_spinc import EquivariantCWData, OrbitEntry
 
 class _Builder:
     """Cells in degree order, each with its coboundary row, and the
-    involution, stated once per orbit."""
+    involution, stated once per orbit: a fixed cell, or a pair of cells
+    swapped with a sign."""
 
     def __init__(self):
         self.cells = defaultdict(list)  # degree -> cells in index order
@@ -46,7 +39,9 @@ class _Builder:
         self.iota: dict = {}  # cell -> (image, sign)
 
     def add(self, deg: int, cid, boundary: dict):
-        """Add a cell; each boundary cell must be added, one degree lower."""
+        """Add a cell and write its coboundary row; each boundary cell must
+        be added, one degree lower, and a duplicate cell or a boundary cell
+        that is not is ShapeMismatch."""
         if cid in self.at:
             raise ShapeMismatch(f"duplicate cell {cid}")
         row = []
@@ -71,7 +66,8 @@ class _Builder:
 
     def finish(self) -> EquivariantCWData:
         """Number the quotient cells (an orbit takes the number of its
-        first cell) and write the orbit entries, in one walk."""
+        first cell) and write the orbit entries, in one walk; a cell with no
+        image is MalformedOrbitMap."""
         dim = max(self.cells)
         cells = [self.cells[d] for d in range(dim + 1)]
         quotient: dict = {}

@@ -1,31 +1,10 @@
 """Exact linear algebra over F2 and over the integers, without numpy.
 
-:class:`F2Matrix` stores one Python int per row, bit c of row r being
-entry (r, c): a product XORs rows, and one reduced echelon elimination
-gives rank and kernel (M4RI-style XOR elimination).  Products and
-transposes walk the set bits of a row inline (``mask & -mask``), not
-through :func:`bits`.  The positions of the ones are derived on first
-read, once per matrix, for JSON and the grading checks.
-:func:`read_counts` checks the counts of a ``morse`` body against its
-point count before any row is built.
-:class:`IntMatrix` stores sparse rows of Python integers, (column,
-value) pairs with columns ascending and no zero, so ``==`` and ``hash``
-compare values (pivots in Smith normal form grow, so arbitrary
-precision is mandatory), and its algebra walks the nonzeros only.  A
-left row of one entry, as in a signed permutation, the identity or a
-scale, is copied or scaled rather than summed through a dictionary, and
-so is a sum with an empty row or of two one-entry rows.  The dense grid
-is derived for JSON, whose ``data`` stays dense, and at the entry of the
-eliminations below, whose census inputs are already reduced to a few
-rows.  Rank and determinant come from fraction-free Bareiss elimination,
-whose entries stay minors of the input; every other lattice question
-(kernels, cokernels, membership in a column lattice and subquotients)
-reads one Smith normal form.  That form is the textbook smallest-pivot
-elimination (Cohen, GTM 138, 2.4.4) and returns the diagonal of D and
-V^T for the column transform V; the row transform U of A that a solve
-needs is read as the V^T of the Smith form of A^T.
 Homology ranks, the LES check and the real spin-c census all reduce to
-the operations in this module.
+the operations in this module.  Integer rank and determinant come from
+Bareiss elimination, and every other lattice question (kernels,
+cokernels, membership in a column lattice and subquotients) reads one
+Smith normal form.
 """
 
 from __future__ import annotations
@@ -50,7 +29,8 @@ class F2Matrix:
 
     @cached_property
     def ones(self) -> tuple:
-        """The positions (r, c) of the ones, in row-major order."""
+        """The positions (r, c) of the ones, in row-major order, derived on
+        first read for JSON and the grading checks."""
         return tuple((r, c) for r, mask in enumerate(self.masks)
                      for c in bits(mask))
 
@@ -189,7 +169,8 @@ def f2_block(blocks: Sequence[Sequence[F2Matrix]]) -> F2Matrix:
 
 
 def reduced_echelon(masks: Iterable[int]) -> dict[int, int]:
-    """Reduced row echelon basis of the row space of ``masks``.
+    """Reduced row echelon basis of the row space of ``masks``, by XOR
+    elimination as in M4RI.
 
     Returns ``{pivot column: row}``: a row's pivot is its lowest set bit,
     and no other row has that bit.
@@ -232,10 +213,11 @@ def f2_kernel_basis(m: F2Matrix) -> list[int]:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Integer matrix as sparse rows of arbitrary-precision ints:
-    ``entries[i]`` lists the nonzeros of row i as (column, value) pairs,
-    columns ascending.  The form is canonical, so ``==`` and ``hash``
-    compare values; the dense grid :attr:`data` is derived."""
+    """Integer matrix as sparse rows of arbitrary-precision ints, since
+    Smith-form pivots grow: ``entries[i]`` lists the nonzeros of row i as
+    (column, value) pairs, columns ascending.  The form is canonical, so
+    ``==`` and ``hash`` compare values, and the algebra walks the nonzeros
+    only."""
 
     rows: int
     cols: int
@@ -247,7 +229,10 @@ class IntMatrix:
 
     @property
     def data(self) -> tuple:
-        """The dense grid, as a tuple of row tuples."""
+        """The dense grid, as a tuple of row tuples: for JSON, whose
+        ``data`` stays dense, and for the Smith form and Bareiss
+        eliminations, whose census inputs are already reduced to a few
+        rows."""
         return tuple(tuple(map(dict(row).get, range(self.cols), repeat(0)))
                      for row in self.entries)
 

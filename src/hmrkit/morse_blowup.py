@@ -17,29 +17,9 @@ cancel mod 2 (the two half-circles of the connecting great circle), so the
 single-fiber model has vanishing differentials; cross-base terms come from
 the supplied base trajectory counts.
 
-The flow is integrated on its linear lift psi' = -L psi: phi = psi / |psi|,
-and s = s0 |psi(t)| / |psi(0)| because d/dt log|psi| = -Lambda(phi).  One
-classical RK4 step of the lift is the fixed matrix P(h) = sum_{k<=4}
-(-hL)^k / k!.  The integrator advances in blocks of B steps: one product
-with the stacked powers [P - I; P^2 - I; ...; P^B - I] gives the next B
-lifts P^j phi, each renormalized to phi_j, with s_j = s |P^j phi| since
-phi is a unit vector.  B is BLOCK_STEPS = 16, halved to 8 when
-h max|lambda| > 0.75: P^j phi is formed as phi + (P^j - I) phi, whose
-rounding grows like eps / p(-h lambda)^B, and 16 steps at 0.75 grow it
-about as much as 8 steps at the 1.5 limit.  The convergence rule still
-reads every step, and the trajectory ends at the step where it fires.
-The samples live in one buffer that doubles in place (``ndarray.resize``)
-and is cut to the steps taken before the trajectory views it.
-The step h must satisfy h max|lambda| <= 1.5, inside the range
-h lambda < 1.596 where P keeps the eigenmodes in order.
-``closed_form_phi`` uses the eigendata and serves as the independent
-oracle; the integrator builds P from L alone.  :class:`LinearFlowModel`
-keeps the eigendata as ``np.linalg.eigh`` returns it: the closed form and
-the limiting eigen index read an eigenvector only through V (V^T phi0)
-and |V^T phi0|, so no answer depends on its sign.  Its checks test exact
-symmetry first, ``np.allclose`` (atol 1e-12) only when that fails, and
-check the spectrum for non-finite, zero and repeated eigenvalues on
-plain floats.
+:func:`closed_form_phi` uses the eigendata and serves as the independent
+oracle for :func:`integrate_blowup_flow`, which builds its RK4 step from L
+alone.
 """
 
 from __future__ import annotations
@@ -76,7 +56,9 @@ _INITIAL_ROWS = 1024
 @dataclass(frozen=True)
 class LinearFlowModel:
     """Symmetric matrix with simple nonzero spectrum, plus its eigendata as
-    ``np.linalg.eigh`` returns it; no reader depends on a column's sign."""
+    ``np.linalg.eigh`` returns it.  The closed form and the limiting eigen
+    index read an eigenvector only through V (V^T phi0) and |V^T phi0|, so
+    no answer depends on a column's sign."""
 
     L: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False)

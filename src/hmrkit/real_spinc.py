@@ -31,40 +31,11 @@ Slusarek, Comput. Math. Appl. 35, 1998): cells a and b go, delta^n
 becomes the Schur complement eps - gamma phi^-1 delta_b, delta^(n-1) loses
 row a and delta^(n+1) column b.  f adds -phi gamma_e (row b) to each row
 e, and g adds -phi delta[b][c] (column a) to each column c.
-:attr:`EquivariantCWData.reduced` sweeps the rows of each degree, taking
-in each the unit of shortest column, until no unit entry is left
-(Skoldberg, Trans. AMS 358, 2006; Mrozek and Batko, Discrete Comput. Geom.
-41, 2009), and logs the eliminations; only the coboundaries take row
-operations.  The composite f and g are read off the log from the
-surviving cells, as algebraic Morse theory reads its comparison maps off
-the matching (Skoldberg): one backward pass writes where each eliminated
-b goes under f and another where each eliminated a goes under g, moving
-all survivors at once.  Theta' and iota' are then formed from the one-
-and two-entry rows of Theta and iota*, so their cost follows the
-surviving cells.  The reduced pair is computed once per data object and
-shared by both census answers and :func:`admits_real_structure`; L(61,7)
-goes from (244, 492, 252, 4) and (124, 248, 126, 2) cells to (1, 1, 1, 1)
-and (1, 0, 0, 1).  Its Z^1(M) is computed once (``reduced.z1_M``), Z^2(M)
-and Z^1(Q) where they are read.  A report's ``cells_M`` and ``cells_Q``
-are those of the unreduced data.  :func:`admits_real_structure` checks
-that c1 is closed on the data as given, then solves Theta' f_M c1
-against the reduced delta_Q^1 (the reduced pair keeps f_M for this),
-which is solvable iff Theta c1 is a coboundary of Q.
-
-Constructing :class:`EquivariantCWData` is the one validation, and one
-walk of the orbit map.  After the shapes and d.d = 0 come the checks of
-each orbit entry, in order: degree, index, image, sign, fixed sign, listed
-once.  Then per degree every cell of M must be listed, and each quotient
-cell in turn has its fixed flags and signs checked and writes its row of
-Theta and the rows of iota* and pi* over it (the fields ``theta``,
-``iota`` and ``pullback``), one or two entries a row.  No row is sized
-by a cell count before that count is checked.  Last, iota* must commute
-with delta_M, checked as a signed involution entry by entry (a nonzero
-delta[r][c] needs delta[iota r][iota c] = s_r s_c delta[r][c]), and
-delta_Q is derived by sparse products, 2 delta_Q = Theta delta_M pi*, so
-the constructor takes no delta_Q.  Data that constructs has d.d = 0, a consistent orbit map, and chain maps
-iota* and Theta, so the census functions below read those matrices and
-do not check them again.
+:attr:`EquivariantCWData.reduced` applies these eliminations until no
+unit entry is left, and every census answer and the existence check run
+on that reduced pair.  Data that constructs has d.d = 0, a consistent
+orbit map, and chain maps iota* and Theta, so the census functions below
+read those matrices and do not check them again.
 
 Branched double covers of links enter through their Seifert matrices:
 |H_1| = |det(A + A^t)| and b_1 = nullity(A + A^t).
@@ -114,14 +85,29 @@ class EquivariantCWData:
     ``delta_M[n]`` is the coboundary C^n(M) -> C^{n+1}(M) (rows indexed by
     (n+1)-cells), one per degree below the top dimension.
 
-    Construction checks the shapes, d.d = 0 and the orbit map, writing
-    per degree n, one checked quotient cell at a time, the matrices
-    ``theta[n]`` of Theta: C^n(M) -> C^n(Q), ``iota[n]`` of iota* on
-    C^n(M), and ``pullback[n]`` of pi*: C^n(Q) -> C^n(M), checks entry by
-    entry that iota* commutes with delta_M (else MalformedOrbitMap), and
-    derives the coboundaries ``delta_Q`` of Q.  Then pi* Theta = 1 + iota*
-    and Theta is a chain map by construction.  Errors name the degree or
-    cell at fault.
+    Construction is the one validation, and one walk of the orbit map.  Its
+    checks run in this order, and each error names the degree, cell or
+    dimension at fault:
+
+    1. M and Q have one dimension (MalformedOrbitMap), and M one
+       coboundary of the right shape per degree (ShapeMismatch);
+    2. d.d = 0 on M (MalformedOrbitMap);
+    3. each orbit entry in turn: degree, index and image in range, sign
+       +-1, sign +1 on a fixed cell, listed once (MalformedOrbitMap);
+    4. per degree n, every cell of M listed, then each quotient cell in
+       turn covered by one fixed cell or by a free pair with equal signs
+       (MalformedOrbitMap).  Each checked quotient cell writes its row of
+       ``theta[n]``, the matrix of Theta: C^n(M) -> C^n(Q), and the rows
+       over it of ``iota[n]``, iota* on C^n(M), and ``pullback[n]``, pi*:
+       C^n(Q) -> C^n(M), one or two entries a row.  No row is sized by a
+       cell count before that count is checked, so a huge count is
+       refused, not allocated;
+    5. per degree, iota* commutes with delta_M (MalformedOrbitMap).
+
+    The coboundaries ``delta_Q`` of Q are then derived, not read: row q is
+    the row of delta_M pi* at the cell over q where pi* has the factor +1,
+    so 2 delta_Q = Theta delta_M pi*.  Theta is then a chain map, and
+    pi* Theta = 1 + iota*, by construction.
     """
 
     cells_M: tuple
@@ -231,11 +217,14 @@ class EquivariantCWData:
 
     @cached_property
     def reduced(self) -> "CochainPair":
-        """M and Q with every unit entry of their coboundaries eliminated,
-        and Theta' = f_Q Theta g_M and iota' = f_M iota* g_M formed from
-        the rows of Theta and iota* once the eliminations are known;
-        computed on first read, since both census answers and the
-        existence check read it."""
+        """M and Q with every unit entry of their coboundaries eliminated
+        (:func:`_reduce`), and Theta' = f_Q Theta g_M and iota' = f_M iota*
+        g_M formed from the rows of Theta and iota* once the eliminations
+        are known (:func:`_replay`, :func:`_conjugate`); computed on first
+        read, since both census answers and the existence check read it.
+        L(61,7) goes from (244, 492, 252, 4) and (124, 248, 126, 2) cells
+        to (1, 1, 1, 1) and (1, 0, 0, 1).  A report's ``cells_M`` and
+        ``cells_Q`` stay those of the data as given."""
         delta_M, delta_Q = ([_Sparse.of(m) for m in ms]
                             for ms in (self.delta_M, self.delta_Q))
         log_M, log_Q = _reduce(delta_M), _reduce(delta_Q)
@@ -274,7 +263,14 @@ class EquivariantCWData:
 
     @staticmethod
     def from_json(obj: dict) -> "EquivariantCWData":
-        """Parse :meth:`to_json` output; a malformed field is InvalidInput."""
+        """Parse :meth:`to_json` output, as ``spinc --input`` reads it.
+
+        A malformed field is InvalidInput naming it.  The data then takes
+        the constructor's checks, in their order, and last the body's
+        ``delta_Q`` must be the derived one: a wrong count or shape is
+        ShapeMismatch, and wrong entries are NotChainMap, since they are
+        exactly the delta_Q with which Theta fails to commute.
+        """
 
         def counts(v):
             out = tuple(input_int(n) for n in input_list(v))
@@ -306,9 +302,6 @@ class EquivariantCWData:
         delta_Q = input_field(obj, "delta_Q", matrices)
         data = EquivariantCWData(cells_M, cells_Q, delta_M,
                                  input_field(obj, "orbit", orbit))
-        # the body's delta_Q must be the derived one: with the orbit map
-        # checked, that is Theta commuting with the coboundaries, so wrong
-        # entries are NotChainMap
         if len(delta_Q) != data.dim:
             raise ShapeMismatch(f"dimension {data.dim} needs {data.dim} "
                                 f"coboundaries for Q, got {len(delta_Q)}")
@@ -424,7 +417,9 @@ def _reduce(deltas: list) -> list:
     column b.  A sweep takes the rows of each degree in order and, in a
     row with a unit entry, the unit of shortest column; sweeps repeat
     until one eliminates nothing, which ends since each elimination
-    removes two cells."""
+    removes two cells (Skoldberg, Trans. AMS 358, 2006; Mrozek and Batko,
+    Discrete Comput. Geom. 41, 2009).  Only the coboundaries take row
+    operations: f and g are read off the log afterwards."""
     log = []
     progress = True
     while progress:
@@ -467,7 +462,8 @@ def _replay(steps: list, kept: list) -> list:
     to itself; ``steps`` are the eliminations, last first, as (n, c,
     pairs), and the eliminated cell c of degree n goes to the sum of k
     times where e goes, over the pairs (e, k).  One pass moves every kept
-    cell at once."""
+    cell at once, as algebraic Morse theory reads its comparison maps off
+    the matching (Skoldberg)."""
     out = [{c: {i: 1} for i, c in enumerate(cs)} for cs in kept]
     for n, c, pairs in steps:
         moved, acc = out[n], {}
@@ -484,7 +480,8 @@ def _replay(steps: list, kept: list) -> list:
 def _conjugate(f: dict, x: IntMatrix, g: dict, rows: int,
                cols: int) -> IntMatrix:
     """f x g, for f by columns and g by rows as :func:`_replay` gives
-    them, and x of one or two entries a row."""
+    them, and x of one or two entries a row, so that the cost follows the
+    surviving cells."""
     out = [{} for _ in range(rows)]
     for q, fq in f.items():
         for c, t in x.entries[q]:
