@@ -410,8 +410,9 @@ MORSE_BODY = {"points": [{"label": "a", "ind_q": 0, "fiber": [[1.0]]},
 #: grid under a 2**62 x 2**62 shape, that once allocated the declared zeros
 #: and ended in MemoryError, or an object or a string where an array is
 #: expected, or an empty cell list, that were once read as empty arrays,
-#: or a string where an object is expected, whose message once quoted
-#: CPython's own words, which differ between Python versions)
+#: or a string where an object is expected, or an integer where a
+#: [row, col] or [degree, index] pair is expected, whose message once
+#: quoted CPython's own words, which differ between Python versions)
 NON_INTEGER_FIELDS = (
     ("seifert_float", "seifert-matrix", "data", {"data": [[1]]},
      ("data", 0, 0), 1.5),
@@ -470,6 +471,10 @@ NON_INTEGER_FIELDS = (
      lens_space(3, 1).to_json(), ("delta_M", 0), "q"),
     ("spinc_orbit_entry_string", "spinc", "orbit", lens_space(3, 1).to_json(),
      ("orbit", 0), "q"),
+    ("morse_count_not_a_pair", "morse", "counts", MORSE_BODY,
+     ("counts", "ones", 0), 5),
+    ("spinc_orbit_cell_not_a_pair", "spinc", "orbit",
+     lens_space(3, 1).to_json(), ("orbit", 0, "cell"), 5),
 )
 
 

@@ -53,7 +53,8 @@ LENS_TABLE = ((1, 0), (3, 1), (5, 2), (7, 3), (9, 2), (4, 2), (3, 5),
               (1000003, 2), (0, 0), (-3, 1))
 #: (c1sq, sigma, b1, bplus, b0) of the ``index`` requests, errors included
 INDEX_TABLE = ((8, 0, 1, 1, 0), (0, 0, 0, 0, 0), (16, 0, 2, 1, 0),
-               (1, 0, 0, 0, 0), (0, 0, -5, 0, 0), (0, 0, 0, -2, 0))
+               (1, 0, 0, 0, 0), (0, 0, -5, 0, 0), (0, 0, 0, -2, 0),
+               (0, 0, -1, 0, 0), (0, 0, 0, -1, 0), (0, 0, 0, 0, -1))
 #: generated ``morse`` and ``flow`` bodies
 MORSE_BODIES = 48
 FLOW_BODIES = 48
