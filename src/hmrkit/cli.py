@@ -7,8 +7,9 @@ section states which requests are refused, with which error code and
 exit code, as a table that ``tests/test_readme.py`` runs.
 
 Each process runs one subcommand, so the module imports only ``errors``
-at load time, and each handler imports the library names it calls; the
-parser lists no ``--fixture`` names, so that it needs no fixture module.
+at load time, and each handler imports the library names it calls, as
+``flow`` imports :mod:`csv` only for ``--csv``; the parser lists no
+``--fixture`` names, so that it needs no fixture module.
 Only ``morse``, ``flow`` and ``fixtures-selftest`` load numpy, and
 ``morse`` and ``flow`` only once the body's fields are read and checked;
 ``spinc``, ``seifert-matrix``, ``brieskorn``, ``lens``, ``psc`` and
@@ -19,7 +20,6 @@ defining module at each call, so rebinding it there reaches the CLI.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -262,6 +262,8 @@ def _cmd_flow(args) -> int:
     if args.samples:
         report["trajectory"] = traj.to_json(stride=args.stride)
     if args.csv:
+        import csv
+
         with _open(args.csv, "--csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t"] + [f"phi{i}" for i in range(model.n)]
@@ -352,6 +354,10 @@ def _cmd_psc(args) -> int:
 def _cmd_index(args) -> int:
     from .index_grading import TopologicalData4, closed4_index
 
+    for flag in ("b1", "bplus", "b0"):
+        if getattr(args, flag) < 0:
+            raise InvalidInput(f"--{flag} is a dimension; it must be "
+                               f"nonnegative, got {getattr(args, flag)}")
     d = TopologicalData4(args.c1sq, args.sigma, args.b1, args.bplus, args.b0)
     return _emit({"index": closed4_index(d)}, args)
 

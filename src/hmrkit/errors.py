@@ -150,6 +150,16 @@ def input_list(value) -> list:
     return value
 
 
+def input_pair(value) -> tuple:
+    """Two integers of an input body, as an array of two: a position
+    [row, col] or a cell [degree, index]."""
+    pair = input_list(value)
+    if len(pair) != 2:
+        raise ValueError(f"expected a pair of integers, got an array of "
+                         f"{len(pair)}")
+    return input_int(pair[0]), input_int(pair[1])
+
+
 def input_object(value) -> dict:
     """An object of an input body; an array or a string raises TypeError."""
     if not isinstance(value, dict):

@@ -9,23 +9,33 @@ Smith normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import compress, repeat
 from operator import itemgetter, xor
-from typing import Iterable, Sequence
 
-from .errors import ShapeMismatch, input_int, input_list, input_object
+from .errors import (ShapeMismatch, input_int, input_list, input_object,
+                     input_pair)
 
 
-@dataclass(frozen=True)
 class F2Matrix:
     """A matrix over the two-element field: one int per row, bit c of
-    ``masks[r]`` being entry (r, c)."""
+    ``masks[r]`` being entry (r, c).  ``==`` and ``hash`` compare the
+    shape and the masks."""
 
-    rows: int
-    cols: int
-    masks: tuple
+    __slots__ = ("rows", "cols", "masks", "__dict__")
+
+    def __init__(self, rows: int, cols: int, masks: tuple):
+        self.rows, self.cols, self.masks = rows, cols, masks
+
+    def __eq__(self, other):
+        if type(other) is not F2Matrix:
+            return NotImplemented
+        return (self.rows, self.cols, self.masks) == \
+            (other.rows, other.cols, other.masks)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.masks))
 
     @cached_property
     def ones(self) -> tuple:
@@ -103,7 +113,7 @@ def json_entries(obj: dict) -> tuple[int, int, set]:
     before a matrix is built."""
     obj = input_object(obj)
     rows, cols = input_int(obj["rows"]), input_int(obj["cols"])
-    ones = {(input_int(r), input_int(c)) for r, c in obj["ones"]}
+    ones = set(map(input_pair, input_list(obj["ones"])))
     for (r, c) in ones:
         if not (0 <= r < rows and 0 <= c < cols):
             raise ShapeMismatch(f"entry ({r},{c}) outside {rows}x{cols}")
@@ -211,7 +221,6 @@ def f2_kernel_basis(m: F2Matrix) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Integer matrix as sparse rows of arbitrary-precision ints, since
     Smith-form pivots grow: ``entries[i]`` lists the nonzeros of row i as
@@ -219,13 +228,21 @@ class IntMatrix:
     ``==`` and ``hash`` compare values, and the algebra walks the nonzeros
     only."""
 
-    rows: int
-    cols: int
-    entries: tuple  # per row, a tuple of (column, value) pairs
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        if len(entries) != rows:
             raise ShapeMismatch("row count inconsistent with declared shape")
+        self.rows, self.cols, self.entries = rows, cols, entries
+
+    def __eq__(self, other):
+        if type(other) is not IntMatrix:
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == \
+            (other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     @property
     def data(self) -> tuple:
@@ -340,15 +357,16 @@ def _row_sum(a: tuple, b: tuple) -> tuple:
     return _row_times(((0, 1), (1, 1)), (a, b))
 
 
-@dataclass(frozen=True)
 class SNFResult:
     """Smith normal form U A V = D with unimodular U, V, as its callers
     read it: the min(rows, cols) diagonal entries of D, and V^T (row j is
     column j of V).  U is not kept; the V^T of the Smith form of A^T is a
     U for A with the same diagonal."""
 
-    diagonal: tuple
-    VT: IntMatrix
+    __slots__ = ("diagonal", "VT")
+
+    def __init__(self, diagonal: tuple, VT: IntMatrix):
+        self.diagonal, self.VT = diagonal, VT
 
 
 def _smallest_entry(d: list, t: int):

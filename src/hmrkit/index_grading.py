@@ -10,14 +10,12 @@ spin-c structure can realize — they raise, they are never rounded away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import gcd
-from typing import Sequence
 
 from .errors import InvalidInput, NotDivisibleBy8, OddPairing
 
 
-@dataclass(frozen=True)
 class TopologicalData4:
     """Characteristic numbers of a closed 4-manifold with involution.
 
@@ -26,24 +24,30 @@ class TopologicalData4:
     of the induced involution on H^1, H^+, H^0.
     """
 
-    c1_sq: int
-    sigma: int
-    b1_inv: int
-    bplus_inv: int
-    b0_inv: int
+    __slots__ = ("c1_sq", "sigma", "b1_inv", "bplus_inv", "b0_inv")
 
-    def __post_init__(self):
+    def __init__(self, c1_sq: int, sigma: int, b1_inv: int, bplus_inv: int,
+                 b0_inv: int):
+        self.c1_sq, self.sigma = c1_sq, sigma
+        self.b1_inv, self.bplus_inv, self.b0_inv = b1_inv, bplus_inv, b0_inv
         for name in ("b1_inv", "bplus_inv", "b0_inv"):
             if getattr(self, name) < 0:
                 raise InvalidInput(f"{name} is a dimension; it is negative")
 
 
-@dataclass(frozen=True)
 class GradingSetInfo:
     """Whether Z acts freely on the grading set, and the stabilizer index."""
 
-    free: bool
-    stabilizer_index: int
+    __slots__ = ("free", "stabilizer_index")
+
+    def __init__(self, free: bool, stabilizer_index: int):
+        self.free, self.stabilizer_index = free, stabilizer_index
+
+    def __eq__(self, other):
+        if type(other) is not GradingSetInfo:
+            return NotImplemented
+        return (self.free, self.stabilizer_index) == \
+            (other.free, other.stabilizer_index)
 
 
 def closed4_index(d: TopologicalData4) -> int:

@@ -43,9 +43,9 @@ Branched double covers of links enter through their Seifert matrices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property
-from typing import NamedTuple, Sequence
 
 from .errors import (
     MalformedOrbitMap,
@@ -56,6 +56,7 @@ from .errors import (
     input_int,
     input_list,
     input_object,
+    input_pair,
 )
 from .f2lin import (
     IntMatrix,
@@ -68,17 +69,10 @@ from .f2lin import (
 )
 
 
-class OrbitEntry(NamedTuple):
-    """Where one cell of M goes in the quotient."""
-
-    degree: int
-    index: int
-    image: int
-    fixed: bool
-    sign: int
+#: Where one cell of M goes in the quotient.
+OrbitEntry = namedtuple("OrbitEntry", "degree index image fixed sign")
 
 
-@dataclass(frozen=True)
 class EquivariantCWData:
     """Cochain complexes of M and Q plus the cell-orbit pairing.
 
@@ -110,20 +104,13 @@ class EquivariantCWData:
     pi* Theta = 1 + iota*, by construction.
     """
 
-    cells_M: tuple
-    cells_Q: tuple
-    delta_M: tuple
-    orbit: tuple
-    delta_Q: tuple = field(init=False, compare=False, repr=False)
-    theta: tuple = field(init=False, compare=False, repr=False)
-    iota: tuple = field(init=False, compare=False, repr=False)
-    pullback: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("cells_M", "cells_Q", "delta_M", "orbit", "delta_Q", "theta",
+                 "iota", "pullback", "__dict__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells_M", tuple(self.cells_M))
-        object.__setattr__(self, "cells_Q", tuple(self.cells_Q))
-        object.__setattr__(self, "delta_M", tuple(self.delta_M))
-        object.__setattr__(self, "orbit", tuple(self.orbit))
+    def __init__(self, cells_M: Sequence[int], cells_Q: Sequence[int],
+                 delta_M: Sequence[IntMatrix], orbit: Sequence[OrbitEntry]):
+        self.cells_M, self.cells_Q = tuple(cells_M), tuple(cells_Q)
+        self.delta_M, self.orbit = tuple(delta_M), tuple(orbit)
         dim = self.dim
         if len(self.cells_Q) != len(self.cells_M):
             raise MalformedOrbitMap(f"M has dimension {dim}, Q "
@@ -194,7 +181,7 @@ class EquivariantCWData:
         for name, rows, cols in (("theta", theta, self.cells_M),
                                  ("iota", iota, self.cells_M),
                                  ("pullback", pullback, self.cells_Q)):
-            object.__setattr__(self, name, tuple(
+            setattr(self, name, tuple(
                 IntMatrix(len(r), c, tuple(r)) for r, c in zip(rows, cols)))
         delta_Q = []
         for n, dm in enumerate(self.delta_M):
@@ -207,7 +194,7 @@ class EquivariantCWData:
                                tuple(dm.entries[row[0][0]]
                                      for row in theta[n + 1]))
             delta_Q.append(lifted @ self.pullback[n])
-        object.__setattr__(self, "delta_Q", tuple(delta_Q))
+        self.delta_Q = tuple(delta_Q)
 
     # -- derived structure -------------------------------------------
 
@@ -290,10 +277,8 @@ class EquivariantCWData:
 
         def orbit(v):
             return tuple(
-                OrbitEntry(degree=input_int(o["cell"][0]),
-                           index=input_int(o["cell"][1]),
-                           image=input_int(o["image"]), fixed=flag(o["fixed"]),
-                           sign=input_int(o["sign"]))
+                OrbitEntry(*input_pair(o["cell"]), image=input_int(o["image"]),
+                           fixed=flag(o["fixed"]), sign=input_int(o["sign"]))
                 for o in map(input_object, input_list(v)))
 
         cells_M = input_field(obj, "cells_M", counts)
@@ -345,20 +330,20 @@ def verify_naturality(data: EquivariantCWData, degree: int) -> bool:
             == IntMatrix.identity(data.cells_M[degree]) + data.iota[degree])
 
 
-@dataclass(frozen=True)
 class CochainPair:
     """The complexes of M and Q, and Theta and iota* per degree, that the
-    census reads: :attr:`EquivariantCWData.reduced`."""
+    census reads: :attr:`EquivariantCWData.reduced`.  ``f_M`` gives, per
+    degree n, f_M: C^n(M) -> C'^n(M) by columns, each cell of M that it
+    does not send to 0 mapped to {reduced cell: coefficient}."""
 
-    cells_M: tuple
-    cells_Q: tuple
-    delta_M: tuple
-    delta_Q: tuple
-    theta: tuple
-    iota: tuple
-    #: per degree n, f_M: C^n(M) -> C'^n(M) by columns, each cell of M
-    #: that it does not send to 0 mapped to {reduced cell: coefficient}
-    f_M: tuple = field(compare=False, repr=False)
+    __slots__ = ("cells_M", "cells_Q", "delta_M", "delta_Q", "theta", "iota",
+                 "f_M", "__dict__")
+
+    def __init__(self, cells_M: tuple, cells_Q: tuple, delta_M: tuple,
+                 delta_Q: tuple, theta: tuple, iota: tuple, f_M: tuple):
+        self.cells_M, self.cells_Q = cells_M, cells_Q
+        self.delta_M, self.delta_Q = delta_M, delta_Q
+        self.theta, self.iota, self.f_M = theta, iota, f_M
 
     @cached_property
     def z1_M(self) -> IntMatrix:
@@ -545,13 +530,15 @@ def subquotient_invariants(gens: IntMatrix, rels: IntMatrix) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RealStructureCensus:
     """Existence plus the torsor structure of real spin-c structures."""
 
-    exists: bool
-    kernel_invariants: tuple
-    h1_invariants: tuple
+    __slots__ = ("exists", "kernel_invariants", "h1_invariants")
+
+    def __init__(self, exists: bool, kernel_invariants: tuple,
+                 h1_invariants: tuple):
+        self.exists, self.kernel_invariants = exists, kernel_invariants
+        self.h1_invariants = h1_invariants
 
     @property
     def torsor_invariants(self) -> tuple:
@@ -641,15 +628,15 @@ def real_spinc_torsor(data: EquivariantCWData) -> RealStructureCensus:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SeifertMatrix:
     """A Seifert matrix of a link (possibly 0x0 for the unknot)."""
 
-    A: IntMatrix
+    __slots__ = ("A",)
 
-    def __post_init__(self):
-        if self.A.rows != self.A.cols:
+    def __init__(self, A: IntMatrix):
+        if A.rows != A.cols:
             raise ShapeMismatch("Seifert matrix must be square")
+        self.A = A
 
 
 def branched_cover_invariants(a: SeifertMatrix) -> tuple[int, int]:

@@ -29,9 +29,7 @@ chain model, and imports :mod:`hmrkit.complexes`, only when
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 from .errors import InvalidInput, NotCoprime, UnknownFamily
 
@@ -43,7 +41,6 @@ TOWER_KINDS = ("down", "up", "full")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Tower:
     """One infinite summand: kind and anchor grading.
 
@@ -51,12 +48,17 @@ class Tower:
     occupies anchor+1, anchor+2, ...; a full tower occupies everything.
     """
 
-    kind: str
-    anchor: int
+    __slots__ = ("kind", "anchor")
 
-    def __post_init__(self):
-        if self.kind not in TOWER_KINDS:
-            raise UnknownFamily(f"unknown tower kind {self.kind!r}")
+    def __init__(self, kind: str, anchor: int):
+        if kind not in TOWER_KINDS:
+            raise UnknownFamily(f"unknown tower kind {kind!r}")
+        self.kind, self.anchor = kind, anchor
+
+    def __eq__(self, other):
+        if type(other) is not Tower:
+            return NotImplemented
+        return (self.kind, self.anchor) == (other.kind, other.anchor)
 
     def supports(self, g: int) -> bool:
         if self.kind == "down":
@@ -66,13 +68,23 @@ class Tower:
         return True
 
 
-@dataclass(frozen=True)
 class TowerModule:
-    """Finite part plus towers; ``undetermined`` flags an unknown answer."""
+    """Finite part plus towers; ``undetermined`` flags an unknown answer.
+    ``finite`` is sorted ((grading, multiplicity), ...), and ``towers`` a
+    tuple of :class:`Tower`."""
 
-    finite: tuple = ()          # sorted ((grading, multiplicity), ...)
-    towers: tuple = ()          # Tower instances
-    undetermined: bool = False
+    __slots__ = ("finite", "towers", "undetermined")
+
+    def __init__(self, finite: tuple = (), towers: tuple = (),
+                 undetermined: bool = False):
+        self.finite, self.towers = finite, towers
+        self.undetermined = undetermined
+
+    def __eq__(self, other):
+        if type(other) is not TowerModule:
+            return NotImplemented
+        return (self.finite, self.towers, self.undetermined) == \
+            (other.finite, other.towers, other.undetermined)
 
     @staticmethod
     def from_parts(finite: dict, towers=()) -> "TowerModule":
@@ -143,19 +155,18 @@ def lens_hmr(p: int, q: int):
 FAMILIES = ("2,3,+1", "2,3,-1", "2,5,-1", "2,5,+1", "2,7,29")
 
 
-@dataclass(frozen=True)
 class BrieskornInput:
     """A family label, the parameter k, and an optional truncation window."""
 
-    family: str
-    k: int = 1
-    truncation: tuple | None = None
+    __slots__ = ("family", "k", "truncation")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise UnknownFamily(f"unknown family {self.family!r}")
-        if self.k < 1:
-            raise InvalidInput(f"k must be a positive integer, got {self.k}")
+    def __init__(self, family: str, k: int = 1,
+                 truncation: tuple | None = None):
+        if family not in FAMILIES:
+            raise UnknownFamily(f"unknown family {family!r}")
+        if k < 1:
+            raise InvalidInput(f"k must be a positive integer, got {k}")
+        self.family, self.k, self.truncation = family, k, truncation
 
     @property
     def pqr(self) -> tuple:
@@ -168,22 +179,23 @@ class BrieskornInput:
         return p, q, r
 
 
-@dataclass(frozen=True)
 class IrreducibleSpectrum:
     """Gradings/counts of irreducible generators plus reducible data.
 
-    ``hat_ambiguous`` marks configurations where a differential from the
-    boundary-unstable reducible into the irreducibles cannot be excluded,
-    so the hat flavor stays undetermined.
+    ``counts`` is sorted ((grading, count), ...).  ``hat_ambiguous`` marks
+    configurations where a differential from the boundary-unstable
+    reducible into the irreducibles cannot be excluded, so the hat flavor
+    stays undetermined.
     """
 
-    counts: tuple                   # sorted ((grading, count), ...)
-    theta_minus1_grading: int
-    hat_ambiguous: bool = False
+    __slots__ = ("counts", "theta_minus1_grading", "hat_ambiguous")
 
-    def __post_init__(self):
-        if any(c <= 0 or c % 2 for _, c in self.counts):
+    def __init__(self, counts: tuple, theta_minus1_grading: int,
+                 hat_ambiguous: bool = False):
+        if any(c <= 0 or c % 2 for _, c in counts):
             raise UnknownFamily("irreducibles must come in pairs")
+        self.counts, self.hat_ambiguous = counts, hat_ambiguous
+        self.theta_minus1_grading = theta_minus1_grading
 
 
 def brieskorn_irreducibles(inp: BrieskornInput) -> IrreducibleSpectrum:
@@ -207,14 +219,25 @@ def brieskorn_irreducibles(inp: BrieskornInput) -> IrreducibleSpectrum:
     return IrreducibleSpectrum(spectrum, theta, ambiguous)
 
 
-#: Margin of the window of :func:`divisor_count`: an orbifold line bundle
-#: E = (e; b1, b2, b3) on S^2(p, q, r) is counted when it has a holomorphic
-#: section (floor degree e >= 0) and 0 <= deg E < deg(K)/2 - margin / r,
-#: with r the largest cone order.  The margin encodes which bundles pull
-#: back to the background bundle of the spin structure; it was calibrated
-#: on the (2,3,.) families and cross-checked against the (2,5,.) families
-#: and (2,7,29).  It is data, not a theorem: changing it changes counts.
-DIVISOR_MARGIN = Fraction(1, 4)
+def __getattr__(name):
+    """``DIVISOR_MARGIN``, the Fraction 1/4, made on first read so that of
+    this module only :func:`divisor_count` loads :mod:`fractions`.
+
+    It is the margin of the window of :func:`divisor_count`: an orbifold
+    line bundle E = (e; b1, b2, b3) on S^2(p, q, r) is counted when it has
+    a holomorphic section (floor degree e >= 0) and 0 <= deg E < deg(K)/2
+    - margin / r, with r the largest cone order.  The margin encodes which
+    bundles pull back to the background bundle of the spin structure; it
+    was calibrated on the (2,3,.) families and cross-checked against the
+    (2,5,.) families and (2,7,29).  It is data, not a theorem: changing it
+    changes counts.
+    """
+    if name != "DIVISOR_MARGIN":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+
+    globals()[name] = margin = Fraction(1, 4)
+    return margin
 
 
 def divisor_count(p: int, q: int, r: int) -> int:
@@ -225,12 +248,17 @@ def divisor_count(p: int, q: int, r: int) -> int:
     holomorphic section on the sphere).  Each counted bundle carries one
     pair of irreducibles.
     """
+    from fractions import Fraction
+
     for a, b in ((p, q), (p, r), (q, r)):
         if math.gcd(a, b) != 1:
             raise NotCoprime(f"cone orders {p},{q},{r} are not coprime")
     half_canonical = Fraction(1, 2) * (1 - Fraction(1, p) - Fraction(1, q)
                                        - Fraction(1, r))
-    bound = half_canonical - DIVISOR_MARGIN / max(p, q, r)
+    margin = globals().get("DIVISOR_MARGIN")
+    if margin is None:
+        margin = __getattr__("DIVISOR_MARGIN")
+    bound = half_canonical - margin / max(p, q, r)
     count = 0
     for e in range(4):
         for b1 in range(p):
@@ -248,15 +276,15 @@ def divisor_count(p: int, q: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BrieskornResult:
     """Flavor triple plus the explicit truncated chain-level model."""
 
-    hat: TowerModule
-    check: TowerModule
-    bar: TowerModule
-    spectrum: IrreducibleSpectrum
-    truncation: tuple
+    __slots__ = ("hat", "check", "bar", "spectrum", "truncation", "__dict__")
+
+    def __init__(self, hat: TowerModule, check: TowerModule, bar: TowerModule,
+                 spectrum: IrreducibleSpectrum, truncation: tuple):
+        self.hat, self.check, self.bar = hat, check, bar
+        self.spectrum, self.truncation = spectrum, truncation
 
     @cached_property
     def complexes(self):

@@ -511,6 +511,33 @@ def test_non_integer_field_exits_2(capsys, monkeypatch, command, field,
                         value)
 
 
+#: (command, field, valid body, path to a [row, col] or [degree, index]
+#: pair); an integer there once answered with CPython's own words, and a
+#: cell of three entries was once read as its first two
+PAIRS = (
+    ("morse", "counts", MORSE_BODY, ("counts", "ones", 0)),
+    ("spinc", "orbit", lens_space(3, 1).to_json(), ("orbit", 0, "cell")),
+)
+
+
+@pytest.mark.parametrize("value, words", [
+    (5, "TypeError: expected an array, got int"),
+    ([0], "ValueError: expected a pair of integers, got an array of 1"),
+    ([0, 0, 0], "ValueError: expected a pair of integers, got an array of 3"),
+], ids=["int", "one", "three"])
+@pytest.mark.parametrize("command, field, body, path", PAIRS,
+                         ids=[p[0] for p in PAIRS])
+def test_non_pair_refused_in_own_words(capsys, monkeypatch, command, field,
+                                       body, path, value, words):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        edited(body, path, value))))
+    code, report = run_json(capsys, command, "--input", "-")
+    assert code == 2
+    assert report["error"] == {
+        "code": "invalid_input",
+        "message": f"input field {field!r} is malformed: {words}"}
+
+
 def test_spinc_all_object_body_names_a_field(capsys, monkeypatch):
     # once read as a complex of dimension -1, and refused as shape_mismatch
     body = dict.fromkeys(("cells_M", "cells_Q", "delta_M", "delta_Q",
@@ -681,7 +708,8 @@ for argv, body in requests:
     errors.append(json.loads(out.getvalue()).get("error", {}).get("code"))
 print(json.dumps({"imported": imported, "codes": codes, "errors": errors,
                   "loaded": [m for m in ("numpy", "hmrkit.morse_blowup",
-                                         "hmrkit.complexes")
+                                         "hmrkit.complexes", "dataclasses",
+                                         "inspect", "fractions")
                              if m in sys.modules]}))
 """
 
@@ -689,8 +717,8 @@ print(json.dumps({"imported": imported, "codes": codes, "errors": errors,
 def run_fresh(requests) -> dict:
     """Run (argv, stdin, exit code) requests in a fresh interpreter; its
     hmrkit imports after loading the CLI, the exit codes, the error code of
-    each report (None for an answer), and which of numpy, morse_blowup and
-    complexes the answers loaded."""
+    each report (None for an answer), and which of numpy, morse_blowup,
+    complexes, dataclasses, inspect and fractions the answers loaded."""
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_FREE_CHILD], env=_child_env(),
         input=json.dumps([[argv, body] for argv, body, _ in requests]),
@@ -703,10 +731,19 @@ def run_fresh(requests) -> dict:
 
 def test_numpy_free_subcommands_load_no_numpy():
     # a fresh interpreter: importing the CLI loads only hmrkit.errors from
-    # the package, only morse, flow and fixtures-selftest load numpy, and no
-    # answer here (lens and psc included) loads hmrkit.complexes
+    # the package, only morse, flow and fixtures-selftest load numpy, no
+    # answer here (lens and psc included) loads hmrkit.complexes, and none
+    # loads dataclasses or inspect, whose import and generated methods once
+    # made most of a light process's own start-up; of the watched modules
+    # only fractions loads, for brieskorn's divisor count
     result = run_fresh(NUMPY_FREE_REQUESTS)
     assert result["imported"] == ["hmrkit", "hmrkit.cli", "hmrkit.errors"]
+    assert result["loaded"] == ["fractions"]
+
+
+def test_lens_and_psc_load_no_fractions():
+    result = run_fresh([r for r in NUMPY_FREE_REQUESTS
+                        if r[0][0] in ("lens", "psc")])
     assert result["loaded"] == []
 
 
@@ -750,7 +787,8 @@ def test_lens_process_loads_no_census_or_numpy_modules():
               if line.startswith("import time:")}
     assert "hmrkit.seifert_hmr" in loaded
     assert not loaded & {"numpy", "hmrkit.f2lin", "hmrkit.real_spinc",
-                         "hmrkit.cw_fixtures"}
+                         "hmrkit.cw_fixtures", "dataclasses", "inspect",
+                         "fractions"}
 
 
 def test_handlers_look_library_names_up_at_call_time(capsys, monkeypatch,
@@ -787,6 +825,19 @@ def test_spinc_low_dimension_is_coded_error(capsys, fixture):
     assert code == 1
     assert report["error"]["code"] == "shape_mismatch"
     assert "dimension" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("flag", ["--b1", "--bplus", "--b0"])
+def test_index_negative_dimension_names_its_flag(capsys, flag):
+    # once named the library's field, e.g. b0_inv, and not the flag
+    argv = ["index", "--c1sq", "0", "--sigma", "0", "--b1", "0", "--bplus",
+            "0", "--b0", "0"]
+    argv[argv.index(flag) + 1] = "-1"
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["error"] == {
+        "code": "invalid_input",
+        "message": f"{flag} is a dimension; it must be nonnegative, got -1"}
 
 
 def test_module_error_object(capsys):

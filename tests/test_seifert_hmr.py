@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
+from hmrkit import seifert_hmr
 from hmrkit.complexes import homology, les_maps, verify_d_squared, \
     verify_les_exact
 from hmrkit.errors import InvalidInput, NotCoprime, UnknownFamily
@@ -140,6 +142,17 @@ def test_small_family_members():
         spec = brieskorn_irreducibles(BrieskornInput(fam, 1))
         assert spec.counts == ()
         assert spec.theta_minus1_grading == -1
+
+
+def test_divisor_margin_is_made_on_first_read(monkeypatch):
+    # lens and psc answers load no fractions; the margin is still the
+    # Fraction 1/4, and divisor_count reads the module's value
+    assert type(seifert_hmr.DIVISOR_MARGIN) is Fraction
+    assert seifert_hmr.DIVISOR_MARGIN == Fraction(1, 4)
+    with pytest.raises(AttributeError):
+        seifert_hmr.NO_SUCH_NAME
+    monkeypatch.setattr(seifert_hmr, "DIVISOR_MARGIN", Fraction(12))
+    assert divisor_count(2, 3, 25) == 0
 
 
 def test_divisor_count_not_coprime():
