@@ -220,8 +220,9 @@ def brieskorn_irreducibles(inp: BrieskornInput) -> IrreducibleSpectrum:
 
 
 def __getattr__(name):
-    """``DIVISOR_MARGIN``, the Fraction 1/4, made on first read so that of
-    this module only :func:`divisor_count` loads :mod:`fractions`.
+    """``DIVISOR_MARGIN``, the Fraction 1/4 unless it has been set, made
+    on first read so that of this module only :func:`divisor_count`, which
+    reads it here, loads :mod:`fractions`.
 
     It is the margin of the window of :func:`divisor_count`: an orbifold
     line bundle E = (e; b1, b2, b3) on S^2(p, q, r) is counted when it has
@@ -236,8 +237,7 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from fractions import Fraction
 
-    globals()[name] = margin = Fraction(1, 4)
-    return margin
+    return globals().setdefault(name, Fraction(1, 4))
 
 
 def divisor_count(p: int, q: int, r: int) -> int:
@@ -255,10 +255,7 @@ def divisor_count(p: int, q: int, r: int) -> int:
             raise NotCoprime(f"cone orders {p},{q},{r} are not coprime")
     half_canonical = Fraction(1, 2) * (1 - Fraction(1, p) - Fraction(1, q)
                                        - Fraction(1, r))
-    margin = globals().get("DIVISOR_MARGIN")
-    if margin is None:
-        margin = __getattr__("DIVISOR_MARGIN")
-    bound = half_canonical - margin / max(p, q, r)
+    bound = half_canonical - __getattr__("DIVISOR_MARGIN") / max(p, q, r)
     count = 0
     for e in range(4):
         for b1 in range(p):
