@@ -643,6 +643,47 @@ def test_non_number_float_field_exits_2(capsys, monkeypatch, command, field,
                         value)
 
 
+#: (id, command, field named by the error, valid body, path, value): a
+#: matrix or a vector of the wrong depth, a matrix that is not square and
+#: an empty one, each once refused as shape_mismatch, exit 1, naming no
+#: field of the body
+SHAPE_FIELDS = (
+    ("flow_L_vector", "flow", "L", FLOW_BODY, ("L",), [1.0, 2.0]),
+    ("flow_L_cube", "flow", "L", FLOW_BODY, ("L",), [[[1.0]]]),
+    ("flow_L_scalar", "flow", "L", FLOW_BODY, ("L",), 1.0),
+    ("flow_L_wide", "flow", "L", FLOW_BODY, ("L",), [[1.0, 0.0]]),
+    ("flow_L_empty", "flow", "L", FLOW_BODY, ("L",), []),
+    ("flow_phi0_matrix", "flow", "phi0", FLOW_BODY, ("phi0",),
+     [[0.6, 0.8]]),
+    ("morse_fiber_vector", "morse", "points", MORSE_BODY,
+     ("points", 0, "fiber"), [1.0]),
+    ("morse_fiber_scalar", "morse", "points", MORSE_BODY,
+     ("points", 0, "fiber"), 2.0),
+)
+
+
+#: (command, field named by the error, valid body, path to an object, a
+#: key that the object needs): without it, the body once answered with
+#: Python's KeyError
+MISSING_KEYS = (
+    ("morse", "points", MORSE_BODY, ("points", 0), "label"),
+    ("morse", "counts", MORSE_BODY, ("counts",), "ones"),
+    ("spinc", "orbit", lens_space(3, 1).to_json(), ("orbit", 0), "cell"),
+    ("spinc", "delta_M", lens_space(3, 1).to_json(), ("delta_M", 0),
+     "data"),
+)
+
+
+def without(body, path, key):
+    """A copy of ``body`` whose object at ``path`` lacks ``key``."""
+    body = copy.deepcopy(body)
+    node = body
+    for step in path:
+        node = node[step]
+    del node[key]
+    return body
+
+
 LABELS = [[1, 2], 7]
 
 

@@ -35,8 +35,9 @@ from hmrkit.cw_fixtures import FIXTURE_BUILDERS, build_fixture, lens_space
 from hmrkit.seifert_hmr import FAMILIES
 
 from test_cli import (COUNT_OUTSIDE, COUNTS_SHAPES, CW_REJECTIONS,
-                      FLOAT_FIELDS, LABELS, MORSE_BODY, NON_FINITE,
-                      NON_INTEGER_FIELDS, NON_NUMBERS, NUMBER_FIELDS, edited)
+                      FLOAT_FIELDS, LABELS, MISSING_KEYS, MORSE_BODY,
+                      NON_FINITE, NON_INTEGER_FIELDS, NON_NUMBERS,
+                      NUMBER_FIELDS, SHAPE_FIELDS, edited, without)
 from test_real_spinc import (CASES, DOUBLED_D1, flipped_orbit_body, relabel,
                              space_data)
 
@@ -279,14 +280,17 @@ def requests() -> list[tuple[list[str], str]]:
     out += [([command, "--input", "-"], json.dumps(edited(*edit)))
             for command in ("spinc", "seifert-matrix", "flow")
             for edit in _field_rejections(command)]
+    out += [([command, "--input", "-"], json.dumps(without(body, path, key)))
+            for command, _, body, path, key in MISSING_KEYS]
     return out
 
 
 def _field_rejections(command: str) -> list[tuple]:
     """(body, path, value) of every edit that NON_INTEGER_FIELDS,
-    FLOAT_FIELDS or NUMBER_FIELDS of test_cli.py refuses for
-    ``command``."""
-    edits = [t[3:] for t in NON_INTEGER_FIELDS if t[1] == command]
+    SHAPE_FIELDS, FLOAT_FIELDS or NUMBER_FIELDS of test_cli.py refuses
+    for ``command``."""
+    edits = [t[3:] for t in NON_INTEGER_FIELDS + SHAPE_FIELDS
+             if t[1] == command]
     edits += [(*t[3:], v) for t in FLOAT_FIELDS if t[1] == command
               for v in NON_FINITE]
     return edits + [(*t[3:], v) for t in NUMBER_FIELDS if t[1] == command
