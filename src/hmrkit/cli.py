@@ -7,9 +7,8 @@ section states which requests are refused, with which error code and
 exit code, as a table that ``tests/test_readme.py`` runs.
 
 Each process runs one subcommand, so the module imports only ``errors``
-at load time, and each handler imports the library names it calls, as
-``flow`` imports :mod:`csv` only for ``--csv``; the parser lists no
-``--fixture`` names, so that it needs no fixture module.
+at load time, and each handler imports the library names it calls; the
+parser lists no ``--fixture`` names, so that it needs no fixture module.
 Only ``morse``, ``flow`` and ``fixtures-selftest`` load numpy, and
 ``morse`` and ``flow`` only once the body's fields are read and checked;
 ``spinc``, ``seifert-matrix``, ``brieskorn``, ``lens``, ``psc`` and
@@ -27,8 +26,9 @@ import sys
 import time
 from functools import partial
 
-from .errors import (HmrkitError, InvalidInput, MalformedJson, input_field,
-                     input_float, input_int, input_list, input_object)
+from .errors import (FileNotFound, HmrkitError, InvalidInput, MalformedJson,
+                     input_field, input_float, input_int, input_list,
+                     input_object, json_words)
 
 SELFTEST_BUDGET_SECONDS = 60.0
 
@@ -82,37 +82,41 @@ def _dump(obj, pretty: bool) -> str:
 def _emit(obj, args) -> int:
     text = _dump(obj, args.pretty)
     if args.output and args.output != "-":
-        with _open(args.output, "--output", "w") as fh:
-            fh.write(text)
+        _file(args.output, "--output", text)
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _open(path: str, flag: str, mode: str = "r", **kwargs):
-    """``open(path, mode)`` for the path given by ``flag``: a directory or
-    a path without permission is InvalidInput naming the flag, and a
-    missing file or directory stays FileNotFoundError."""
+def _file(path: str, flag: str, text=None):
+    """The text of the file at ``path``, given by ``flag``, or ``text``
+    written there, newlines untranslated.  A path that cannot be opened,
+    read or written, a full device too, is InvalidInput naming the flag,
+    or FileNotFound if it does not exist."""
     try:
-        return open(path, mode, **kwargs)
-    except (IsADirectoryError, PermissionError) as exc:
-        verb = "read" if mode == "r" else "written"
-        raise InvalidInput(f"{flag} {path!r} cannot be {verb}: "
-                           f"{exc.strerror}") from None
+        with open(path, "r" if text is None else "w", newline="") as fh:
+            return fh.read() if text is None else fh.write(text)
+    except OSError as exc:
+        error = FileNotFound if isinstance(exc, FileNotFoundError) \
+            else InvalidInput
+        verb = "read" if text is None else "written"
+        raise error(f"{flag} {path!r} cannot be {verb}: "
+                    f"{exc.strerror}") from None
 
 
 def _load_input(args) -> dict:
-    """The body of ``--input``: text that is not UTF-8 or not JSON, or an
-    integer literal too long to convert, is MalformedJson."""
+    """The body of ``--input``: unreadable text is MalformedJson."""
     try:
-        if args.input == "-":
-            raw = sys.stdin.read()
-        else:
-            with _open(args.input, "--input") as fh:
-                raw = fh.read()
-        return json.loads(raw)
-    except ValueError as exc:
+        return json.loads(sys.stdin.read() if args.input == "-"
+                          else _file(args.input, "--input"))
+    except json.JSONDecodeError as exc:
         raise MalformedJson(str(exc)) from None
+    except UnicodeDecodeError:
+        raise MalformedJson("input is not UTF-8 text") from None
+    except ValueError:  # the one other refusal of json.loads
+        raise MalformedJson("an integer literal has too many digits") from None
+    except RecursionError:
+        raise MalformedJson("input is nested too deeply") from None
 
 
 def _graded(ranks: dict) -> list:
@@ -139,51 +143,39 @@ def _parse_window(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _floats(value):
-    """Nested lists of input numbers, each read with ``input_float``."""
-    if isinstance(value, list):
-        return [_floats(v) for v in value]
-    return input_float(value)
-
-
-def _entries(value) -> tuple:
-    """(shape, entries) of nested lists as numpy reads them; a ragged
-    nesting raises ValueError."""
-    if not isinstance(value, list):
-        return (), [value]
-    parts = [_entries(v) for v in value]
-    if len({shape for shape, _ in parts}) > 1:
-        raise ValueError("nested lists of unequal length or depth")
-    return ((len(value), *(parts[0][0] if parts else ())),
-            [x for _, entries in parts for x in entries])
-
-
-def _finite_floats(value):
-    """Nested lists of input numbers, read with ``input_float``, of one
-    shape and each finite, checked in that order and without numpy: a
-    malformed body is refused before numpy loads."""
-    out = _floats(value)
-    if not all(map(math.isfinite, _entries(out)[1])):
-        raise ValueError("entries must be finite, not NaN or infinite")
-    return out
-
-
 def _finite_float(value) -> float:
     out = input_float(value)
     if not math.isfinite(out):
-        raise ValueError(f"must be finite, got {out}")
+        raise ValueError(f"expected a finite number, got {json_words(out)}")
     return out
+
+
+def _vector(value) -> list:
+    return [_finite_float(x) for x in input_list(value)]
+
+
+def _square(value) -> list:
+    """n >= 1 arrays of n finite numbers, read a level at a time like
+    :func:`_vector`: without numpy, and no depth of nesting recurses."""
+    rows = input_list(value)
+    if not rows:
+        raise ValueError("expected a square array of arrays, got an empty one")
+    for row in rows:
+        if len(input_list(row)) != len(rows):
+            raise ValueError(f"expected a square array of arrays, got an "
+                             f"array of {len(rows)} holding an array of "
+                             f"{len(row)}")
+    return [_vector(row) for row in rows]
 
 
 def _label(value) -> str:
     if not isinstance(value, str):
-        raise TypeError(f"a point label must be a string, got {value!r}")
+        raise TypeError(f"a label must be a string, got {json_words(value)}")
     return value
 
 
 def _base_points(value) -> list:
-    return [(_label(p["label"]), input_int(p["ind_q"]),
-             _finite_floats(p["fiber"]))
+    return [(_label(p["label"]), input_int(p["ind_q"]), _square(p["fiber"]))
             for p in map(input_object, input_list(value))]
 
 
@@ -225,8 +217,8 @@ def _cmd_flow(args) -> int:
         raise InvalidInput(f"--stride must be a positive integer, "
                            f"got {args.stride}")
     raw = _load_input(args)
-    matrix = input_field(raw, "L", _finite_floats)
-    phi0 = input_field(raw, "phi0", _finite_floats, None)
+    matrix = input_field(raw, "L", _square)
+    phi0 = input_field(raw, "phi0", _vector, None)
     s0 = input_field(raw, "s0", _finite_float, 0.0)
     t_max = input_field(raw, "t_max", input_float)
     step = input_field(raw, "step", input_float)
@@ -262,16 +254,12 @@ def _cmd_flow(args) -> int:
     if args.samples:
         report["trajectory"] = traj.to_json(stride=args.stride)
     if args.csv:
-        import csv
-
-        with _open(args.csv, "--csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"phi{i}" for i in range(model.n)]
-                            + ["s", "lambda"])
-            for p in traj.to_json(stride=args.stride)["samples"]:
-                writer.writerow(
-                    [f"{p['t']:.6f}"] + [f"{x:.9f}" for x in p["phi"]]
-                    + [f"{p['s']:.9f}", f"{p['lambda']:.9f}"])
+        # every field is a number, so no CSV field needs quoting
+        rows = [["t", *(f"phi{i}" for i in range(model.n)), "s", "lambda"]]
+        rows += [[f"{p['t']:.6f}", *(f"{x:.9f}" for x in p["phi"]),
+                  f"{p['s']:.9f}", f"{p['lambda']:.9f}"]
+                 for p in traj.to_json(stride=args.stride)["samples"]]
+        _file(args.csv, "--csv", "".join(",".join(r) + "\r\n" for r in rows))
     return _emit(report, args)
 
 
@@ -563,11 +551,6 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        sys.stdout.write(_dump(
-            {"error": {"code": "file_not_found",
-                       "message": str(exc)}}, args.pretty))
-        return 2
     except HmrkitError as exc:
         sys.stdout.write(_dump(
             {"error": {"code": exc.code, "message": str(exc)}},
@@ -584,9 +567,9 @@ def main(argv=None):
     try:
         code = run(argv)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader of stdout is gone; point stdout at devnull so that the
-        # interpreter's own flush at exit does not fail again
+    except OSError:
+        # stdout cannot take the report (its reader is gone, its device is
+        # full); point it at devnull, so that the flush at exit passes
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     raise SystemExit(code)

@@ -3,16 +3,15 @@
 Every error carries a stable ``code`` attribute so the CLI can emit
 machine-readable error objects without string matching on messages.
 :func:`input_field` reads one field of a JSON input body and turns every
-way it can be malformed into :class:`InvalidInput` naming the field;
-:func:`input_int` is how its parsers read an integer, so a float, a string
-or a boolean where an integer belongs is malformed, not truncated, and
-:func:`input_float` is how they read a real number, so a string or a
-boolean where a number belongs is malformed, not converted.
+way it can be malformed into :class:`InvalidInput` naming the field.  Its
+reasons are hmrkit's own words, the same under every Python version: they
+name a value by its JSON type, and a float, string or boolean where an
+integer belongs is malformed, not truncated or converted.
 """
 
 from __future__ import annotations
 
-import operator
+import json
 
 
 class HmrkitError(Exception):
@@ -55,6 +54,12 @@ class MalformedJson(InvalidInput):
     """An input body is not UTF-8 JSON text that can be read."""
 
     code = "malformed_json"
+
+
+class FileNotFound(InvalidInput):
+    """A file named by a flag, or its directory, does not exist."""
+
+    code = "file_not_found"
 
 
 class StepTooLarge(HmrkitError):
@@ -109,44 +114,59 @@ class UnknownFamily(HmrkitError):
     code = "unknown_family"
 
 
-_REQUIRED = object()
-
-
-def input_field(body, name: str, parse, default=_REQUIRED):
-    """``parse(body[name])``; a missing or null field gives ``default``.
+def input_field(body, name: str, parse, default=...):
+    """``parse(body[name])``; a missing or null field gives ``default``,
+    and is required when no default is given.
 
     A body that is not a JSON object, a missing required field, and a
-    value that ``parse`` rejects with KeyError, TypeError, ValueError or
-    IndexError all raise InvalidInput naming the field.  Only parsing
-    belongs in ``parse``: errors of a computation must not be caught here.
+    value that ``parse`` rejects all raise InvalidInput naming the field.
+    ``parse`` rejects with a TypeError or ValueError whose message is the
+    reason, or with the KeyError of a missing key; the class is not shown.
+    Errors of a computation must not be raised inside ``parse``.
     """
     if not isinstance(body, dict):
         raise InvalidInput(
-            f"input must be a JSON object, not {type(body).__name__}")
+            f"input must be a JSON object, got {json_words(body)}")
     value = body.get(name)
     if value is None:
-        if default is _REQUIRED:
+        if default is ...:
             raise InvalidInput(f"input field {name!r} is required")
         return default
     try:
         return parse(value)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise InvalidInput(f"input field {name!r} is malformed: "
-                           f"{type(exc).__name__}: {exc}") from None
+    except KeyError as exc:
+        reason = f"{exc.args[0]!r} is required"
+    except (TypeError, ValueError) as exc:
+        reason = str(exc)
+    raise InvalidInput(f"input field {name!r} is malformed: {reason}")
+
+
+def json_words(value) -> str:
+    """How a reason names a refused value: an array or an object by its
+    JSON type, a scalar as JSON writes it.  It never raises."""
+    if isinstance(value, list):
+        return f"an array of {len(value)}"
+    if isinstance(value, dict):
+        return "an object"
+    if value is None or isinstance(value, (str, int, float)):
+        try:
+            return json.dumps(value)
+        except ValueError:  # more digits than ``str`` writes
+            return "an integer too long to quote"
+    return f"a value of type {type(value).__name__}"  # no JSON value
 
 
 def input_int(value) -> int:
-    """An integer of an input body: what ``operator.index`` accepts, but
-    not a boolean.  Anything else raises TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
+    """An integer of an input body, not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {json_words(value)}")
+    return value
 
 
 def input_list(value) -> list:
-    """An array of an input body; an object or a string raises TypeError."""
+    """An array of an input body."""
     if not isinstance(value, list):
-        raise TypeError(f"expected an array, got {type(value).__name__}")
+        raise TypeError(f"expected an array, got {json_words(value)}")
     return value
 
 
@@ -161,21 +181,16 @@ def input_pair(value) -> tuple:
 
 
 def input_object(value) -> dict:
-    """An object of an input body; an array or a string raises TypeError."""
+    """An object of an input body."""
     if not isinstance(value, dict):
-        raise TypeError(f"expected an object, got {type(value).__name__}")
+        raise TypeError(f"expected an object, got {json_words(value)}")
     return value
 
 
 def input_float(value) -> float:
-    """A real number of an input body: a JSON integer or float, not a
-    boolean and not a string.  A string raises ValueError, with the
-    message ``float`` gives for one it cannot read; anything else that is
-    not a number raises TypeError."""
-    if isinstance(value, str):
-        raise ValueError(f"could not convert string to float: {value!r}")
+    """A real number of an input body: a JSON number, not a boolean."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
+        raise TypeError(f"expected a number, got {json_words(value)}")
     try:
         return float(value)
     except OverflowError:

@@ -57,6 +57,7 @@ from .errors import (
     input_list,
     input_object,
     input_pair,
+    json_words,
 )
 from .f2lin import (
     IntMatrix,
@@ -263,8 +264,8 @@ class EquivariantCWData:
             out = tuple(input_int(n) for n in input_list(v))
             if not out:
                 raise ValueError("no cell count, not even of degree 0")
-            if any(n < 0 for n in out):
-                raise ValueError(f"negative cell count in {list(out)}")
+            if min(out) < 0:
+                raise ValueError(f"a cell count is negative: {min(out)}")
             return out
 
         def matrices(v):
@@ -272,7 +273,8 @@ class EquivariantCWData:
 
         def flag(v):
             if not isinstance(v, bool):
-                raise TypeError(f"'fixed' must be a boolean, got {v!r}")
+                raise TypeError(f"'fixed' must be a boolean, got "
+                                f"{json_words(v)}")
             return v
 
         def orbit(v):

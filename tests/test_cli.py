@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import errno
 import hashlib
 import importlib
 import io
@@ -17,6 +18,7 @@ import pytest
 
 from hmrkit import cli
 from hmrkit.cw_fixtures import build_fixture, lens_space
+from hmrkit.errors import json_words
 
 from test_real_spinc import time_limit
 
@@ -299,10 +301,12 @@ def _write(content: bytes):
 
 
 #: (id, how to make the --input path, error code, text of the message):
-#: each once ended in a traceback
+#: each once ended in a traceback, or in the words of the Python version
 UNREADABLE_INPUTS = (
     ("huge_int", _write(b'{"data": [[1' + b"0" * 4400 + b']]}'),
-     "malformed_json", "digits"),
+     "malformed_json", "an integer literal has too many digits"),
+    ("deep", _write(b"[" * 100000 + b"]" * 100000), "malformed_json",
+     "input is nested too deeply"),
     ("not_utf8", _write(b"\xff\xfe{"), "malformed_json", ""),
     ("directory", lambda tmp_path: tmp_path, "invalid_input", "--input"),
 )
@@ -352,6 +356,40 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv, code_name,
     assert code == 2
     assert report["error"]["code"] == code_name
     assert named in report["error"]["message"]
+
+
+#: a device that takes no byte: every write to it fails with ENOSPC
+FULL = "/dev/full"
+needs_full = pytest.mark.skipif(not os.path.exists(FULL),
+                                reason=f"no {FULL} here")
+
+
+@needs_full
+@pytest.mark.parametrize("argv, flag", [
+    ([*PSC_ARGV, "--output", FULL], "--output"),
+    (["flow", "--input", None, "--csv", FULL], "--csv"),
+], ids=["output", "csv"])
+def test_full_device_exits_2(capsys, tmp_path, argv, flag):
+    # once an OSError traceback, exit 1, when the file was closed
+    argv = [a if a is not None else _flow_body(tmp_path) for a in argv]
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["error"] == {
+        "code": "invalid_input",
+        "message": f"{flag} {FULL!r} cannot be written: "
+                   f"{os.strerror(errno.ENOSPC)}"}
+
+
+@needs_full
+def test_full_stdout_ends_quietly():
+    # once an OSError traceback, exit 1, when stdout was flushed
+    with open(FULL, "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hmrkit.cli", "lens", "--p", "3", "--q",
+             "1"], stdout=full, stderr=subprocess.PIPE, env=_child_env(),
+            timeout=60)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 @pytest.mark.parametrize("field, value", [
@@ -521,9 +559,9 @@ PAIRS = (
 
 
 @pytest.mark.parametrize("value, words", [
-    (5, "TypeError: expected an array, got int"),
-    ([0], "ValueError: expected a pair of integers, got an array of 1"),
-    ([0, 0, 0], "ValueError: expected a pair of integers, got an array of 3"),
+    (5, "expected an array, got 5"),
+    ([0], "expected a pair of integers, got an array of 1"),
+    ([0, 0, 0], "expected a pair of integers, got an array of 3"),
 ], ids=["int", "one", "three"])
 @pytest.mark.parametrize("command, field, body, path", PAIRS,
                          ids=[p[0] for p in PAIRS])
@@ -536,6 +574,23 @@ def test_non_pair_refused_in_own_words(capsys, monkeypatch, command, field,
     assert report["error"] == {
         "code": "invalid_input",
         "message": f"input field {field!r} is malformed: {words}"}
+
+
+@pytest.mark.parametrize("value, words", [
+    (True, "true"), (None, "null"), ("1", '"1"'), (1.5, "1.5"),
+    (float("nan"), "NaN"), ([1, [2, 3]], "an array of 2"),
+    ({"a": []}, "an object"),
+    pytest.param(10 ** 5000, "an integer too long to quote",
+                 marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"),
+                     reason="no digit limit on str(int) here")),
+    ((1, 2), "a value of type tuple"),
+], ids=["true", "null", "string", "number", "nan", "array", "object",
+        "long_int", "tuple"])
+def test_json_words(value, words):
+    # a scalar quoted as JSON writes it, an array or an object only named,
+    # and no value makes the words raise
+    assert json_words(value) == words
 
 
 def test_spinc_all_object_body_names_a_field(capsys, monkeypatch):
@@ -682,6 +737,64 @@ def without(body, path, key):
         node = node[step]
     del node[key]
     return body
+
+
+@pytest.mark.parametrize("command, field, body, path, key", MISSING_KEYS,
+                         ids=[f"{t[0]}_{t[4]}" for t in MISSING_KEYS])
+def test_missing_key_refused_in_own_words(capsys, monkeypatch, command,
+                                          field, body, path, key):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        without(body, path, key))))
+    code, report = run_json(capsys, command, "--input", "-")
+    assert code == 2
+    assert report["error"] == {
+        "code": "invalid_input",
+        "message": f"input field {field!r} is malformed: {key!r} is "
+                   f"required"}
+
+
+@pytest.mark.parametrize("command, field, body, path, value",
+                         [t[1:] for t in SHAPE_FIELDS],
+                         ids=[t[0] for t in SHAPE_FIELDS])
+def test_wrong_shape_field_exits_2(capsys, monkeypatch, command, field,
+                                   body, path, value):
+    assert_edit_exits_2(capsys, monkeypatch, command, field, body, path,
+                        value)
+
+
+def nested(depth: int):
+    """1.0 inside ``depth`` arrays."""
+    value = 1.0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_deep_matrix_refused_without_recursion(capsys, monkeypatch):
+    # once read by a walk that recursed once per level, and then refused
+    # by numpy as shape_mismatch, exit 1, naming no field
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        edited(FLOW_BODY, ("L",), nested(50)))))
+    code, report = run_json(capsys, "flow", "--input", "-")
+    assert code == 2
+    assert report["error"] == {
+        "code": "invalid_input",
+        "message": "input field 'L' is malformed: expected a number, got "
+                   "an array of 1"}
+
+
+def test_deepest_readable_matrix_names_its_field():
+    # 950 levels fit under the JSON decoder's depth in a fresh process,
+    # and the walk that read them once ended in a RecursionError traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmrkit.cli", "flow", "--input", "-"],
+        input=json.dumps(edited(FLOW_BODY, ("L",), nested(950))),
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout)["error"] == {
+        "code": "invalid_input",
+        "message": "input field 'L' is malformed: expected a number, got "
+                   "an array of 1"}
 
 
 LABELS = [[1, 2], 7]
