@@ -901,6 +901,31 @@ def test_lens_and_psc_load_no_fractions():
     assert result["loaded"] == []
 
 
+#: (flow body, the message of its refusal): a zero step, a NaN t_max,
+#: s0 = -1, and a t_max / step past the floats
+FLOW_SCALAR_ERRORS = [
+    ({"L": [[1.0]], "t_max": 1, "step": 0},
+     "step must be finite and positive, got 0.0"),
+    ({"L": [[1.0]], "t_max": nan, "step": 0.1},
+     "t_max must be finite and positive, got NaN"),
+    ({"L": [[1.0]], "t_max": 1, "step": 0.1, "s0": -1},
+     "s0 must be nonnegative, got -1.0"),
+    ({"L": [[1.0]], "t_max": 1e308, "step": 1e-308},
+     "t_max / step overflows"),
+]
+
+#: (fiber of point "b" of MORSE_BODY, code, the end of the message) of the
+#: fibers the model refuses: not symmetric, an eigenvalue of zero, a
+#: repeated one, and a spectrum past the floats
+FIBER_REFUSALS = [
+    ([[1.0, 0.5], [0.0, 2.0]], "shape_mismatch", "that is not symmetric"),
+    ([[0.0]], "degenerate_spectrum", "whose spectrum contains (near-)zero"),
+    ([[1.0, 0.0], [0.0, 1.0]], "degenerate_spectrum",
+     "whose spectrum is not simple"),
+    ([[1e308, 1e308], [1e308, 1e308]], "degenerate_spectrum",
+     "whose spectrum is not finite"),
+]
+
 #: bodies that morse and flow refuse while reading their fields, before
 #: numpy: a missing field, a non-finite entry, malformed counts, a
 #: non-integer grading shift, a ragged matrix, and a negative --seed for a

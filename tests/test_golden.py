@@ -36,9 +36,10 @@ from hmrkit.cw_fixtures import FIXTURE_BUILDERS, build_fixture, lens_space
 from hmrkit.seifert_hmr import FAMILIES
 
 from test_cli import (COUNT_OUTSIDE, COUNTS_SHAPES, CW_REJECTIONS,
-                      FLOAT_FIELDS, LABELS, MISSING_KEYS, MORSE_BODY,
-                      NON_FINITE, NON_INTEGER_FIELDS, NON_NUMBERS,
-                      NUMBER_FIELDS, SHAPE_FIELDS, edited, without)
+                      FIBER_REFUSALS, FLOAT_FIELDS, FLOW_SCALAR_ERRORS,
+                      LABELS, MISSING_KEYS, MORSE_BODY, NON_FINITE,
+                      NON_INTEGER_FIELDS, NON_NUMBERS, NUMBER_FIELDS,
+                      SHAPE_FIELDS, edited, without)
 from test_real_spinc import (CASES, DOUBLED_D1, flipped_orbit_body, relabel,
                              space_data)
 
@@ -278,6 +279,15 @@ def requests() -> list[tuple[list[str], str]]:
                 json.dumps(space_data(DOUBLED_D1).to_json())))
     out += [(["morse", "--input", "-"], json.dumps(edited(MORSE_BODY, *edit)))
             for edit in _morse_rejections()]
+    # fibers that the model refuses, flow scalars out of their range, and a
+    # zero step beside an L that is not symmetric
+    out += [(["morse", "--input", "-"], json.dumps(
+                edited(MORSE_BODY, ("points", 1, "fiber"), fiber)))
+            for fiber, *_ in FIBER_REFUSALS]
+    out += [(["flow", "--input", "-"], json.dumps(body))
+            for body, _ in FLOW_SCALAR_ERRORS]
+    out.append((["flow", "--input", "-"], json.dumps(
+        {"L": [[1.0, 0.5], [0.0, 2.0]], "t_max": 1, "step": 0})))
     out += [([command, "--input", "-"], json.dumps(edited(*edit)))
             for command in ("spinc", "seifert-matrix", "flow")
             for edit in _field_rejections(command)]
