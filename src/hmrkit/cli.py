@@ -26,9 +26,10 @@ import sys
 import time
 from functools import partial
 
-from .errors import (FileNotFound, HmrkitError, InvalidInput, MalformedJson,
-                     input_field, input_float, input_int, input_list,
-                     input_object, json_words)
+from .errors import (DegenerateSpectrum, FileNotFound, HmrkitError,
+                     InvalidInput, MalformedJson, ShapeMismatch,
+                     check_flow_scalars, input_field, input_float, input_int,
+                     input_list, input_object, json_words)
 
 SELFTEST_BUDGET_SECONDS = 60.0
 
@@ -179,6 +180,22 @@ def _base_points(value) -> list:
             for p in map(input_object, input_list(value))]
 
 
+def _fiber_model(label: str, fiber: list):
+    """The LinearFlowModel of the fiber of point ``label``.  A refusal
+    keeps its code and names the point and the ``points`` field: the
+    reader made the fiber square, so a ShapeMismatch says it is not
+    symmetric, and each DegenerateSpectrum reason names the spectrum."""
+    from .morse_blowup import LinearFlowModel
+
+    try:
+        return LinearFlowModel(fiber)
+    except (ShapeMismatch, DegenerateSpectrum) as exc:
+        reason = f"whose {exc}" if isinstance(exc, DegenerateSpectrum) \
+            else "that is not symmetric"
+        raise type(exc)(f"point {json_words(label)} of input field "
+                        f"'points' has a fiber {reason}") from None
+
+
 def _cmd_morse(args) -> int:
     raw = _load_input(args)
     points = input_field(raw, "points", _base_points)
@@ -188,11 +205,10 @@ def _cmd_morse(args) -> int:
                          lambda v: read_counts(v, len(points)), None)
     shift = input_field(raw, "grading_shift", input_int, 0)
     from .complexes import assemble, homology, les_maps, verify_les_exact
-    from .morse_blowup import (BaseMorseData, BasePoint, LinearFlowModel,
-                               build_model_complexes)
+    from .morse_blowup import BaseMorseData, BasePoint, build_model_complexes
 
     base = BaseMorseData(
-        tuple(BasePoint(label, ind_q, LinearFlowModel(fiber))
+        tuple(BasePoint(label, ind_q, _fiber_model(label, fiber))
               for label, ind_q, fiber in points), counts)
     blocks = build_model_complexes(base, shift)
     cx = assemble(blocks)
@@ -225,6 +241,7 @@ def _cmd_flow(args) -> int:
     if phi0 is None and args.seed < 0:
         raise InvalidInput(f"--seed must be a non-negative integer, "
                            f"got {args.seed}")
+    check_flow_scalars(s0, t_max, step)
     import numpy as np
 
     from .morse_blowup import (LinearFlowModel, closed_form_phi,

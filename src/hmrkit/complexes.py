@@ -28,31 +28,28 @@ the three homologies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CompositionNonzero, GradingViolation, ShapeMismatch
 # f2_rank is unused here, but the benchmark's tracing test reads it as
 # complexes.f2_rank
 from .f2lin import (F2Matrix, f2_block, f2_rank,  # noqa: F401
-                    reduced_echelon, xor_of)
+                    extend_echelon, xor_of)
 
 KINDS = ("o", "s", "u")
 #: the (cycles, boundaries) of a grading with no generators
 _EMPTY_LEVEL: tuple = ((), {})
 
 
-@dataclass(frozen=True)
 class Generator:
     """A labeled chain-group generator with kind and grading."""
 
-    id: str
-    kind: str
-    gr: int
+    __slots__ = ("id", "kind", "gr")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ShapeMismatch(f"unknown generator kind {self.kind!r}")
+    def __init__(self, id: str, kind: str, gr: int):
+        if kind not in KINDS:
+            raise ShapeMismatch(f"unknown generator kind {kind!r}")
+        self.id, self.kind, self.gr = id, kind, gr
 
     @property
     def bar_gr(self) -> int:
@@ -62,7 +59,6 @@ class Generator:
         return self.gr
 
 
-@dataclass(frozen=True)
 class BlockDifferentials:
     """The eight differential blocks between the kind-subspaces.
 
@@ -71,19 +67,17 @@ class BlockDifferentials:
     each stored rows-by-target, columns-by-source.
     """
 
-    gens_o: tuple
-    gens_s: tuple
-    gens_u: tuple
-    d_oo: F2Matrix
-    d_os: F2Matrix
-    d_uo: F2Matrix
-    d_us: F2Matrix
-    bar_ss: F2Matrix
-    bar_us: F2Matrix
-    bar_su: F2Matrix
-    bar_uu: F2Matrix
+    __slots__ = ("gens_o", "gens_s", "gens_u", "d_oo", "d_os", "d_uo",
+                 "d_us", "bar_ss", "bar_us", "bar_su", "bar_uu", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, gens_o: tuple, gens_s: tuple, gens_u: tuple,
+                 d_oo: F2Matrix, d_os: F2Matrix, d_uo: F2Matrix,
+                 d_us: F2Matrix, bar_ss: F2Matrix, bar_us: F2Matrix,
+                 bar_su: F2Matrix, bar_uu: F2Matrix):
+        self.gens_o, self.gens_s, self.gens_u = gens_o, gens_s, gens_u
+        self.d_oo, self.d_os, self.d_uo, self.d_us = d_oo, d_os, d_uo, d_us
+        self.bar_ss, self.bar_us = bar_ss, bar_us
+        self.bar_su, self.bar_uu = bar_su, bar_uu
         # every shape first: the grading checks index by the one-positions
         for name, tgt, src in self._named_blocks():
             m = getattr(self, name)
@@ -143,40 +137,47 @@ class BlockDifferentials:
         )
 
 
-@dataclass(frozen=True)
 class GradedComplex:
-    """One flavor: the grading of each generator, plus a degree -1
-    differential.
+    """One flavor: the grading of each generator (gr or bar_gr), plus a
+    degree -1 differential d.
 
-    Chains are bitmasks over all generators.  The columns of d are read
-    once, on first use of :attr:`columns`, and each grading is eliminated
-    once, on first use of :attr:`levels`; homology ranks and the LES check
-    read those two tables.  d . d is multiplied out once, for both checks.
+    Chains are bitmasks over all generators.  The columns of d are grouped
+    by grading once (:attr:`tagged_columns`).  Each grading is eliminated
+    once, on first use of :attr:`levels`, forward only: no rank, cycle or
+    basis read here needs the back-substituted form.  Homology ranks read
+    that table, and the LES check reduces its vectors against a copy of a
+    stored boundary basis.  d . d is multiplied out once, for both checks.
     """
 
-    gradings: tuple  # integer grading per generator (gr or bar_gr)
-    d: F2Matrix
+    __slots__ = ("gradings", "d", "__dict__")
+
+    def __init__(self, gradings: tuple, d: F2Matrix):
+        self.gradings, self.d = gradings, d
 
     @cached_property
     def d_squared_zero(self) -> bool:
         return (self.d @ self.d).is_zero()
 
     @cached_property
-    def columns(self) -> tuple:
-        """Column c of d as a bitmask over all generators: the boundary of
-        generator c."""
-        return self.d.transpose().masks
+    def tagged_columns(self) -> dict[int, list[int]]:
+        """Per grading j, column c of d as a bitmask over all generators
+        with tag bit n + c set (n = d.rows), for each generator c of
+        grading j: the boundary of c beside c itself."""
+        n, out = self.d.rows, {}
+        for c, (g, column) in enumerate(zip(self.gradings,
+                                            self.d.transpose().masks)):
+            out.setdefault(g, []).append(column | 1 << n + c)
+        return out
 
     def cycle_matrix(self, j: int) -> tuple[list[int], dict[int, int]]:
-        """Z_j (bitmasks over all generators) and B_{j-1} (a reduced echelon
-        basis ``{pivot: row}``) from one elimination of the columns of
-        grading j, column c tagged with bit n + c (n = d.rows).  A pivot is
-        a lowest bit, so a row with a tag pivot has no boundary left and its
-        tags are a cycle; the other rows, tags masked off, span B_{j-1}, in
+        """Z_j (bitmasks over all generators) and B_{j-1} (an echelon basis
+        ``{pivot: row}``) from one forward elimination of the tagged columns
+        of grading j.  A pivot is a lowest bit, so a row with a tag pivot
+        has no boundary left and its tags are a cycle; the other rows, tags
+        masked off, have distinct pivots below n and span B_{j-1}, in
         grading j - 1 as d has degree -1 (:func:`assemble` checks it)."""
-        n = self.d.rows
-        echelon = reduced_echelon(self.columns[c] | 1 << n + c for c, g
-                                  in enumerate(self.gradings) if g == j)
+        n, echelon = self.d.rows, {}
+        extend_echelon(echelon, self.tagged_columns.get(j, ()))
         return ([row >> n for pivot, row in echelon.items() if pivot >= n],
                 {pivot: row & (1 << n) - 1
                  for pivot, row in echelon.items() if pivot < n})
@@ -185,29 +186,30 @@ class GradedComplex:
     def levels(self) -> dict[int, tuple[list[int], dict[int, int]]]:
         """Per grading j: Z_j, and B_j as ``{pivot: row}``, from the
         eliminations of gradings j and j + 1 (:meth:`cycle_matrix`)."""
-        reduced = {j: self.cycle_matrix(j) for j in sorted(set(self.gradings))}
+        reduced = {j: self.cycle_matrix(j)
+                   for j in sorted(self.tagged_columns)}
         return {j: (cycles, reduced.get(j + 1, _EMPTY_LEVEL)[1])
                 for j, (cycles, _) in reduced.items()}
 
     def rank_mod_boundaries(self, j: int, vectors: list[int]) -> int:
-        """rank(vectors + B_j) - rank(B_j): zero iff each vector bounds."""
+        """rank(vectors + B_j) - rank(B_j): zero iff each vector bounds.
+        The vectors extend a copy of the stored basis of B_j."""
         boundaries = self.levels.get(j, _EMPTY_LEVEL)[1]
-        return (len(reduced_echelon([*boundaries.values(), *vectors]))
-                - len(boundaries))
+        return extend_echelon(dict(boundaries), vectors)
 
     def homology_rank(self, j: int) -> int:
         cycles, boundaries = self.levels.get(j, _EMPTY_LEVEL)
         return len(cycles) - len(boundaries)
 
 
-@dataclass(frozen=True)
 class ThreeComplexes:
     """Assembled check/hat/bar complexes sharing one block-differential set."""
 
-    blocks: BlockDifferentials
-    check: GradedComplex
-    hat: GradedComplex
-    bar: GradedComplex
+    __slots__ = ("blocks", "check", "hat", "bar")
+
+    def __init__(self, blocks: BlockDifferentials, check: GradedComplex,
+                 hat: GradedComplex, bar: GradedComplex):
+        self.blocks, self.check, self.hat, self.bar = blocks, check, hat, bar
 
     def flavor(self, name: str) -> GradedComplex:
         try:
@@ -241,13 +243,14 @@ def homology(c: ThreeComplexes, flavor: str) -> dict[int, int]:
     return {j: r for j, r in ranks.items() if r}
 
 
-@dataclass(frozen=True)
 class LesMaps:
-    """The three chain maps of the long exact sequence, with their degrees."""
+    """The three chain maps of the long exact sequence: i (bar -> check)
+    and j (check -> hat) of degree 0, p (hat -> bar) of degree -1."""
 
-    i: F2Matrix  # bar -> check, degree 0
-    j: F2Matrix  # check -> hat, degree 0
-    p: F2Matrix  # hat -> bar, degree -1
+    __slots__ = ("i", "j", "p")
+
+    def __init__(self, i: F2Matrix, j: F2Matrix, p: F2Matrix):
+        self.i, self.j, self.p = i, j, p
 
 
 def les_maps(blocks: BlockDifferentials) -> LesMaps:

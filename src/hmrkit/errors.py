@@ -12,6 +12,7 @@ integer belongs is malformed, not truncated or converted.
 from __future__ import annotations
 
 import json
+import math
 
 
 class HmrkitError(Exception):
@@ -195,3 +196,19 @@ def input_float(value) -> float:
         return float(value)
     except OverflowError:
         raise ValueError("the integer is too large for a float") from None
+
+
+def check_flow_scalars(s0: float, t_max: float, step: float) -> None:
+    """Refuse, as InvalidInput, a negative ``s0``, a ``t_max`` or ``step``
+    that is not finite and positive, and a ``t_max / step`` past the
+    floats, naming each value as :func:`json_words` does.  The ``flow``
+    reader checks with it before numpy loads, and the integrator for its
+    library callers."""
+    if s0 < 0:
+        raise InvalidInput(f"s0 must be nonnegative, got {json_words(s0)}")
+    for name, value in (("t_max", t_max), ("step", step)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidInput(f"{name} must be finite and positive, "
+                               f"got {json_words(value)}")
+    if not math.isfinite(t_max / step):
+        raise InvalidInput("t_max / step overflows")

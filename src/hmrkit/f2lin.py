@@ -178,40 +178,43 @@ def f2_block(blocks: Sequence[Sequence[F2Matrix]]) -> F2Matrix:
     return F2Matrix(sum(row_heights), sum(col_widths), tuple(masks))
 
 
-def reduced_echelon(masks: Iterable[int]) -> dict[int, int]:
-    """Reduced row echelon basis of the row space of ``masks``, by XOR
-    elimination as in M4RI.
-
-    Returns ``{pivot column: row}``: a row's pivot is its lowest set bit,
-    and no other row has that bit.
-    """
-    echelon: dict[int, int] = {}
-    pivots = 0  # mask of the pivot columns
-    for row in filter(None, masks):
-        for col in bits(row & pivots):
-            row ^= echelon[col]
-        if row:
-            low = row & -row
-            for col, other in echelon.items():
-                if other & low:
-                    echelon[col] = other ^ row
-            echelon[low.bit_length() - 1] = row
-            pivots |= low
-    return echelon
+def extend_echelon(echelon: dict[int, int], masks: Iterable[int]) -> int:
+    """Extend the row echelon basis ``echelon`` ``{pivot column: row}`` in
+    place by the rows of ``masks``; return the number of rows added.  A
+    row's pivot is its lowest set bit: a new row is reduced there until
+    that bit is no pivot, and stored under it.  No row is reduced again
+    (no back-substitution), so a row may keep bits at higher pivots."""
+    added = 0
+    for row in masks:
+        while row:
+            pivot = (row & -row).bit_length() - 1
+            other = echelon.get(pivot)
+            if other is None:
+                echelon[pivot] = row
+                added += 1
+                break
+            row ^= other
+    return added
 
 
 def f2_rank(m: F2Matrix) -> int:
     """Rank of ``m`` over F2."""
-    return len(reduced_echelon(m.masks))
+    return extend_echelon({}, m.masks)
 
 
 def f2_kernel_basis(m: F2Matrix) -> list[int]:
     """Null space basis of ``m``, as bitmasks over its columns.
 
-    One vector per free column f: bit f, plus the pivot columns whose
-    reduced row has bit f.
+    The echelon rows are back-substituted, highest pivot first, so that no
+    row keeps a bit at another row's pivot.  Then there is one vector per
+    free column f: bit f, plus the pivot columns whose row has bit f.
     """
-    echelon = reduced_echelon(m.masks)
+    echelon: dict[int, int] = {}
+    extend_echelon(echelon, m.masks)
+    pivots = 0  # the pivots above the row being reduced
+    for col in sorted(echelon, reverse=True):
+        echelon[col] ^= xor_of(echelon, echelon[col] & pivots)
+        pivots |= 1 << col
     return [sum(1 << col for col, row in echelon.items() if row >> free & 1)
             | 1 << free for free in range(m.cols) if free not in echelon]
 

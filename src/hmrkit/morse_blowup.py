@@ -25,14 +25,12 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .complexes import BlockDifferentials, Generator
-from .errors import (DegenerateSpectrum, GradingViolation, InvalidInput,
-                     ShapeMismatch, StepTooLarge)
+from .errors import (DegenerateSpectrum, GradingViolation, ShapeMismatch,
+                     StepTooLarge, check_flow_scalars)
 from .f2lin import COUNTS_SHAPE, F2Matrix
 
 #: convergence is declared when ||phi'|| stays below this for 100 steps
@@ -53,16 +51,20 @@ BLOCK_STEPS = 16
 _INITIAL_ROWS = 1024
 
 
-@dataclass(frozen=True)
 class LinearFlowModel:
     """Symmetric matrix with simple nonzero spectrum, plus its eigendata as
-    ``np.linalg.eigh`` returns it.  The closed form and the limiting eigen
-    index read an eigenvector only through V (V^T phi0) and |V^T phi0|, so
-    no answer depends on a column's sign."""
+    ``np.linalg.eigh`` returns it (eigenvectors as columns).  The closed
+    form and the limiting eigen index read an eigenvector only through
+    V (V^T phi0) and |V^T phi0|, so no answer depends on a column's sign.
 
-    L: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False)  # columns
+    ``__init__`` stores L and calls :meth:`__post_init__`, which checks and
+    decomposes it; the benchmark's tracer times that method by its name."""
+
+    __slots__ = ("L", "eigenvalues", "eigenvectors")
+
+    def __init__(self, L):
+        self.L = L
+        self.__post_init__()
 
     def __post_init__(self):
         a = np.asarray(self.L, dtype=float)
@@ -71,7 +73,7 @@ class LinearFlowModel:
         # an exactly symmetric L, the common case, skips np.allclose
         if not ((a == a.T).all() or np.allclose(a, a.T, atol=1e-12)):
             raise ShapeMismatch("L must be symmetric")
-        object.__setattr__(self, "L", a)
+        self.L = a
         vals, vecs = np.linalg.eigh(a)
         # n is small: plain floats check the spectrum faster than numpy
         spectrum = vals.tolist()
@@ -83,24 +85,22 @@ class LinearFlowModel:
             raise DegenerateSpectrum("spectrum contains (near-)zero")
         if any(hi - lo <= gap_tol for lo, hi in zip(spectrum, spectrum[1:])):
             raise DegenerateSpectrum("spectrum is not simple")
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
+        self.eigenvalues, self.eigenvectors = vals, vecs
 
     @property
     def n(self) -> int:
         return self.L.shape[0]
 
 
-@dataclass(frozen=True)
 class BasePoint:
     """A base Morse critical point with its normal fiber matrix."""
 
-    label: str
-    ind_q: int
-    fiber: LinearFlowModel
+    __slots__ = ("label", "ind_q", "fiber")
+
+    def __init__(self, label: str, ind_q: int, fiber: LinearFlowModel):
+        self.label, self.ind_q, self.fiber = label, ind_q, fiber
 
 
-@dataclass(frozen=True)
 class BaseMorseData:
     """Base critical points plus optional mod-2 base trajectory counts.
 
@@ -108,16 +108,15 @@ class BaseMorseData:
     ``points`` list; nonzero entries must drop the base index by one.
     """
 
-    points: tuple
-    counts: Optional[F2Matrix] = None
+    __slots__ = ("points", "counts")
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if self.counts is not None:
+    def __init__(self, points, counts: F2Matrix | None = None):
+        self.points, self.counts = tuple(points), counts
+        if counts is not None:
             npts = len(self.points)
-            if (self.counts.rows, self.counts.cols) != (npts, npts):
+            if (counts.rows, counts.cols) != (npts, npts):
                 raise ShapeMismatch(COUNTS_SHAPE)
-            for (r, c) in self.counts.ones:
+            for (r, c) in counts.ones:
                 if self.points[c].ind_q - self.points[r].ind_q != 1:
                     raise GradingViolation(
                         "base count entry does not drop the index by 1"
@@ -135,7 +134,7 @@ def blowup_critical_points(base: BaseMorseData,
     """
     out = []
     for q in base.points:
-        for i, lam in enumerate(q.fiber.eigenvalues, start=1):
+        for i, lam in enumerate(q.fiber.eigenvalues.tolist(), start=1):
             if lam > 0:
                 out.append(Generator(f"{q.label}:w{i}", "s",
                                      q.ind_q + i - 1 + grading_shift))
@@ -198,15 +197,17 @@ def build_model_complexes(base: BaseMorseData,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FlowTrajectory:
-    """A sampled trajectory of the blown-up flow."""
+    """A sampled trajectory of the blown-up flow: N sample times, the unit
+    vectors phi (N x n), the nonnegative s and Lambda(phi) at each, and
+    whether the convergence rule fired."""
 
-    times: np.ndarray
-    phis: np.ndarray      # shape (N, n), unit vectors
-    ss: np.ndarray        # shape (N,), nonnegative
-    lambdas: np.ndarray   # Lambda(phi(t)) samples
-    converged: bool
+    __slots__ = ("times", "phis", "ss", "lambdas", "converged")
+
+    def __init__(self, times: np.ndarray, phis: np.ndarray, ss: np.ndarray,
+                 lambdas: np.ndarray, converged: bool):
+        self.times, self.phis, self.ss = times, phis, ss
+        self.lambdas, self.converged = lambdas, converged
 
     @property
     def terminal_phi(self) -> np.ndarray:
@@ -256,7 +257,7 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
     end of its block.
 
     ``s0`` must be nonnegative, and ``t_max`` and ``step`` finite and
-    positive (InvalidInput).
+    positive (InvalidInput, from :func:`hmrkit.errors.check_flow_scalars`).
     ``step`` times the largest |eigenvalue| must not exceed
     MAX_STEP_SPECTRAL (StepTooLarge).  Sample storage grows with the steps
     actually taken, not with t_max / step: one buffer doubles in place and
@@ -268,14 +269,7 @@ def integrate_blowup_flow(model: LinearFlowModel, phi0, s0: float,
         raise ShapeMismatch("phi0 has wrong dimension")
     if abs(np.linalg.norm(phi) - 1.0) > 1e-9:
         raise ShapeMismatch("phi0 must be a unit vector")
-    if s0 < 0:
-        raise InvalidInput(f"s0 must be nonnegative, got {s0!r}")
-    for name, value in (("t_max", t_max), ("step", step)):
-        if not (math.isfinite(value) and value > 0):
-            raise InvalidInput(f"{name} must be finite and positive, "
-                               f"got {value!r}")
-    if not math.isfinite(t_max / step):
-        raise InvalidInput("t_max / step overflows")
+    check_flow_scalars(s0, t_max, step)
     spectral = step * float(np.max(np.abs(model.eigenvalues)))
     if spectral > MAX_STEP_SPECTRAL:
         raise StepTooLarge(

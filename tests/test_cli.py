@@ -928,8 +928,8 @@ FIBER_REFUSALS = [
 
 #: bodies that morse and flow refuse while reading their fields, before
 #: numpy: a missing field, a non-finite entry, malformed counts, a
-#: non-integer grading shift, a ragged matrix, and a negative --seed for a
-#: random phi0
+#: non-integer grading shift, a ragged matrix, a negative --seed for a
+#: random phi0, and the flow scalars out of their range
 NUMPY_BODY_ERRORS = [
     (["morse", "--input", "-"], "{}", 2),
     (["morse", "--input", "-"], json.dumps(
@@ -943,13 +943,53 @@ NUMPY_BODY_ERRORS = [
         {"L": [[1.0], [0.0, 2.0]], "t_max": 1, "step": 0.1}), 2),
     (["flow", "--input", "-", "--seed", "-1"], json.dumps(
         {"L": [[1.0, 0.0], [0.0, 2.0]], "t_max": 1, "step": 0.1}), 2),
-]
+] + [(["flow", "--input", "-"], json.dumps(body), 2)
+     for body, _ in FLOW_SCALAR_ERRORS]
 
 
 def test_malformed_morse_and_flow_bodies_load_no_numpy():
     result = run_fresh(NUMPY_BODY_ERRORS)
     assert result["errors"] == ["invalid_input"] * len(NUMPY_BODY_ERRORS)
     assert result["loaded"] == []
+
+
+@pytest.mark.parametrize("body, message", FLOW_SCALAR_ERRORS,
+                         ids=["zero_step", "nan_t_max", "negative_s0",
+                              "overflow"])
+def test_flow_scalar_refusal_spells_values_as_json(capsys, monkeypatch, body,
+                                                   message):
+    # a NaN t_max was once named nan, as Python spells it
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(body)))
+    code, report = run_json(capsys, "flow", "--input", "-")
+    assert code == 2
+    assert report["error"] == {"code": "invalid_input", "message": message}
+
+
+@pytest.mark.parametrize("fiber, error, reason", FIBER_REFUSALS,
+                         ids=["asymmetric", "zero", "repeated", "infinite"])
+def test_refused_morse_fiber_names_its_point(capsys, monkeypatch, fiber,
+                                             error, reason):
+    # once L must be symmetric, or a spectrum's fault with no point named
+    body = edited(MORSE_BODY, ("points", 1, "fiber"), fiber)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(body)))
+    code, report = run_json(capsys, "morse", "--input", "-")
+    assert code == 1
+    assert report["error"] == {
+        "code": error,
+        "message": f"point \"b\" of input field 'points' has a fiber {reason}"}
+
+
+@pytest.mark.parametrize("argv, body", [
+    (["morse", "--input", "-"], json.dumps(MORSE_BODY)),
+    (["flow", "--input", "-"], json.dumps(FLOW_BODY)),
+    (["fixtures-selftest"], ""),
+], ids=["morse", "flow", "fixtures-selftest"])
+def test_numpy_subcommands_load_no_dataclasses(argv, body):
+    # complexes and morse_blowup hold plain classes, and numpy itself does
+    # not import dataclasses
+    result = run_fresh([(argv, body, 0)])
+    assert "numpy" in result["loaded"]
+    assert "dataclasses" not in result["loaded"]
 
 
 def test_lens_process_loads_no_census_or_numpy_modules():

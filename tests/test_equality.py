@@ -3,7 +3,8 @@
 Each of these compares its fields by value, as the census, the LES check
 and the tests read it; a field derived on first read (``F2Matrix.ones``)
 takes no part.  The other plain classes of ``f2lin``, ``index_grading``,
-``real_spinc`` and ``seifert_hmr`` compare by identity.
+``real_spinc``, ``seifert_hmr``, ``complexes`` and ``morse_blowup``
+compare by identity.
 """
 
 from __future__ import annotations

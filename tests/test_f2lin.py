@@ -8,6 +8,7 @@ form, and direct group-order arithmetic for cokernels.
 from __future__ import annotations
 
 import json
+import random
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,6 +246,59 @@ def test_homology_rp2_cellular():
     # both boundary maps vanish mod 2, so each homology rank is 1
     cx = two_step_complex(F2Matrix.zero(1, 1), F2Matrix.zero(1, 1))
     assert [cx.homology_rank(j) for j in (0, 1, 2)] == [1, 1, 1]
+
+
+def random_graded_complex(rng: random.Random) -> tuple:
+    """(gradings, d as a 0/1 grid) of a random complex with d . d = 0 over
+    gradings -1..4, one of them with no generators: cancelling pairs and
+    free generators, conjugated by random row additions within a
+    grading."""
+    empty = {rng.randrange(-1, 5)}
+    gradings, pairs = [], []
+    for _ in range(rng.randint(1, 16)):
+        g = rng.choice([g for g in range(-1, 5) if g not in empty])
+        if g - 1 in empty or g - 1 < -1 or rng.random() < 0.3:
+            gradings.append(g)
+        else:
+            pairs.append((len(gradings), len(gradings) + 1))
+            gradings += [g, g - 1]
+    n = len(gradings)
+    d = np.zeros((n, n), dtype=np.int64)
+    for top, bottom in pairs:
+        d[bottom, top] = 1
+    for _ in range(3 * n):  # E d E with E = E^-1 = 1 + e_ba, gr a = gr b
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b and gradings[a] == gradings[b]:
+            e = np.eye(n, dtype=np.int64)
+            e[b, a] = 1
+            d = e @ d @ e % 2
+    assert not (d @ d % 2).any()
+    return tuple(gradings), d
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_forward_elimination_ranks_against_oracle(seed):
+    # the cycles and boundaries of each grading come from one forward
+    # elimination, and the LES check extends the stored basis of B_j
+    rng = random.Random(seed)
+    gradings, d = random_graded_complex(rng)
+    cx = GradedComplex(gradings, from_grid(d, len(gradings)))
+    gr, n = np.array(gradings), len(gradings)
+
+    def rank(*blocks):
+        grid = np.vstack([np.zeros((0, n), dtype=np.int64), *blocks])
+        return oracle_f2_rank(grid) if len(grid) else 0
+
+    for j in range(-2, 6):
+        image = d[:, gr == j + 1].T  # the boundaries B_j, one a row
+        assert cx.homology_rank(j) == \
+            np.sum(gr == j) - rank(d[:, gr == j].T) - rank(image)
+        vectors = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(3)]
+        vectors += [int(sum(int(x) << i for i, x in enumerate(row)))
+                    for row in image[:2]]
+        grid = np.array([vector(v, n) for v in vectors]).reshape(-1, n)
+        assert cx.rank_mod_boundaries(j, vectors) == \
+            rank(image, grid) - rank(image)
 
 
 def test_block_assembly():
