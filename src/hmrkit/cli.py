@@ -9,11 +9,11 @@ exit code, as a table that ``tests/test_readme.py`` runs.
 Each process runs one subcommand, so the module imports only ``errors``
 at load time, and each handler imports the library names it calls; the
 parser lists no ``--fixture`` names, so that it needs no fixture module.
-Only ``morse``, ``flow`` and ``fixtures-selftest`` load numpy, and
-``morse`` and ``flow`` only once the body's fields are read and checked;
-``spinc``, ``seifert-matrix``, ``brieskorn``, ``lens``, ``psc`` and
-``index`` never do.  A name imported inside a handler is looked up on its
-defining module at each call, so rebinding it there reaches the CLI.
+Only ``morse``, ``flow`` and ``fixtures-selftest`` load numpy, ``morse``
+and ``flow`` only once the body's fields are read and checked, ``flow``'s
+scalars against their ranges too; none loads ``dataclasses``.  A name
+imported inside a handler is looked up on its defining module at each
+call, so rebinding it there reaches the CLI.
 """
 
 from __future__ import annotations
@@ -181,10 +181,9 @@ def _base_points(value) -> list:
 
 
 def _fiber_model(label: str, fiber: list):
-    """The LinearFlowModel of the fiber of point ``label``.  A refusal
-    keeps its code and names the point and the ``points`` field: the
-    reader made the fiber square, so a ShapeMismatch says it is not
-    symmetric, and each DegenerateSpectrum reason names the spectrum."""
+    """The LinearFlowModel of the fiber of point ``label``; a refusal keeps
+    its code and names the point.  The reader made the fiber square, so a
+    ShapeMismatch means it is not symmetric."""
     from .morse_blowup import LinearFlowModel
 
     try:

@@ -53,12 +53,10 @@ _INITIAL_ROWS = 1024
 
 class LinearFlowModel:
     """Symmetric matrix with simple nonzero spectrum, plus its eigendata as
-    ``np.linalg.eigh`` returns it (eigenvectors as columns).  The closed
-    form and the limiting eigen index read an eigenvector only through
-    V (V^T phi0) and |V^T phi0|, so no answer depends on a column's sign.
-
-    ``__init__`` stores L and calls :meth:`__post_init__`, which checks and
-    decomposes it; the benchmark's tracer times that method by its name."""
+    ``np.linalg.eigh`` returns it.  The closed form and the limiting eigen
+    index read an eigenvector only through V (V^T phi0) and |V^T phi0|, so
+    no answer depends on a column's sign.  :meth:`__post_init__` checks
+    and decomposes L, under a name ``bench/tracing.py`` wraps."""
 
     __slots__ = ("L", "eigenvalues", "eigenvectors")
 
